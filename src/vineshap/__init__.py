@@ -20,11 +20,11 @@ from .explain import (ContributionEstimator, Explanation,
                       IndependenceEstimator, VineCondSimEstimator,
                       VineRatioEstimator, mahalanobis_diagnostic, shapley,
                       shapley_from_values, shapley_weights)
-from .marginals import EmpiricalMarginal, fit_marginal
+from .marginals import EmpiricalMarginal
 from .simstudy import (BurrMarginal, BurrParams, ExperimentConfig,
                        ExperimentReport, analytic_mean_predictor,
                        burr_conditional_params, burr_conditional_sample,
-                       burr_density, burr_log_density, burr_sample,
+                       burr_log_density, burr_sample,
                        generate_response, knn_predictor, mae,
                        response_mean_from_u, run_experiment, run_repetition,
                        study_params, true_shapley, truth_vine)
@@ -42,8 +42,8 @@ __all__ = [
     "NumericError", "PairCopula", "ParametricMode", "UnsupportedBlockError",
     "UnsupportedCoalitionError", "VineCondSimEstimator", "VineRatioEstimator",
     "VineShapError", "analytic_mean_predictor", "burr_conditional_params",
-    "burr_conditional_sample", "burr_density", "burr_log_density",
-    "burr_sample", "covered_sets", "fit_dvine", "fit_marginal",
+    "burr_conditional_sample", "burr_log_density",
+    "burr_sample", "covered_sets", "fit_dvine",
     "fit_nonparametric", "fit_parametric", "generate_response", "greedy_cover",
     "knn_predictor", "mae", "mahalanobis_diagnostic", "pseudo_observations",
     "required_sets", "response_mean_from_u", "run_experiment",

@@ -11,6 +11,17 @@ Conventions:
     hinv(w, v, cond_on) solves for the non-conditioning argument: v is
     always the conditioning value, cond_on says which copula slot it
     occupies.
+Inputs are clipped to [EPS, 1 - EPS]; every method returns an ndarray
+with the broadcast shape of its inputs (0-d for scalar inputs).
+
+Rotation lives in PairCopula alone and follows the reflection
+identities of Joe (2014) and Czado (2019).  A family supplies only its
+unrotated formulas: _logpdf(u, v), _h(u, v) = F(u | v) and _hinv(w, v),
+the inverse of _h in u.  Rotation by 90 or 180 degrees reflects
+u -> 1 - u, by 180 or 270 degrees reflects v -> 1 - v; the h output, or
+the h-inverse target, is reflected when the argument that is not
+conditioned on was.  Exchangeable families get F(v | u) = _h(v, u); the
+grid family is not exchangeable and adds its own cond_on="first" forms.
 """
 
 import numpy as np
@@ -20,9 +31,6 @@ from .errors import InvalidInputError
 
 EPS = 1e-10
 
-#: candidate families for parametric fitting
-DEFAULT_FAMILIES = ("independence", "gaussian", "clayton")
-
 #: below this |tau| the pair is treated as independent
 TAU_INDEPENDENCE_THRESHOLD = 0.02
 
@@ -31,30 +39,62 @@ def _clip(a):
     return np.clip(np.asarray(a, dtype=float), EPS, 1.0 - EPS)
 
 
-def _maybe_scalar(out, *inputs):
-    if all(np.ndim(x) == 0 for x in inputs):
-        return float(out)
-    return out
+def _free_slot(cond_on):
+    """Slot (0 = u, 1 = v) of the argument that is not conditioned on."""
+    if cond_on not in ("first", "second"):
+        raise InvalidInputError(f"cond_on must be 'first' or 'second', got {cond_on!r}")
+    return 1 if cond_on == "first" else 0
 
 
 class PairCopula:
-    """Base class; subclasses implement the family-specific math."""
+    """Base class: clipping, cond_on checks and rotation for every family."""
 
     family = "base"
     n_params = 0
+    rotation = 0
     degenerate = False  # set by fit_parametric on constant-column data
 
-    def density(self, u, v):
-        raise NotImplementedError
+    def _flips(self):
+        """Whether the u slot and whether the v slot are reflected."""
+        return self.rotation in (90, 180), self.rotation in (180, 270)
+
+    def _args(self, u, v):
+        """Clipped (u, v) mapped into the unrotated copula's slots."""
+        flip_u, flip_v = self._flips()
+        u, v = _clip(u), _clip(v)
+        return (_clip(1.0 - u) if flip_u else u), (_clip(1.0 - v) if flip_v else v)
+
+    def _unflip(self, out, free):
+        if self._flips()[free]:
+            out = 1.0 - out
+        return np.asarray(np.clip(out, EPS, 1.0 - EPS))
 
     def log_density(self, u, v):
-        return np.log(np.maximum(self.density(u, v), 1e-300))
+        return np.asarray(self._logpdf(*self._args(u, v)))
+
+    def density(self, u, v):
+        return np.exp(self.log_density(u, v))
 
     def hfunc(self, u, v, cond_on="second"):
-        raise NotImplementedError
+        free = _free_slot(cond_on)
+        u, v = self._args(u, v)
+        return self._unflip(self._h_first(u, v) if free else self._h(u, v), free)
 
     def hinv(self, w, v, cond_on="second"):
-        raise NotImplementedError
+        free = _free_slot(cond_on)
+        if free:
+            v, w = self._args(v, w)
+            return self._unflip(self._hinv_first(w, v), free)
+        w, v = self._args(w, v)
+        return self._unflip(self._hinv(w, v), free)
+
+    def _h_first(self, u, v):
+        """F(v | u) of the unrotated copula; exchangeable by default."""
+        return self._h(v, u)
+
+    def _hinv_first(self, w, u):
+        """Inverse of _h_first in v."""
+        return self._hinv(w, u)
 
     def transpose(self):
         """Copula of the argument-swapped pair (u, v) -> (v, u)."""
@@ -79,21 +119,14 @@ class PairCopula:
 
 class IndependenceCopula(PairCopula):
     family = "independence"
-    n_params = 0
 
-    def density(self, u, v):
-        u = np.asarray(u, dtype=float)
-        out = np.ones(np.broadcast(u, np.asarray(v)).shape)
-        return _maybe_scalar(out, u, v)
+    def _logpdf(self, u, v):
+        return np.zeros(np.broadcast(u, v).shape)
 
-    def hfunc(self, u, v, cond_on="second"):
-        u, v = _clip(u), _clip(v)
-        out = u if cond_on == "second" else v + 0.0
-        return _maybe_scalar(np.asarray(out), u, v)
+    def _h(self, u, v):
+        return np.broadcast_arrays(u, v)[0]
 
-    def hinv(self, w, v, cond_on="second"):
-        w = _clip(w)
-        return _maybe_scalar(np.asarray(w), w, v)
+    _hinv = _h
 
     def to_dict(self):
         return {"family": "independence"}
@@ -112,55 +145,28 @@ class GaussianCopula(PairCopula):
             raise InvalidInputError(f"gaussian copula needs -1 < rho < 1, got {rho}")
         self.rho = rho
 
-    def log_density(self, u, v):
-        x = stats.norm.ppf(_clip(u))
-        y = stats.norm.ppf(_clip(v))
+    def _logpdf(self, u, v):
+        x = stats.norm.ppf(u)
+        y = stats.norm.ppf(v)
         r = self.rho
         s2 = 1.0 - r * r
-        out = -0.5 * np.log(s2) - (r * r * (x * x + y * y) - 2.0 * r * x * y) / (2.0 * s2)
-        return _maybe_scalar(out, u, v)
+        return -0.5 * np.log(s2) - (r * r * (x * x + y * y) - 2.0 * r * x * y) / (2.0 * s2)
 
-    def density(self, u, v):
-        return np.exp(self.log_density(u, v))
+    def _h(self, u, v):
+        x = stats.norm.ppf(u)
+        y = stats.norm.ppf(v)
+        return stats.norm.cdf((x - self.rho * y) / np.sqrt(1.0 - self.rho ** 2))
 
-    def hfunc(self, u, v, cond_on="second"):
-        # exchangeable: F(u|v) and F(v|u) share one formula with roles swapped
-        if cond_on == "first":
-            u, v = v, u
-        x = stats.norm.ppf(_clip(u))
-        y = stats.norm.ppf(_clip(v))
-        out = stats.norm.cdf((x - self.rho * y) / np.sqrt(1.0 - self.rho ** 2))
-        return _maybe_scalar(np.clip(out, EPS, 1 - EPS), u, v)
-
-    def hinv(self, w, v, cond_on="second"):
-        z = stats.norm.ppf(_clip(w))
-        y = stats.norm.ppf(_clip(v))
-        out = stats.norm.cdf(z * np.sqrt(1.0 - self.rho ** 2) + self.rho * y)
-        return _maybe_scalar(np.clip(out, EPS, 1 - EPS), w, v)
+    def _hinv(self, w, v):
+        z = stats.norm.ppf(w)
+        y = stats.norm.ppf(v)
+        return stats.norm.cdf(z * np.sqrt(1.0 - self.rho ** 2) + self.rho * y)
 
     def to_dict(self):
         return {"family": "gaussian", "rho": self.rho}
 
     def __repr__(self):
         return f"GaussianCopula(rho={self.rho:.6g})"
-
-
-def _clayton_logpdf(u, v, theta):
-    t = u ** -theta + v ** -theta - 1.0
-    return (np.log1p(theta) - (theta + 1.0) * (np.log(u) + np.log(v))
-            - (2.0 + 1.0 / theta) * np.log(t))
-
-
-def _clayton_h(u, v, theta):
-    """F(u | v) for the unrotated Clayton copula."""
-    t = u ** -theta + v ** -theta - 1.0
-    return np.exp(-(theta + 1.0) * np.log(v) - (1.0 + 1.0 / theta) * np.log(t))
-
-
-def _clayton_hinv(w, v, theta):
-    """Inverse of _clayton_h in its first argument."""
-    a = (w ** (-theta / (1.0 + theta)) - 1.0) * v ** -theta + 1.0
-    return a ** (-1.0 / theta)
 
 
 class ClaytonCopula(PairCopula):
@@ -182,73 +188,21 @@ class ClaytonCopula(PairCopula):
         self.theta = theta
         self.rotation = int(rotation)
 
-    def _rotate_args(self, u, v):
-        if self.rotation == 0:
-            return u, v
-        if self.rotation == 90:
-            return 1.0 - u, v
-        if self.rotation == 180:
-            return 1.0 - u, 1.0 - v
-        return u, 1.0 - v  # 270
+    def _logpdf(self, u, v):
+        theta = self.theta
+        t = u ** -theta + v ** -theta - 1.0
+        return (np.log1p(theta) - (theta + 1.0) * (np.log(u) + np.log(v))
+                - (2.0 + 1.0 / theta) * np.log(t))
 
-    def log_density(self, u, v):
-        uc, vc = _clip(u), _clip(v)
-        a, b = self._rotate_args(uc, vc)
-        out = _clayton_logpdf(_clip(a), _clip(b), self.theta)
-        return _maybe_scalar(out, u, v)
+    def _h(self, u, v):
+        theta = self.theta
+        t = u ** -theta + v ** -theta - 1.0
+        return np.exp(-(theta + 1.0) * np.log(v) - (1.0 + 1.0 / theta) * np.log(t))
 
-    def density(self, u, v):
-        return np.exp(self.log_density(u, v))
-
-    def hfunc(self, u, v, cond_on="second"):
-        uc, vc = _clip(u), _clip(v)
-        th, rot = self.theta, self.rotation
-        if cond_on == "second":  # F(u | v)
-            if rot == 0:
-                out = _clayton_h(uc, vc, th)
-            elif rot == 90:
-                out = 1.0 - _clayton_h(_clip(1.0 - uc), vc, th)
-            elif rot == 180:
-                out = 1.0 - _clayton_h(_clip(1.0 - uc), _clip(1.0 - vc), th)
-            else:  # 270
-                out = _clayton_h(uc, _clip(1.0 - vc), th)
-        elif cond_on == "first":  # F(v | u)
-            if rot == 0:
-                out = _clayton_h(vc, uc, th)
-            elif rot == 90:
-                out = _clayton_h(vc, _clip(1.0 - uc), th)
-            elif rot == 180:
-                out = 1.0 - _clayton_h(_clip(1.0 - vc), _clip(1.0 - uc), th)
-            else:  # 270
-                out = 1.0 - _clayton_h(_clip(1.0 - vc), uc, th)
-        else:
-            raise InvalidInputError(f"cond_on must be 'first' or 'second', got {cond_on!r}")
-        return _maybe_scalar(np.clip(out, EPS, 1 - EPS), u, v)
-
-    def hinv(self, w, v, cond_on="second"):
-        wc, vc = _clip(w), _clip(v)
-        th, rot = self.theta, self.rotation
-        if cond_on == "second":
-            if rot == 0:
-                out = _clayton_hinv(wc, vc, th)
-            elif rot == 90:
-                out = 1.0 - _clayton_hinv(_clip(1.0 - wc), vc, th)
-            elif rot == 180:
-                out = 1.0 - _clayton_hinv(_clip(1.0 - wc), _clip(1.0 - vc), th)
-            else:  # 270
-                out = _clayton_hinv(wc, _clip(1.0 - vc), th)
-        elif cond_on == "first":
-            if rot == 0:
-                out = _clayton_hinv(wc, vc, th)
-            elif rot == 90:
-                out = _clayton_hinv(wc, _clip(1.0 - vc), th)
-            elif rot == 180:
-                out = 1.0 - _clayton_hinv(_clip(1.0 - wc), _clip(1.0 - vc), th)
-            else:  # 270
-                out = 1.0 - _clayton_hinv(_clip(1.0 - wc), vc, th)
-        else:
-            raise InvalidInputError(f"cond_on must be 'first' or 'second', got {cond_on!r}")
-        return _maybe_scalar(np.clip(out, EPS, 1 - EPS), w, v)
+    def _hinv(self, w, v):
+        theta = self.theta
+        a = (w ** (-theta / (1.0 + theta)) - 1.0) * v ** -theta + 1.0
+        return a ** (-1.0 / theta)
 
     def transpose(self):
         if self.rotation in (0, 180):
@@ -306,10 +260,10 @@ class GridCopula(PairCopula):
                                   self.breaks))
 
     def density(self, u, v):
-        u = _clip(u)
-        v = _clip(v)
-        out = self._bilinear(np.atleast_1d(u), np.atleast_1d(v))
-        return _maybe_scalar(out.reshape(np.broadcast(u, v).shape), u, v)
+        return np.asarray(self._bilinear(_clip(u), _clip(v)))
+
+    def _logpdf(self, u, v):
+        return np.log(np.maximum(self._bilinear(u, v), 1e-300))
 
     def _bilinear(self, u, v):
         g = self.grid_size
@@ -333,30 +287,23 @@ class GridCopula(PairCopula):
         t = (f - j0)[:, None]
         return cum[:, j0].T * (1 - t) + cum[:, j0 + 1].T * t
 
-    def hfunc(self, u, v, cond_on="second"):
-        uc, vc = _clip(u), _clip(v)
-        if cond_on == "second":
-            target, cond, cum = np.atleast_1d(uc), np.atleast_1d(vc), self._cum_u
-        elif cond_on == "first":
-            target, cond, cum = np.atleast_1d(vc), np.atleast_1d(uc), self._cum_v
-        else:
-            raise InvalidInputError(f"cond_on must be 'first' or 'second', got {cond_on!r}")
-        target, cond = np.broadcast_arrays(target, cond)
-        curve = self._curve(cum, cond.ravel())
-        out = self._interp_rows(target.ravel(), self.breaks, curve)
-        out = np.clip(out, EPS, 1 - EPS).reshape(target.shape)
-        return _maybe_scalar(out, u, v)
+    def _h(self, u, v, cum=None):
+        """F(u | v); _h(v, u, self._cum_v) is F(v | u)."""
+        u, v = np.broadcast_arrays(u, v)
+        curve = self._curve(self._cum_u if cum is None else cum, v.ravel())
+        return self._interp_rows(u.ravel(), self.breaks, curve).reshape(u.shape)
 
-    def hinv(self, w, v, cond_on="second"):
-        wc, vc = _clip(w), _clip(v)
-        target, cond = np.broadcast_arrays(np.atleast_1d(wc), np.atleast_1d(vc))
-        cum = self._cum_u if cond_on == "second" else self._cum_v
-        if cond_on not in ("first", "second"):
-            raise InvalidInputError(f"cond_on must be 'first' or 'second', got {cond_on!r}")
-        curve = self._curve(cum, cond.ravel())
-        out = self._interp_rows_inverse(target.ravel(), curve, self.breaks)
-        out = np.clip(out, EPS, 1 - EPS).reshape(target.shape)
-        return _maybe_scalar(out, w, v)
+    def _hinv(self, w, v, cum=None):
+        """Inverse of _h in its first argument."""
+        w, v = np.broadcast_arrays(w, v)
+        curve = self._curve(self._cum_u if cum is None else cum, v.ravel())
+        return self._interp_rows_inverse(w.ravel(), curve, self.breaks).reshape(w.shape)
+
+    def _h_first(self, u, v):
+        return self._h(v, u, self._cum_v)
+
+    def _hinv_first(self, w, u):
+        return self._hinv(w, u, self._cum_v)
 
     @staticmethod
     def _interp_rows(x, xs, ys_rows):
@@ -404,11 +351,7 @@ def _validate_pseudo_obs(data, min_n):
     return data
 
 
-def _loglik(copula, data):
-    return float(np.sum(copula.log_density(data[:, 0], data[:, 1])))
-
-
-def fit_parametric(data, families=DEFAULT_FAMILIES, refine=False):
+def fit_parametric(data):
     """Fit a parametric pair copula by Kendall's-tau inversion + AIC selection.
 
     Gaussian: rho = sin(pi * tau / 2).  Clayton: theta = 2|tau|/(1 - |tau|),
@@ -425,45 +368,19 @@ def fit_parametric(data, families=DEFAULT_FAMILIES, refine=False):
     if not np.isfinite(tau) or abs(tau) < TAU_INDEPENDENCE_THRESHOLD:
         return IndependenceCopula()
 
-    candidates = []
-    if "independence" in families:
-        candidates.append(IndependenceCopula())
-    if "gaussian" in families:
-        rho = np.clip(np.sin(np.pi * tau / 2.0), -0.999, 0.999)
-        candidates.append(GaussianCopula(rho))
-    if "clayton" in families:
-        theta = np.clip(2.0 * abs(tau) / (1.0 - abs(tau)), 1e-4, 50.0)
-        rotations = (0, 180) if tau > 0 else (90, 270)
-        for rot in rotations:
-            candidates.append(ClaytonCopula(theta, rotation=rot))
-    if not candidates:
-        raise InvalidInputError("no candidate families requested")
-
-    if refine:
-        candidates = [_refine_mle(c, data) for c in candidates]
+    rho = np.clip(np.sin(np.pi * tau / 2.0), -0.999, 0.999)
+    theta = np.clip(2.0 * abs(tau) / (1.0 - abs(tau)), 1e-4, 50.0)
+    rotations = (0, 180) if tau > 0 else (90, 270)
+    candidates = [IndependenceCopula(), GaussianCopula(rho)]
+    candidates += [ClaytonCopula(theta, rotation=rot) for rot in rotations]
 
     best, best_aic = None, np.inf
     for cop in candidates:
-        aic = -2.0 * _loglik(cop, data) + 2.0 * cop.n_params
+        loglik = float(np.sum(cop.log_density(data[:, 0], data[:, 1])))
+        aic = -2.0 * loglik + 2.0 * cop.n_params
         if aic < best_aic:
             best, best_aic = cop, aic
     return best
-
-
-def _refine_mle(copula, data):
-    from scipy.optimize import minimize_scalar
-
-    if isinstance(copula, GaussianCopula):
-        res = minimize_scalar(
-            lambda r: -_loglik(GaussianCopula(r), data),
-            bounds=(-0.999, 0.999), method="bounded")
-        return GaussianCopula(res.x)
-    if isinstance(copula, ClaytonCopula):
-        res = minimize_scalar(
-            lambda t: -_loglik(ClaytonCopula(t, copula.rotation), data),
-            bounds=(1e-4, 50.0), method="bounded")
-        return ClaytonCopula(res.x, rotation=copula.rotation)
-    return copula
 
 
 def fit_nonparametric(data, grid_size=64):

@@ -23,7 +23,7 @@ from .marginals import EmpiricalMarginal
 from .structure import CoverPlan, greedy_cover
 
 BUNDLE_FORMAT = "vineshap-bundle"
-BUNDLE_VERSION = 1
+BUNDLE_VERSION = 2
 FIT_METHODS = ("vine-parametric", "vine-nonparametric", "gaussian", "gaussian-copula")
 MAX_COLUMNS = 20
 
@@ -76,27 +76,38 @@ def write_csv(path, header, rows):
 # ----------------------------------------------------------------------
 # predictors
 
-def make_predictor(spec, columns):
-    """Predictor from a spec string.
+def parse_predictor(spec):
+    """Split a predictor spec into (kind, argument).
 
     const:<c>            constant prediction
     linear:<a1,a2,...>   dot product with the feature vector
     cmd:<shell command>  child process: CSV on stdin, one float per line out
     """
-    if spec.startswith("const:"):
-        c = float(spec[len("const:"):])
-        return lambda x: np.full(np.atleast_2d(x).shape[0], c)
-    if spec.startswith("linear:"):
-        a = np.array([float(t) for t in spec[len("linear:"):].split(",")])
-        if len(a) != len(columns):
-            raise InvalidInputError(
-                f"linear predictor needs {len(columns)} coefficients, got {len(a)}")
-        return lambda x: np.atleast_2d(x) @ a
-    if spec.startswith("cmd:"):
-        command = spec[len("cmd:"):]
-        return _subprocess_predictor(command, columns)
+    kind, _, arg = spec.partition(":")
+    try:
+        if kind == "const":
+            return kind, float(arg)
+        if kind == "linear":
+            return kind, np.array([float(t) for t in arg.split(",")])
+    except ValueError:
+        raise InvalidInputError(f"non-numeric value in predictor spec {spec!r}")
+    if kind == "cmd":
+        return kind, arg
     raise InvalidInputError(
         f"unknown predictor spec {spec!r}; use const:, linear: or cmd:")
+
+
+def make_predictor(spec, columns):
+    """Predictor from a spec string (see :func:`parse_predictor`)."""
+    kind, arg = parse_predictor(spec)
+    if kind == "const":
+        return lambda x: np.full(np.atleast_2d(x).shape[0], arg)
+    if kind == "linear":
+        if len(arg) != len(columns):
+            raise InvalidInputError(
+                f"linear predictor needs {len(columns)} coefficients, got {len(arg)}")
+        return lambda x: np.atleast_2d(x) @ arg
+    return _subprocess_predictor(arg, columns)
 
 
 def _subprocess_predictor(command, columns):
@@ -142,27 +153,16 @@ def cmd_fit(args):
                      "M": m, "N": n, "seed": args.seed, "columns": columns},
         "train": data.tolist(),
     }
-    marginals = [EmpiricalMarginal(data[:, j]) for j in range(m)]
+    # the Gaussian baselines need only `train`; vines add their plan and pairs
     if args.method in ("vine-parametric", "vine-nonparametric"):
         mode = (ParametricMode() if args.method == "vine-parametric"
                 else NonparametricMode(grid_size=args.grid_size))
         plan = greedy_cover(m, args.shap_method, B=args.cover_batch, rng=rng)
+        marginals = [EmpiricalMarginal(data[:, j]) for j in range(m)]
         models = [fit_dvine(data, order, mode, marginals=marginals)
                   for order in plan.orders]
         bundle["plan"] = plan.to_dict()
         bundle["models"] = [mod.to_dict() for mod in models]
-    elif args.method == "gaussian":
-        bundle["gaussian"] = {
-            "mu": np.mean(data, axis=0).tolist(),
-            "sigma": np.cov(data, rowvar=False).tolist(),
-        }
-    else:  # gaussian-copula
-        from scipy import stats
-        scores = stats.norm.ppf(np.column_stack(
-            [marginals[j].cdf(data[:, j]) for j in range(m)]))
-        bundle["gaussian_copula"] = {
-            "correlation": np.corrcoef(scores, rowvar=False).tolist(),
-        }
     seconds = time.perf_counter() - t0
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(bundle, fh, sort_keys=True)
@@ -180,7 +180,8 @@ def load_bundle(path):
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read model bundle {path}: {exc}")
     if bundle.get("format") != BUNDLE_FORMAT or bundle.get("version") != BUNDLE_VERSION:
-        raise DataError(f"{path}: not a vineshap model bundle")
+        raise DataError(f"{path}: not a version-{BUNDLE_VERSION} vineshap model bundle; "
+                        "refit it with `vineshap fit`")
     return bundle
 
 
@@ -189,21 +190,18 @@ def estimator_from_bundle(bundle, predictor, K, rng):
     train = np.asarray(bundle["train"], dtype=float)
     method = manifest["method"]
     if method in ("vine-parametric", "vine-nonparametric"):
+        # one set of marginals, rebuilt from `train`, shared by every vine
+        marginals = [EmpiricalMarginal(train[:, j]) for j in range(train.shape[1])]
         plan = CoverPlan.from_dict(bundle["plan"])
-        models = [DVineModel.from_dict(d) for d in bundle["models"]]
+        models = [DVineModel.from_dict(d, marginals) for d in bundle["models"]]
         if manifest["shap_method"] == "condsim":
             return VineCondSimEstimator(train, predictor, models, plan, K=K, rng=rng)
         return VineRatioEstimator(train, predictor, models, plan, K=K, rng=rng,
-                                  marginals=models[0].marginals)
+                                  marginals=marginals)
     if method == "gaussian":
-        est = GaussianEstimator(train, predictor, K=K, rng=rng)
-        est.mu = np.asarray(bundle["gaussian"]["mu"], dtype=float)
-        est.sigma = np.asarray(bundle["gaussian"]["sigma"], dtype=float)
-        return est
+        return GaussianEstimator(train, predictor, K=K, rng=rng)
     if method == "gaussian-copula":
-        return GaussianCopulaEstimator(
-            train, predictor, K=K, rng=rng,
-            correlation=np.asarray(bundle["gaussian_copula"]["correlation"]))
+        return GaussianCopulaEstimator(train, predictor, K=K, rng=rng)
     raise DataError(f"bundle has unknown method {method!r}")
 
 
@@ -318,6 +316,23 @@ def cmd_bench(args):
 
 
 # ----------------------------------------------------------------------
+# argument types: a malformed value is a usage error (exit 2)
+
+def predictor_arg(spec):
+    """A --predictor spec that :func:`parse_predictor` accepts."""
+    try:
+        parse_predictor(spec)
+    except InvalidInputError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return spec
+
+
+def positive_int(text):
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
 
 def build_parser():
     p = argparse.ArgumentParser(
@@ -340,9 +355,9 @@ def build_parser():
     e = sub.add_parser("explain", help="compute Shapley values for test rows")
     e.add_argument("model")
     e.add_argument("test_csv")
-    e.add_argument("--predictor", required=True,
+    e.add_argument("--predictor", required=True, type=predictor_arg,
                    help="const:<c> | linear:<a1,..> | cmd:<command>")
-    e.add_argument("--k", type=int, default=1000)
+    e.add_argument("--k", type=positive_int, default=1000)
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--diagnostics", action="store_true")
     e.add_argument("--out", required=True)

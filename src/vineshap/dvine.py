@@ -4,25 +4,29 @@ A model is an order permutation, a triangular table of pair copulas
 (pairs[i][j] links order positions j and j+i+1 given the positions in
 between, 0-based) and one marginal model per original feature.  All
 evaluations run on copula scale; marginals only enter at the data-scale
-boundary (conditional sampling).
+boundary (conditional sampling).  Every method takes an N x M table (a
+single M-vector counts as one row) and returns one entry or row per
+input row.
+
+Serialization covers the order and the pair copulas only.  The
+marginals are rebuilt by the caller, so that the several vines of one
+cover plan share a single copy of them: `from_dict(d, marginals)`.
 
 The simplified-vine assumption makes every contiguous sub-block of the
 order itself a D-vine, which is what the ratio method's marginal
 densities rely on.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bicop import (GridCopula, IndependenceCopula, PairCopula,
-                    fit_nonparametric, fit_parametric, DEFAULT_FAMILIES)
+from .bicop import PairCopula, fit_nonparametric, fit_parametric
 from .errors import (InvalidInputError, UnsupportedBlockError,
                      UnsupportedCoalitionError)
 from .marginals import EmpiricalMarginal
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -33,12 +37,8 @@ class Block:
 
 
 class ParametricMode:
-    def __init__(self, families=DEFAULT_FAMILIES, refine=False):
-        self.families = tuple(families)
-        self.refine = refine
-
     def fit_edge(self, u, tree):
-        return fit_parametric(u, families=self.families, refine=self.refine)
+        return fit_parametric(u)
 
 
 class NonparametricMode:
@@ -128,8 +128,7 @@ class DVineModel:
         u = np.atleast_2d(np.asarray(u, dtype=float))
         if u.shape[1] != self.M:
             raise InvalidInputError(f"expected {self.M} columns, got {u.shape[1]}")
-        out = self._log_density_positions(u[:, self.order])
-        return out if np.asarray(u).ndim > 1 and u.shape[0] > 1 else float(out[0])
+        return self._log_density_positions(u[:, self.order])
 
     def _sub_pairs(self, start, end):
         return [[self.pairs[i][j] for j in range(start, end - i)]
@@ -147,11 +146,7 @@ class DVineModel:
         u_block = np.atleast_2d(np.asarray(u_block, dtype=float))
         if u_block.shape[1] != e - s + 1:
             raise InvalidInputError("u_block width must match the block length")
-        if s == e:
-            out = np.zeros(u_block.shape[0])
-        else:
-            out = self._log_density_positions(u_block, self._sub_pairs(s, e))
-        return out if u_block.shape[0] > 1 else float(out[0])
+        return self._log_density_positions(u_block, self._sub_pairs(s, e))
 
     def block_for(self, features):
         """Block of order positions for a feature set; raises if not contiguous."""
@@ -179,7 +174,7 @@ class DVineModel:
                 # edge (tree k-1, first edge) conditions position k on 0..k-1
                 pc = self.pairs[k - 1][0]
                 W[:, k] = pc.hfunc(left[k - 1][0], right[k - 1][0], "first")
-        return W if u.shape[0] > 1 else W[0]
+        return W
 
     def inverse_rosenblatt(self, w):
         """Inverse of :meth:`rosenblatt`; returns u in original indexing."""
@@ -201,7 +196,7 @@ class DVineModel:
             V[:, k] = z
         U = np.empty_like(V)
         U[:, list(self.order)] = V
-        return U if w.shape[0] > 1 else U[0]
+        return U
 
     # ------------------------------------------------------------------
     # conditional sampling
@@ -246,7 +241,7 @@ class DVineModel:
             u_star[f] = model.marginals[f].cdf(x_star[f])
 
         # transform of the conditioning prefix; positions > s are overwritten
-        w_prefix = model.rosenblatt(u_star)[:s]
+        w_prefix = model.rosenblatt(u_star)[0, :s]
         W = np.empty((K, model.M))
         W[:, :s] = w_prefix
         W[:, s:] = rng.uniform(size=(K, model.M - s))
@@ -269,25 +264,15 @@ class DVineModel:
             "version": FORMAT_VERSION,
             "order": list(self.order),
             "pairs": [[pc.to_dict() for pc in row] for row in self.pairs],
-            "marginals": [m.to_dict() for m in self.marginals],
         }
 
     @classmethod
-    def from_dict(cls, d):
+    def from_dict(cls, d, marginals):
+        """Model from `to_dict` output plus one marginal per feature."""
         if d.get("format") != "dvine" or d.get("version") != FORMAT_VERSION:
             raise InvalidInputError("unrecognized dvine serialization format")
         pairs = [[PairCopula.from_dict(pc) for pc in row] for row in d["pairs"]]
-        marginals = [EmpiricalMarginal.from_dict(m) for m in d["marginals"]]
         return cls(d["order"], pairs, marginals)
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
-
-    @classmethod
-    def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def pseudo_observations(data, marginals):

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
+from .dvine import Block
 from .errors import CoverageError, InvalidInputError
 from .marginals import EmpiricalMarginal
 
@@ -38,7 +39,6 @@ def shapley_from_values(M, values):
 
     Returns (phi0, phi) with phi0 = v(empty set).
     """
-    full = (1 << M) - 1
     w = shapley_weights(M)
     phi = np.zeros(M)
     for mask, v_s in values.items():
@@ -83,6 +83,21 @@ class ContributionEstimator:
     def contribution(self, features, x_star):
         raise NotImplementedError
 
+    def _pinned(self, idx, features, x_star):
+        """Training rows `idx` with the coalition's columns set to x_star."""
+        x = self.train_x[idx]
+        cols = sorted(features)
+        x[:, cols] = x_star[cols]
+        return x
+
+
+def _assignment(plan, features):
+    """How the plan serves a feature set; CoverageError if it does not."""
+    a = plan.assignment.get(frozenset(features))
+    if a is None:
+        raise CoverageError(f"features {sorted(features)} are not covered by the plan")
+    return a
+
 
 def shapley(estimator, x_star):
     """Exact Shapley values of the estimator's contribution game at x_star."""
@@ -116,10 +131,7 @@ class IndependenceEstimator(ContributionEstimator):
 
     def contribution(self, features, x_star):
         idx = self.rng.integers(0, self.train_x.shape[0], size=self.K)
-        x = self.train_x[idx].copy()
-        cols = sorted(features)
-        x[:, cols] = x_star[cols]
-        return float(np.mean(self.predictor(x)))
+        return float(np.mean(self.predictor(self._pinned(idx, features, x_star))))
 
 
 def _conditional_normal(mu, sigma, s_cols, sbar_cols, x_s):
@@ -178,12 +190,9 @@ class GaussianCopulaEstimator(ContributionEstimator):
 
     method = "gaussian-copula"
 
-    def __init__(self, train_x, predictor, K=1000, rng=None, marginals=None,
-                 correlation=None):
+    def __init__(self, train_x, predictor, K=1000, rng=None, correlation=None):
         super().__init__(train_x, predictor, K, rng)
-        if marginals is None:
-            marginals = [EmpiricalMarginal(self.train_x[:, j]) for j in range(self.M)]
-        self.marginals = marginals
+        self.marginals = [EmpiricalMarginal(self.train_x[:, j]) for j in range(self.M)]
         if correlation is None:
             scores = stats.norm.ppf(np.column_stack(
                 [self.marginals[j].cdf(self.train_x[:, j]) for j in range(self.M)]))
@@ -223,25 +232,18 @@ class VineCondSimEstimator(ContributionEstimator):
         self.models = list(models)
         self.plan = plan
 
-    def _model_for(self, features):
-        a = self.plan.assignment.get(frozenset(features))
-        if a is None:
-            raise CoverageError(
-                f"coalition {sorted(features)} is not covered by the plan")
-        return self.models[a.order_index]
-
-    def contribution(self, features, x_star, return_samples=False):
-        model = self._model_for(features)
-        x = model.conditional_sample(features, x_star, self.K, self.rng)
-        preds = np.asarray(self.predictor(x), dtype=float)
-        if return_samples:
-            return float(np.mean(preds)), x, preds
-        return float(np.mean(preds))
+    def contribution(self, features, x_star):
+        return self.contribution_with_se(features, x_star)[0]
 
     def contribution_with_se(self, features, x_star):
-        v, _, preds = self.contribution(features, x_star, return_samples=True)
-        se = float(np.std(preds, ddof=1) / np.sqrt(len(preds)))
-        return v, se
+        """v(S) and its Monte Carlo standard error (inf at K = 1)."""
+        model = self.models[_assignment(self.plan, features).order_index]
+        x = model.conditional_sample(features, x_star, self.K, self.rng)
+        preds = np.asarray(self.predictor(x), dtype=float)
+        v = float(np.mean(preds))
+        if self.K == 1:
+            return v, np.inf
+        return v, float(np.std(preds, ddof=1) / np.sqrt(self.K))
 
 
 class VineRatioEstimator(ContributionEstimator):
@@ -275,13 +277,6 @@ class VineRatioEstimator(ContributionEstimator):
         else:
             self._sub_idx = self.rng.integers(0, n, size=self.K)
 
-    def _assignment_for(self, sbar):
-        a = self.plan.assignment.get(frozenset(sbar))
-        if a is None:
-            raise CoverageError(
-                f"complement {sorted(sbar)} is not covered by the plan")
-        return a
-
     def log_weights(self, features, x_star):
         """Unnormalized log weights for the current shared subsample."""
         if self._sub_idx is None:
@@ -291,21 +286,17 @@ class VineRatioEstimator(ContributionEstimator):
         u_sub = self.train_u[self._sub_idx].copy()
         for j in s_cols:
             u_sub[:, j] = self.marginals[j].cdf(x_star[j])
-        if len(sbar) >= 2:
-            a = self._assignment_for(sbar)
-            model = self.models[a.order_index]
-            log_num = model.copula_log_density(u_sub)
-            block_cols = [model.order[p] for p in range(a.start, a.end + 1)]
-            from .dvine import Block
-            log_den = model.marginal_copula_log_density(
-                Block(a.start, a.end), u_sub[:, block_cols])
-        else:
-            model = self.models[0]
-            log_num = model.copula_log_density(u_sub)
-            log_den = np.zeros(len(u_sub))  # 1-dim copula marginal is uniform
-        return np.atleast_1d(log_num) - np.atleast_1d(log_den)
+        if len(sbar) < 2:  # a 1-dim copula marginal is uniform
+            return self.models[0].copula_log_density(u_sub)
+        a = _assignment(self.plan, sbar)
+        model = self.models[a.order_index]
+        block_cols = [model.order[p] for p in range(a.start, a.end + 1)]
+        log_den = model.marginal_copula_log_density(
+            Block(a.start, a.end), u_sub[:, block_cols])
+        return model.copula_log_density(u_sub) - log_den
 
-    def _weights(self, features, x_star):
+    def implicit_weights(self, features, x_star):
+        """Normalized sampling probabilities pi of the implicit model."""
         logw = self.log_weights(features, x_star)
         logw = np.where(np.isfinite(logw), logw, -np.inf)
         if np.all(~np.isfinite(logw)):
@@ -318,32 +309,19 @@ class VineRatioEstimator(ContributionEstimator):
             return np.full(len(logw), 1.0 / len(logw))
         return w / total
 
-    def _pinned_sample(self, features, x_star):
-        x = self.train_x[self._sub_idx].copy()
-        cols = sorted(features)
-        x[:, cols] = x_star[cols]
-        return x
-
     def contribution(self, features, x_star):
-        pi = self._weights(features, x_star)
-        preds = np.asarray(self.predictor(self._pinned_sample(features, x_star)),
-                           dtype=float)
-        return float(np.sum(pi * preds))
+        return self.contribution_with_se(features, x_star)[0]
 
     def contribution_with_se(self, features, x_star):
-        pi = self._weights(features, x_star)
-        preds = np.asarray(self.predictor(self._pinned_sample(features, x_star)),
+        pi = self.implicit_weights(features, x_star)
+        preds = np.asarray(self.predictor(self._pinned(self._sub_idx, features, x_star)),
                            dtype=float)
         v = float(np.sum(pi * preds))
         se = float(np.sqrt(np.sum(pi ** 2 * (preds - v) ** 2)))
         return v, se
 
-    def implicit_weights(self, features, x_star):
-        """Normalized sampling probabilities pi of the implicit model."""
-        return self._weights(features, x_star)
-
     def effective_sample_size(self, features, x_star):
-        pi = self._weights(features, x_star)
+        pi = self.implicit_weights(features, x_star)
         return float(1.0 / np.sum(pi ** 2))
 
 

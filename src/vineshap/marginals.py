@@ -40,16 +40,14 @@ class EmpiricalMarginal:
         u = rank / (self.n + 1)
         lo = 1.0 / (self.n + 1)
         hi = self.n / (self.n + 1)
-        out = np.clip(u, lo, hi)
-        return out if out.ndim else float(out)
+        return np.asarray(np.clip(u, lo, hi))
 
     def quantile(self, u):
         """Linear interpolation between order statistics; inverse of cdf."""
         u = np.asarray(u, dtype=float)
         if np.any(u <= 0.0) or np.any(u >= 1.0) or not np.all(np.isfinite(u)):
             raise InvalidInputError("quantile input must lie in (0, 1)")
-        out = np.interp(u, self._positions, self.sorted_sample)
-        return out if out.ndim else float(out)
+        return np.asarray(np.interp(u, self._positions, self.sorted_sample))
 
     def to_dict(self):
         return {"sorted_sample": self.sorted_sample.tolist()}
@@ -57,8 +55,3 @@ class EmpiricalMarginal:
     @classmethod
     def from_dict(cls, d):
         return cls(np.asarray(d["sorted_sample"], dtype=float))
-
-
-def fit_marginal(sample):
-    """Fit an :class:`EmpiricalMarginal` (sorted copy of the sample)."""
-    return EmpiricalMarginal(sample)

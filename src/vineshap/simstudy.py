@@ -15,7 +15,7 @@ from scipy import stats
 from scipy.spatial import cKDTree
 
 from .bicop import ClaytonCopula
-from .dvine import DVineModel, FixedMode, NonparametricMode, ParametricMode, fit_dvine
+from .dvine import DVineModel, NonparametricMode, ParametricMode, fit_dvine
 from .errors import InvalidInputError
 from .explain import (Explanation, GaussianCopulaEstimator, GaussianEstimator,
                       IndependenceEstimator, VineCondSimEstimator,
@@ -65,24 +65,21 @@ class BurrMarginal:
     def cdf(self, x):
         x = np.maximum(np.asarray(x, dtype=float), 0.0)
         u = -np.expm1(-self.p * np.log1p(self.r * x ** self.b))
-        out = np.clip(u, 1e-12, 1 - 1e-12)
-        return out if out.ndim else float(out)
+        return np.asarray(np.clip(u, 1e-12, 1 - 1e-12))
 
     def quantile(self, u):
         u = np.asarray(u, dtype=float)
         if np.any(u <= 0) or np.any(u >= 1):
             raise InvalidInputError("quantile input must lie in (0, 1)")
-        out = (np.expm1(-np.log1p(-u) / self.p) / self.r) ** (1.0 / self.b)
-        return out if out.ndim else float(out)
+        return np.asarray((np.expm1(-np.log1p(-u) / self.p) / self.r) ** (1.0 / self.b))
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.where(
+        return np.where(
             x > 0,
             self.p * self.b * self.r * x ** (self.b - 1.0)
             * (1.0 + self.r * x ** self.b) ** (-self.p - 1.0),
             0.0)
-        return out if out.ndim else float(out)
 
 
 def marginal(params, m):
@@ -106,12 +103,6 @@ def burr_log_density(params, x):
                    + np.sum(np.log(b * r))
                    + np.sum((b - 1.0) * np.log(xo), axis=1)
                    - (p + m) * np.log(s))
-    return out if x.shape[0] > 1 else float(out[0])
-
-
-def burr_density(params, x):
-    x = np.asarray(x, dtype=float)
-    out = np.exp(burr_log_density(params, x))
     return out
 
 

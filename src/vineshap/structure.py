@@ -16,13 +16,6 @@ METHODS = ("condsim", "ratio")
 DEFAULT_BATCH = 100
 
 
-def mask_of(features, M):
-    m = 0
-    for f in features:
-        m |= 1 << f
-    return m
-
-
 def set_of(mask):
     out = set()
     i = 0

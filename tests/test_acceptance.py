@@ -17,7 +17,7 @@ from scipy import stats
 from vineshap import (Block, ClaytonCopula, DVineModel, ExperimentConfig,
                       GaussianCopula, VineCondSimEstimator, VineRatioEstimator,
                       analytic_mean_predictor, burr_conditional_params,
-                      burr_density, burr_sample, covered_sets, fit_dvine,
+                      burr_log_density, burr_sample, covered_sets, fit_dvine,
                       fit_nonparametric, greedy_cover, required_sets,
                       run_experiment, shapley_from_values, study_params,
                       truth_vine)
@@ -214,9 +214,9 @@ def test_criterion_06_burr_ground_truth():
     c2, _ = burr_conditional_params(p2, {0}, np.array([x1, 0.0]))
     m1 = BurrParams(p=p2.p, b=[p2.b[0]], r=[p2.r[0]])
     grid = np.linspace(0.05, 3.0, 50)
-    joint = np.array([float(burr_density(p2, [[x1, y]])) for y in grid])
-    fm = float(burr_density(m1, [[x1]]))
-    cond_d = np.array([float(burr_density(c2, [[y]])) for y in grid])
+    joint = np.array([np.exp(burr_log_density(p2, [[x1, y]]))[0] for y in grid])
+    fm = np.exp(burr_log_density(m1, [[x1]]))[0]
+    cond_d = np.array([np.exp(burr_log_density(c2, [[y]]))[0] for y in grid])
     bayes = float(np.max(np.abs(cond_d * fm - joint)))
     elapsed = time.time() - t0
     ok = tau_ok and ks.pvalue > 0.01 and bayes <= 1e-10 and elapsed < 60

@@ -322,3 +322,53 @@ def test_grid_serialization_roundtrip():
     assert isinstance(c2, GridCopula)
     u, v = lattice(5)
     assert np.array_equal(cop.density(u, v), c2.density(u, v))
+
+
+# ----------------------------------------------------------------------
+# rotations: h-functions against the rotated cdfs
+
+ROTATED_CLAYTON_CDF = {
+    0: lambda u, v, th: clayton_cdf(u, v, th),
+    90: lambda u, v, th: v - clayton_cdf(1 - u, v, th),
+    180: lambda u, v, th: u + v - 1 + clayton_cdf(1 - u, 1 - v, th),
+    270: lambda u, v, th: u - clayton_cdf(u, 1 - v, th),
+}
+
+
+@pytest.mark.parametrize("rotation", [0, 90, 180, 270])
+def test_rotated_clayton_hfunc_matches_fd_of_rotated_cdf(rotation):
+    theta, eps = 2.0, 1e-6
+    cdf = ROTATED_CLAYTON_CDF[rotation]
+    c = ClaytonCopula(theta, rotation=rotation)
+    u, v = lattice()
+    dv = (cdf(u, v + eps, theta) - cdf(u, v - eps, theta)) / (2 * eps)
+    du = (cdf(u + eps, v, theta) - cdf(u - eps, v, theta)) / (2 * eps)
+    assert np.max(np.abs(c.hfunc(u, v, "second") - dv)) < 1e-5
+    assert np.max(np.abs(c.hfunc(u, v, "first") - du)) < 1e-5
+
+
+def _fitted_grid():
+    rng = np.random.default_rng(14)
+    cs = ClaytonCopula(1.5, rotation=90)
+    v0 = rng.uniform(size=1000)
+    u0 = cs.hinv(rng.uniform(size=1000), v0, "second")
+    return fit_nonparametric(np.column_stack([u0, v0]), grid_size=32)
+
+
+@pytest.mark.parametrize("cop", [ClaytonCopula(2.0, rotation=r) for r in (0, 90, 180, 270)]
+                         + [_fitted_grid()], ids=repr)
+def test_transpose_swaps_conditioning_slot(cop):
+    u, v = lattice(15, 0.01, 0.99)
+    np.testing.assert_allclose(cop.transpose().hfunc(v, u, "second"),
+                               cop.hfunc(u, v, "first"), rtol=0, atol=2e-10)
+    np.testing.assert_allclose(cop.transpose().hfunc(v, u, "first"),
+                               cop.hfunc(u, v, "second"), rtol=0, atol=2e-10)
+
+
+@pytest.mark.parametrize("cop", [IndependenceCopula(), GaussianCopula(0.3),
+                                 ClaytonCopula(2.0), _fitted_grid()], ids=repr)
+def test_cond_on_is_validated_for_every_family(cop):
+    with pytest.raises(InvalidInputError):
+        cop.hfunc(0.3, 0.4, "third")
+    with pytest.raises(InvalidInputError):
+        cop.hinv(0.3, 0.4, "u")

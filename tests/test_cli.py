@@ -235,6 +235,63 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--predictor", "const:abc"),
+    ("--predictor", "linear:1,x,1,1"),
+    ("--predictor", "quadratic:1"),
+    ("--k", "0"),
+    ("--k", "-3"),
+    ("--k", "ten"),
+])
+def test_malformed_explain_arguments_are_usage_errors(tmp_path, capsys, flag, value):
+    args = {"--predictor": "const:0", "--k": "10", flag: value}
+    with pytest.raises(SystemExit) as exc:
+        run_cli("explain", str(tmp_path / "m.json"), str(tmp_path / "t.csv"),
+                "--predictor", args["--predictor"], "--k", args["--k"],
+                "--out", str(tmp_path / "e.json"))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and flag in err
+
+
+@pytest.mark.parametrize("shap_method", ["condsim", "ratio"])
+def test_explain_single_sample(train_csv, test_csv, tmp_path, shap_method):
+    model = tmp_path / "m.json"
+    out = tmp_path / "e.json"
+    assert run_cli("fit", str(train_csv), "--shap-method", shap_method,
+                   "--out", str(model)) == 0
+    assert run_cli("explain", str(model), str(test_csv),
+                   "--predictor", "linear:1,2,3", "--k", "1",
+                   "--seed", "3", "--out", str(out)) == 0
+    _, test = read_csv(test_csv)
+    for rec in json.loads(out.read_text())["explanations"]:
+        assert np.all(np.isfinite(rec["phi"]))
+        gx = float(test[rec["row_id"]] @ [1.0, 2.0, 3.0])
+        assert abs(rec["phi0"] + sum(rec["phi"]) - gx) < 1e-8
+
+
+@pytest.mark.parametrize("method", ["vine-parametric", "gaussian", "gaussian-copula"])
+def test_bundle_stores_train_once(train_csv, tmp_path, method):
+    out = tmp_path / "m.json"
+    assert run_cli("fit", str(train_csv), "--method", method,
+                   "--shap-method", "condsim", "--out", str(out)) == 0
+    bundle = json.loads(out.read_text())
+    assert bundle["version"] == 2
+    assert set(bundle) <= {"format", "version", "manifest", "train", "plan", "models"}
+    assert all("marginals" not in m for m in bundle.get("models", []))
+
+
+def test_version_one_bundle_rejected(train_csv, test_csv, tmp_path, capsys):
+    model = tmp_path / "m.json"
+    assert run_cli("fit", str(train_csv), "--out", str(model)) == 0
+    bundle = json.loads(model.read_text())
+    bundle["version"] = 1
+    model.write_text(json.dumps(bundle))
+    assert run_cli("explain", str(model), str(test_csv), "--predictor", "const:0",
+                   "--out", str(tmp_path / "e.json")) == 3
+    assert "refit" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # bench
 

@@ -313,3 +313,33 @@ def test_mahalanobis_independence_samples_farther():
 def test_mahalanobis_empty_complement_rejected():
     with pytest.raises(InvalidInputError):
         mahalanobis_diagnostic(np.zeros((1, 1)), np.zeros((10, 2)), [])
+
+
+# ----------------------------------------------------------------------
+# K = 1: one sample per coalition is a valid, if noisy, explanation
+
+@pytest.mark.parametrize("method,cls", [("condsim", VineCondSimEstimator),
+                                        ("ratio", VineRatioEstimator)])
+def test_single_sample_explanation_is_finite_and_efficient(method, cls):
+    rng = np.random.default_rng(35)
+    train = rng.normal(size=(100, 3))
+    g = lambda x: np.sum(np.atleast_2d(x) * [1.0, 2.0, 3.0], axis=1)
+    plan, models = build_vine_models(train, method, ClaytonCopula(1.5, rotation=180))
+    est = cls(train, g, models, plan, K=1, rng=np.random.default_rng(36))
+    x_star = train[3]
+    expl = shapley(est, x_star)
+    assert np.all(np.isfinite(expl.phi))
+    assert abs(expl.phi0 + expl.phi.sum() - g(x_star)[0]) < 1e-8
+
+
+def test_condsim_standard_error_at_single_sample_is_inf():
+    import warnings
+    rng = np.random.default_rng(37)
+    train = rng.normal(size=(100, 3))
+    plan, models = build_vine_models(train, "condsim", GaussianCopula(0.5))
+    est = VineCondSimEstimator(train, lambda x: np.atleast_2d(x)[:, 0],
+                               models, plan, K=1, rng=np.random.default_rng(38))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v, se = est.contribution_with_se({0}, train[0])
+    assert np.isfinite(v) and se == np.inf

@@ -4,7 +4,7 @@ from scipy import integrate, stats
 
 from vineshap import (BurrParams, ExperimentConfig, InvalidInputError,
                       analytic_mean_predictor, burr_conditional_params,
-                      burr_conditional_sample, burr_density, burr_log_density,
+                      burr_conditional_sample, burr_log_density,
                       burr_sample, generate_response, knn_predictor, mae,
                       response_mean_from_u, run_experiment, run_repetition,
                       study_params, true_shapley, truth_vine)
@@ -35,14 +35,14 @@ def test_density_m1_unit_params():
     # p=b=r=1 gives f(x) = 1/(1+x)^2, -> 1 as x -> 0+
     params = BurrParams(p=1, b=[1], r=[1])
     x = np.array([[1e-9]])
-    assert float(burr_density(params, x)) == pytest.approx(1.0, abs=1e-6)
-    assert float(burr_density(params, [[1.0]])) == pytest.approx(0.25)
+    assert np.exp(burr_log_density(params, x))[0] == pytest.approx(1.0, abs=1e-6)
+    assert np.exp(burr_log_density(params, [[1.0]]))[0] == pytest.approx(0.25)
 
 
 def test_density_integrates_to_one_m2():
     params = BurrParams(p=1, b=[2, 4], r=[1, 3])
     val, err = integrate.dblquad(
-        lambda y, x: float(burr_density(params, [[x, y]])),
+        lambda y, x: np.exp(burr_log_density(params, [[x, y]]))[0],
         0, np.inf, 0, np.inf)
     assert abs(val - 1.0) < 1e-3
 
@@ -51,13 +51,13 @@ def test_density_positive_on_grid():
     params = study_params(1.0, M=2)
     g = np.linspace(0.1, 3.0, 10)
     xx, yy = np.meshgrid(g, g)
-    d = burr_density(params, np.column_stack([xx.ravel(), yy.ravel()]))
+    d = np.exp(burr_log_density(params, np.column_stack([xx.ravel(), yy.ravel()])))
     assert np.all(d > 0) and np.all(np.isfinite(d))
 
 
 def test_density_zero_outside_support():
     params = BurrParams(p=1, b=[1], r=[1])
-    assert float(burr_density(params, [[-1.0]])) == 0.0
+    assert np.exp(burr_log_density(params, [[-1.0]]))[0] == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -119,9 +119,9 @@ def test_conditional_density_bayes_consistency():
     m0 = BurrParams(p=params.p, b=[params.b[0]], r=[params.r[0]])
     cond, _ = burr_conditional_params(params, {0}, np.array([x1, 0.0]))
     grid = np.linspace(0.05, 2.0, 40)
-    joint = np.array([float(burr_density(params, [[x1, y]])) for y in grid])
-    marg = float(burr_density(m0, [[x1]]))
-    conditional = np.array([float(burr_density(cond, [[y]])) for y in grid])
+    joint = np.array([np.exp(burr_log_density(params, [[x1, y]]))[0] for y in grid])
+    marg = np.exp(burr_log_density(m0, [[x1]]))[0]
+    conditional = np.array([np.exp(burr_log_density(cond, [[y]]))[0] for y in grid])
     assert np.max(np.abs(joint / marg - conditional)) < 1e-10
 
 
