@@ -104,7 +104,7 @@ def make_predictor(spec, columns):
         return lambda x: np.full(np.atleast_2d(x).shape[0], arg)
     if kind == "linear":
         if len(arg) != len(columns):
-            raise InvalidInputError(
+            raise DataError(
                 f"linear predictor needs {len(columns)} coefficients, got {len(arg)}")
         return lambda x: np.atleast_2d(x) @ arg
     return _subprocess_predictor(arg, columns)
@@ -327,11 +327,13 @@ def predictor_arg(spec):
     return spec
 
 
-def positive_int(text):
-    value = int(text)  # argparse reports a ValueError as an invalid value
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def int_at_least(low):
+    def integer(text):
+        value = int(text)  # argparse reports a ValueError as an invalid value
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
 
 
 def build_parser():
@@ -347,8 +349,8 @@ def build_parser():
     f.add_argument("--shap-method", dest="shap_method",
                    choices=("condsim", "ratio"), default="ratio")
     f.add_argument("--seed", type=int, default=0)
-    f.add_argument("--grid-size", type=int, default=64)
-    f.add_argument("--cover-batch", type=int, default=100)
+    f.add_argument("--grid-size", type=int_at_least(2), default=64)
+    f.add_argument("--cover-batch", type=int_at_least(1), default=100)
     f.add_argument("--out", required=True)
     f.set_defaults(func=cmd_fit)
 
@@ -357,7 +359,7 @@ def build_parser():
     e.add_argument("test_csv")
     e.add_argument("--predictor", required=True, type=predictor_arg,
                    help="const:<c> | linear:<a1,..> | cmd:<command>")
-    e.add_argument("--k", type=positive_int, default=1000)
+    e.add_argument("--k", type=int_at_least(1), default=1000)
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--diagnostics", action="store_true")
     e.add_argument("--out", required=True)
@@ -367,7 +369,7 @@ def build_parser():
     s.add_argument("--p", type=float, required=True)
     s.add_argument("--b", required=True, help="comma-separated shape parameters")
     s.add_argument("--r", required=True, help="comma-separated rate parameters")
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--n", type=int_at_least(0), required=True)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_simulate)

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from .dvine import Block
-from .errors import CoverageError, InvalidInputError
+from .dvine import Block, pseudo_observations
+from .errors import CoverageError, InvalidInputError, NumericError
 from .marginals import EmpiricalMarginal
 
 MAX_FEATURES = 20
@@ -53,7 +53,8 @@ def shapley_from_values(M, values):
 
 
 class ContributionEstimator:
-    """Base: holds the predictor, training data and Monte Carlo settings."""
+    """Base: holds the predictor, training data and Monte Carlo settings.
+    Estimators only implement `sample`; predicting and averaging live here."""
 
     method = "base"
 
@@ -72,16 +73,41 @@ class ContributionEstimator:
     def M(self):
         return self.train_x.shape[1]
 
+    def predict(self, x):
+        """The one call into the user's model: one finite value per row of x."""
+        g = np.asarray(self.predictor(x), dtype=float)
+        if g.shape not in ((len(x),), (len(x), 1)):
+            raise NumericError(f"predictor returned shape {g.shape} for {len(x)} rows")
+        if not np.all(np.isfinite(g)):
+            raise NumericError("predictor returned a non-finite value")
+        return g.ravel()
+
     def v_empty(self):
         if self._v_empty is None:
-            self._v_empty = float(np.mean(self.predictor(self.train_x)))
+            self._v_empty = float(np.mean(self.predict(self.train_x)))
         return self._v_empty
 
     def begin_explanation(self, x_star):
         """Hook called once per query point (e.g. to fix a shared subsample)."""
 
-    def contribution(self, features, x_star):
+    def sample(self, features, x_star):
+        """(x, pi): rows at which to evaluate g, normalised weights or None."""
         raise NotImplementedError
+
+    def contribution(self, features, x_star):
+        return self.contribution_with_se(features, x_star)[0]
+
+    def contribution_with_se(self, features, x_star):
+        """v(S) and its Monte Carlo standard error (inf from a single row)."""
+        x, pi = self.sample(features, x_star)
+        g = self.predict(x)
+        if pi is not None:
+            v = float(np.sum(pi * g))
+            return v, float(np.sqrt(np.sum(pi ** 2 * (g - v) ** 2)))
+        v = float(np.mean(g))
+        if len(g) == 1:
+            return v, np.inf
+        return v, float(np.std(g, ddof=1) / np.sqrt(len(g)))
 
     def _pinned(self, idx, features, x_star):
         """Training rows `idx` with the coalition's columns set to x_star."""
@@ -112,7 +138,7 @@ def shapley(estimator, x_star):
     estimator.begin_explanation(x_star)
     full = (1 << M) - 1
     values = {0: estimator.v_empty(),
-              full: float(np.asarray(estimator.predictor(x_star[None, :])).ravel()[0])}
+              full: float(estimator.predict(x_star[None, :])[0])}
     for mask in range(1, full):
         features = frozenset(j for j in range(M) if mask & (1 << j))
         values[mask] = float(estimator.contribution(features, x_star))
@@ -129,9 +155,9 @@ class IndependenceEstimator(ContributionEstimator):
 
     method = "independence"
 
-    def contribution(self, features, x_star):
+    def sample(self, features, x_star):
         idx = self.rng.integers(0, self.train_x.shape[0], size=self.K)
-        return float(np.mean(self.predictor(self._pinned(idx, features, x_star))))
+        return self._pinned(idx, features, x_star), None
 
 
 def _conditional_normal(mu, sigma, s_cols, sbar_cols, x_s):
@@ -159,64 +185,64 @@ def _conditional_normal(mu, sigma, s_cols, sbar_cols, x_s):
     return cond_mu, cond_cov, ridge_flag
 
 
-class GaussianEstimator(ContributionEstimator):
-    """Joint-Gaussian model: conditional-normal sampling of the complement."""
-
-    method = "gaussian"
-
-    def __init__(self, train_x, predictor, K=1000, rng=None):
-        super().__init__(train_x, predictor, K, rng)
-        self.mu = np.mean(self.train_x, axis=0)
-        self.sigma = np.cov(self.train_x, rowvar=False)
-        self.ridge_flagged = set()
-
-    def contribution(self, features, x_star):
-        s_cols = sorted(features)
-        sbar_cols = sorted(set(range(self.M)) - set(features))
-        mu_c, cov_c, flagged = _conditional_normal(
-            self.mu, self.sigma, s_cols, sbar_cols, x_star[s_cols])
-        if flagged:
-            self.ridge_flagged.add(frozenset(features))
-        z = self.rng.multivariate_normal(mu_c, cov_c, size=self.K,
-                                         method="cholesky")
-        x = np.empty((self.K, self.M))
-        x[:, s_cols] = x_star[s_cols]
-        x[:, sbar_cols] = z
-        return float(np.mean(self.predictor(x)))
-
-
 class GaussianCopulaEstimator(ContributionEstimator):
-    """Empirical marginals + Gaussian copula on normal scores."""
+    """Empirical marginals + Gaussian copula: the complement is drawn from
+    the conditional N(mu, sigma) on the normal scale and mapped back."""
 
     method = "gaussian-copula"
 
     def __init__(self, train_x, predictor, K=1000, rng=None, correlation=None):
         super().__init__(train_x, predictor, K, rng)
+        self.ridge_flagged = set()
+        self.mu, self.sigma = self.fit_normal(correlation)
+
+    def fit_normal(self, correlation):
+        """(mu, sigma) of the normal-scale model; fits the marginals."""
         self.marginals = [EmpiricalMarginal(self.train_x[:, j]) for j in range(self.M)]
         if correlation is None:
-            scores = stats.norm.ppf(np.column_stack(
-                [self.marginals[j].cdf(self.train_x[:, j]) for j in range(self.M)]))
+            scores = stats.norm.ppf(pseudo_observations(self.train_x, self.marginals))
             correlation = np.corrcoef(scores, rowvar=False)
-        self.correlation = np.asarray(correlation, dtype=float)
-        self.ridge_flagged = set()
+        return np.zeros(self.M), np.asarray(correlation, dtype=float)
 
-    def contribution(self, features, x_star):
+    def to_normal(self, cols, x):
+        return stats.norm.ppf([self.marginals[j].cdf(x[i]) for i, j in enumerate(cols)])
+
+    def from_normal(self, cols, z):
+        return np.column_stack([
+            self.marginals[j].quantile(np.clip(stats.norm.cdf(z[:, i]), 1e-12, 1 - 1e-12))
+            for i, j in enumerate(cols)])
+
+    def sample(self, features, x_star):
         s_cols = sorted(features)
         sbar_cols = sorted(set(range(self.M)) - set(features))
-        z_star = stats.norm.ppf(
-            [self.marginals[j].cdf(x_star[j]) for j in s_cols])
         mu_c, cov_c, flagged = _conditional_normal(
-            np.zeros(self.M), self.correlation, s_cols, sbar_cols, z_star)
+            self.mu, self.sigma, s_cols, sbar_cols, self.to_normal(s_cols, x_star[s_cols]))
         if flagged:
             self.ridge_flagged.add(frozenset(features))
         z = self.rng.multivariate_normal(mu_c, cov_c, size=self.K,
                                          method="cholesky")
         x = np.empty((self.K, self.M))
         x[:, s_cols] = x_star[s_cols]
-        for i, j in enumerate(sbar_cols):
-            u = np.clip(stats.norm.cdf(z[:, i]), 1e-12, 1 - 1e-12)
-            x[:, j] = self.marginals[j].quantile(u)
-        return float(np.mean(self.predictor(x)))
+        x[:, sbar_cols] = self.from_normal(sbar_cols, z)
+        return x, None
+
+
+class GaussianEstimator(GaussianCopulaEstimator):
+    """Joint-Gaussian model: the copula baseline on the data scale itself."""
+
+    method = "gaussian"
+
+    def __init__(self, train_x, predictor, K=1000, rng=None):
+        super().__init__(train_x, predictor, K, rng)  # no `correlation`: sigma is cov
+
+    def fit_normal(self, correlation):
+        return np.mean(self.train_x, axis=0), np.cov(self.train_x, rowvar=False)
+
+    def to_normal(self, cols, x):
+        return x
+
+    def from_normal(self, cols, z):
+        return z
 
 
 # ----------------------------------------------------------------------
@@ -232,18 +258,9 @@ class VineCondSimEstimator(ContributionEstimator):
         self.models = list(models)
         self.plan = plan
 
-    def contribution(self, features, x_star):
-        return self.contribution_with_se(features, x_star)[0]
-
-    def contribution_with_se(self, features, x_star):
-        """v(S) and its Monte Carlo standard error (inf at K = 1)."""
+    def sample(self, features, x_star):
         model = self.models[_assignment(self.plan, features).order_index]
-        x = model.conditional_sample(features, x_star, self.K, self.rng)
-        preds = np.asarray(self.predictor(x), dtype=float)
-        v = float(np.mean(preds))
-        if self.K == 1:
-            return v, np.inf
-        return v, float(np.std(preds, ddof=1) / np.sqrt(self.K))
+        return model.conditional_sample(features, x_star, self.K, self.rng), None
 
 
 class VineRatioEstimator(ContributionEstimator):
@@ -264,8 +281,7 @@ class VineRatioEstimator(ContributionEstimator):
         if marginals is None:
             marginals = [EmpiricalMarginal(self.train_x[:, j]) for j in range(self.M)]
         self.marginals = marginals
-        self.train_u = np.column_stack(
-            [self.marginals[j].cdf(self.train_x[:, j]) for j in range(self.M)])
+        self.train_u = pseudo_observations(self.train_x, self.marginals)
         self.fallback_flagged = set()
         self._sub_idx = None
 
@@ -302,23 +318,12 @@ class VineRatioEstimator(ContributionEstimator):
         if np.all(~np.isfinite(logw)):
             self.fallback_flagged.add(frozenset(features))
             return np.full(len(logw), 1.0 / len(logw))
-        w = np.exp(logw - np.max(logw))
-        total = w.sum()
-        if total <= 0 or not np.isfinite(total):
-            self.fallback_flagged.add(frozenset(features))
-            return np.full(len(logw), 1.0 / len(logw))
-        return w / total
+        w = np.exp(logw - np.max(logw))  # the largest is 1, so the sum is in [1, K]
+        return w / w.sum()
 
-    def contribution(self, features, x_star):
-        return self.contribution_with_se(features, x_star)[0]
-
-    def contribution_with_se(self, features, x_star):
-        pi = self.implicit_weights(features, x_star)
-        preds = np.asarray(self.predictor(self._pinned(self._sub_idx, features, x_star)),
-                           dtype=float)
-        v = float(np.sum(pi * preds))
-        se = float(np.sqrt(np.sum(pi ** 2 * (preds - v) ** 2)))
-        return v, se
+    def sample(self, features, x_star):
+        pi = self.implicit_weights(features, x_star)  # fixes the subsample if unset
+        return self._pinned(self._sub_idx, features, x_star), pi
 
     def effective_sample_size(self, features, x_star):
         pi = self.implicit_weights(features, x_star)

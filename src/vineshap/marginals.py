@@ -48,10 +48,3 @@ class EmpiricalMarginal:
         if np.any(u <= 0.0) or np.any(u >= 1.0) or not np.all(np.isfinite(u)):
             raise InvalidInputError("quantile input must lie in (0, 1)")
         return np.asarray(np.interp(u, self._positions, self.sorted_sample))
-
-    def to_dict(self):
-        return {"sorted_sample": self.sorted_sample.tolist()}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(np.asarray(d["sorted_sample"], dtype=float))

@@ -71,8 +71,8 @@ def test_linear_predictor():
 
 
 def test_linear_predictor_wrong_arity():
-    from vineshap.errors import InvalidInputError
-    with pytest.raises(InvalidInputError):
+    from vineshap.errors import DataError
+    with pytest.raises(DataError):
         make_predictor("linear:1,2,3", ["a", "b"])
 
 
@@ -229,6 +229,28 @@ def test_explain_column_mismatch(train_csv, tmp_path):
                    "--predictor", "const:0", "--out", str(tmp_path / "e.json")) == 3
 
 
+def test_explain_linear_arity_mismatch_is_data_error(train_csv, test_csv, tmp_path):
+    model, out = tmp_path / "m.json", tmp_path / "e.json"
+    run_cli("fit", str(train_csv), "--out", str(model))
+    assert run_cli("explain", str(model), str(test_csv),
+                   "--predictor", "linear:1,2", "--out", str(out)) == 3
+    assert not out.exists()
+
+
+def test_explain_nan_predictor_is_numeric_error(train_csv, test_csv, tmp_path):
+    script = tmp_path / "pred.py"
+    script.write_text(
+        "import sys\n"
+        "for _ in sys.stdin.read().splitlines()[1:]:\n"
+        "    print('nan')\n")
+    model, out = tmp_path / "m.json", tmp_path / "e.json"
+    run_cli("fit", str(train_csv), "--out", str(model))
+    assert run_cli("explain", str(model), str(test_csv), "--k", "20",
+                   "--predictor", f"cmd:{sys.executable} {script}",
+                   "--out", str(out)) == 4
+    assert not out.exists()
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run_cli("explain")   # missing required arguments
@@ -252,6 +274,22 @@ def test_malformed_explain_arguments_are_usage_errors(tmp_path, capsys, flag, va
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and flag in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["fit", "t.csv", "--method", "vine-nonparametric", "--grid-size", "0"], "--grid-size"),
+    (["fit", "t.csv", "--method", "vine-nonparametric", "--grid-size", "-3"], "--grid-size"),
+    (["fit", "t.csv", "--grid-size", "1"], "--grid-size"),
+    (["fit", "t.csv", "--cover-batch", "0"], "--cover-batch"),
+    (["simulate", "--p", "1", "--b", "2", "--r", "1", "--n", "-1"], "--n"),
+])
+def test_out_of_range_integer_options_are_usage_errors(tmp_path, capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--out", str(tmp_path / "o"))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and flag in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("shap_method", ["condsim", "ratio"])

@@ -5,7 +5,7 @@ from scipy import stats
 from vineshap import (ClaytonCopula, FixedMode, GaussianCopula,
                       GaussianCopulaEstimator, GaussianEstimator,
                       IndependenceCopula, IndependenceEstimator,
-                      InvalidInputError, VineCondSimEstimator,
+                      InvalidInputError, NumericError, VineCondSimEstimator,
                       VineRatioEstimator, fit_dvine, greedy_cover,
                       mahalanobis_diagnostic, shapley, shapley_from_values,
                       shapley_weights)
@@ -343,3 +343,32 @@ def test_condsim_standard_error_at_single_sample_is_inf():
         warnings.simplefilter("error")
         v, se = est.contribution_with_se({0}, train[0])
     assert np.isfinite(v) and se == np.inf
+
+
+# ----------------------------------------------------------------------
+# one prediction path: every estimator checks and averages g the same way
+
+def make_estimator(method, train, g, seed):
+    rng = np.random.default_rng(seed)
+    if method in ("condsim", "ratio"):
+        plan, models = build_vine_models(train, method, ClaytonCopula(1.5, rotation=180))
+        cls = VineCondSimEstimator if method == "condsim" else VineRatioEstimator
+        return cls(train, g, models, plan, K=50, rng=rng)
+    cls = {"independence": IndependenceEstimator, "gaussian": GaussianEstimator,
+           "gaussian-copula": GaussianCopulaEstimator}[method]
+    return cls(train, g, K=50, rng=rng)
+
+
+@pytest.mark.parametrize("method", ["independence", "gaussian", "gaussian-copula",
+                                    "condsim", "ratio"])
+def test_prediction_contract_is_shared(method):
+    train = np.random.default_rng(39).normal(size=(100, 3))
+    g = lambda x: np.sum(np.atleast_2d(x) * [1.0, -2.0, 3.0], axis=1) ** 2
+    x_star = train[5]
+    with pytest.raises(NumericError):
+        shapley(make_estimator(method, train, lambda x: np.full(len(x), np.nan), 40), x_star)
+    flat = shapley(make_estimator(method, train, g, 40), x_star)
+    column = shapley(make_estimator(method, train, lambda x: g(x)[:, None], 40), x_star)
+    assert np.array_equal(flat.phi, column.phi) and flat.phi0 == column.phi0
+    v, se = make_estimator(method, train, g, 41).contribution_with_se({0}, x_star)
+    assert np.isfinite(v) and np.isfinite(se) and se > 0

@@ -86,9 +86,3 @@ def test_quantile_monotone(sample, us):
     u = np.sort(np.asarray(us))
     x = np.atleast_1d(m.quantile(u))
     assert np.all(np.diff(x) >= -1e-12)
-
-
-def test_serialization_roundtrip():
-    m = EmpiricalMarginal(np.random.default_rng(1).normal(size=40))
-    m2 = EmpiricalMarginal.from_dict(m.to_dict())
-    assert np.array_equal(m.sorted_sample, m2.sorted_sample)
