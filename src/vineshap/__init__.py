@@ -10,8 +10,8 @@ against a Monte Carlo oracle.
 from .bicop import (ClaytonCopula, GaussianCopula, GridCopula,
                     IndependenceCopula, PairCopula, fit_nonparametric,
                     fit_parametric)
-from .dvine import (Block, DVineModel, FixedMode, NonparametricMode,
-                    ParametricMode, fit_dvine, pseudo_observations)
+from .dvine import (Block, DVineModel, NonparametricMode, ParametricMode,
+                    fit_dvine, pseudo_observations)
 from .errors import (CoverageError, DataError, InvalidInputError, NumericError,
                      UnsupportedBlockError, UnsupportedCoalitionError,
                      VineShapError)
@@ -36,7 +36,7 @@ __all__ = [
     "Assignment", "Block", "BurrMarginal", "BurrParams", "ClaytonCopula",
     "ContributionEstimator", "CoverPlan", "CoverageError", "DVineModel",
     "DataError", "EmpiricalMarginal", "ExperimentConfig", "ExperimentReport",
-    "Explanation", "FixedMode", "GaussianCopula", "GaussianCopulaEstimator",
+    "Explanation", "GaussianCopula", "GaussianCopulaEstimator",
     "GaussianEstimator", "GridCopula", "IndependenceCopula",
     "IndependenceEstimator", "InvalidInputError", "NonparametricMode",
     "NumericError", "PairCopula", "ParametricMode", "UnsupportedBlockError",

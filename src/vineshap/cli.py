@@ -270,22 +270,36 @@ def parse_bench_config(path):
                 kv[key] = val.strip()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}")
-    m = int(kv.get("m", 4))
-    config = simstudy.ExperimentConfig(
-        burr=simstudy.study_params(float(kv.get("p", 0.5)), M=m),
-        n_train=int(kv.get("n_train", 1000)),
-        n_test=int(kv.get("n_test", 20)),
-        repetitions=int(kv.get("reps", 5)),
-        K=int(kv.get("k", 1000)),
-        K_oracle=int(kv.get("k_oracle", 10000)),
-        methods=tuple(t.strip() for t in
-                      kv.get("methods",
-                             "independence,gaussian-copula,vine-ratio-par").split(",")),
-        predictor=kv.get("predictor", "analytic-mean"),
-        noise_scale=float(kv.get("noise_scale", 0.5)),
-        seed=int(kv.get("seed", 0)),
-    )
-    config.validate()
+
+    def number(key, default, kind=int, low=-np.inf):
+        """kv[key] as a finite `kind` >= low; else a DataError naming the key."""
+        text = kv.get(key, default)
+        try:
+            value = kind(text)
+        except ValueError:
+            value = np.nan
+        if not -np.inf < value < np.inf or value < low:
+            raise DataError(f"{path}: {key} must be a finite {kind.__name__} "
+                            f">= {low}, got {text!r}")
+        return value
+
+    methods = kv.get("methods", "independence,gaussian-copula,vine-ratio-par")
+    try:
+        config = simstudy.ExperimentConfig(
+            burr=simstudy.study_params(number("p", "0.5", float), M=number("m", "4")),
+            n_train=number("n_train", "1000", low=50),
+            n_test=number("n_test", "20", low=1),
+            repetitions=number("reps", "5", low=1),
+            K=number("k", "1000", low=1),
+            K_oracle=number("k_oracle", "10000", low=1000),
+            methods=tuple(t.strip() for t in methods.split(",")),
+            predictor=kv.get("predictor", "analytic-mean"),
+            noise_scale=number("noise_scale", "0.5", float, low=0),
+            seed=number("seed", "0", low=0),
+        )
+        config.validate()
+    except InvalidInputError as exc:
+        raise DataError(f"{path}: {exc}")
     return config, kv
 
 
@@ -376,7 +390,7 @@ def build_parser():
 
     b = sub.add_parser("bench", help="run the simulation-study benchmark")
     b.add_argument("config")
-    b.add_argument("--threads", type=int, default=1)
+    b.add_argument("--threads", type=int_at_least(1), default=1)
     b.add_argument("--out-dir", required=True)
     b.set_defaults(func=cmd_bench)
     return p

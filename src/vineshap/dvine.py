@@ -15,6 +15,10 @@ cover plan share a single copy of them: `from_dict(d, marginals)`.
 The simplified-vine assumption makes every contiguous sub-block of the
 order itself a D-vine, which is what the ratio method's marginal
 densities rely on.
+
+Fitting, both densities, the Rosenblatt transform and its inverse all
+walk one h-function recursion, `_h_pass`, left to right over the order
+positions.
 """
 
 from dataclasses import dataclass
@@ -37,7 +41,7 @@ class Block:
 
 
 class ParametricMode:
-    def fit_edge(self, u, tree):
+    def fit_edge(self, u):
         return fit_parametric(u)
 
 
@@ -45,20 +49,36 @@ class NonparametricMode:
     def __init__(self, grid_size=64):
         self.grid_size = int(grid_size)
 
-    def fit_edge(self, u, tree):
+    def fit_edge(self, u):
         return fit_nonparametric(u, grid_size=self.grid_size)
 
 
-class FixedMode:
-    """Install a given pair copula everywhere, or one per tree level."""
+def _h_pass(V, pairs, solve=None):
+    """Walk the h-function recursion over V's columns (one per order position).
 
-    def __init__(self, copula):
-        self.copula = copula
-
-    def fit_edge(self, u, tree):
-        if isinstance(self.copula, PairCopula):
-            return self.copula
-        return self.copula[tree]
+    Position k closes the pairs (i, k-1-i), i = 0..k-1: pair i links
+    x_i = F(v_{k-1-i} | v_{k-i..k-1}), carried over from position k-1, with
+    y_i = F(v_k | v_{k-i..k-1}) = h(y_{i-1} | x_{i-1}), y_0 = v_k.  Yields
+    (i, j, x_i, y_i) before reading pairs[i][j], so a caller may fit that
+    pair in its loop body.  `solve(k, x)`, if given, first sets column k
+    (the inverse Rosenblatt step).  Only h-values a later step reads are
+    computed.
+    """
+    m = V.shape[1]
+    x = [V[:, 0]]
+    for k in range(1, m):
+        if solve is not None:
+            V[:, k] = solve(k, x)
+        y = V[:, k]
+        carry = [y]
+        for i in range(k):
+            yield i, k - 1 - i, x[i], y
+            pc = pairs[i][k - 1 - i]
+            if k < m - 1:
+                carry.append(pc.hfunc(x[i], y, "second"))
+            if i < k - 1:
+                y = pc.hfunc(x[i], y, "first")
+        x = carry
 
 
 class DVineModel:
@@ -81,58 +101,20 @@ class DVineModel:
         return len(self.order)
 
     # ------------------------------------------------------------------
-    # core recursion
-
-    def _triangle(self, V, pairs=None):
-        """Conditional-cdf triangle over the columns of V (order scale).
-
-        Returns (left, right): left[i][j] = F(v_j | v_{j+1..j+i}) and
-        right[i][j] = F(v_{j+i+1} | v_{j+1..j+i}), for tree level i
-        (0-based; level 0 holds the raw columns).  At level i, left has
-        m-i entries and right has m-1-i; the extra left entry is the
-        diagonal value needed by the inverse Rosenblatt transform.
-        """
-        if pairs is None:
-            pairs = self.pairs
-        m = V.shape[1]
-        left = [[V[:, j] for j in range(m)]]
-        right = [[V[:, j + 1] for j in range(m - 1)]]
-        for i in range(m - 1):
-            lrow = [pairs[i][j].hfunc(left[i][j], right[i][j], "second")
-                    for j in range(m - 1 - i)]
-            rrow = [pairs[i][j + 1].hfunc(left[i][j + 1], right[i][j + 1], "first")
-                    for j in range(m - 2 - i)]
-            left.append(lrow)
-            right.append(rrow)
-        return left, right
-
-    def _log_density_positions(self, V, pairs=None):
-        """Sum of log pair densities for columns already in order scale."""
-        if pairs is None:
-            pairs = self.pairs
-        m = V.shape[1]
-        out = np.zeros(V.shape[0])
-        if m < 2:
-            return out
-        left, right = self._triangle(V, pairs)
-        for i in range(m - 1):
-            for j in range(m - 1 - i):
-                out += pairs[i][j].log_density(left[i][j], right[i][j])
-        return out
-
-    # ------------------------------------------------------------------
     # densities
+
+    def _log_density(self, V, start=0):
+        """Log density of the sub-vine on positions start.., added tree by tree."""
+        pairs = [row[start:] for row in self.pairs]
+        logs = {(i, j): pairs[i][j].log_density(x, y) for i, j, x, y in _h_pass(V, pairs)}
+        return sum((logs[key] for key in sorted(logs)), np.zeros(V.shape[0]))
 
     def copula_log_density(self, u):
         """Log D-vine copula density at u (original feature indexing)."""
         u = np.atleast_2d(np.asarray(u, dtype=float))
         if u.shape[1] != self.M:
             raise InvalidInputError(f"expected {self.M} columns, got {u.shape[1]}")
-        return self._log_density_positions(u[:, self.order])
-
-    def _sub_pairs(self, start, end):
-        return [[self.pairs[i][j] for j in range(start, end - i)]
-                for i in range(end - start)]
+        return self._log_density(u[:, self.order])
 
     def marginal_copula_log_density(self, block, u_block):
         """Log density of the sub-D-vine on order positions start..end.
@@ -146,7 +128,7 @@ class DVineModel:
         u_block = np.atleast_2d(np.asarray(u_block, dtype=float))
         if u_block.shape[1] != e - s + 1:
             raise InvalidInputError("u_block width must match the block length")
-        return self._log_density_positions(u_block, self._sub_pairs(s, e))
+        return self._log_density(u_block, s)
 
     def block_for(self, features):
         """Block of order positions for a feature set; raises if not contiguous."""
@@ -165,15 +147,10 @@ class DVineModel:
         """w_k = F(u_{pi_k} | u_{pi_1..pi_{k-1}}); output in position indexing."""
         u = np.atleast_2d(np.asarray(u, dtype=float))
         V = np.clip(u[:, self.order], 1e-10, 1 - 1e-10)
-        m = self.M
-        W = np.empty_like(V)
-        W[:, 0] = V[:, 0]
-        if m > 1:
-            left, right = self._triangle(V)
-            for k in range(1, m):
-                # edge (tree k-1, first edge) conditions position k on 0..k-1
-                pc = self.pairs[k - 1][0]
-                W[:, k] = pc.hfunc(left[k - 1][0], right[k - 1][0], "first")
+        W = V.copy()
+        for i, j, x, y in _h_pass(V, self.pairs):
+            if j == 0:  # the last pair at position i+1 conditions it on 0..i
+                W[:, i + 1] = self.pairs[i][0].hfunc(x, y, "first")
         return W
 
     def inverse_rosenblatt(self, w):
@@ -182,21 +159,19 @@ class DVineModel:
         if w.shape[1] != self.M:
             raise InvalidInputError(f"expected {self.M} columns, got {w.shape[1]}")
         W = np.clip(w, 1e-10, 1 - 1e-10)
-        m = self.M
-        V = np.empty_like(W)
-        V[:, 0] = W[:, 0]
-        for k in range(1, m):
-            left, _ = self._triangle(V[:, :k])
+        V = W.copy()
+
+        def solve(k, x):
+            # invert w_k = y_k down the chain y_{i+1} = h(y_i | x_i) to y_0 = v_k
             z = W[:, k]
-            # invert the h-function chain F(v_k | v_{k-i..k-1}), i = k..1
-            for i in range(k, 0, -1):
-                pc = self.pairs[i - 1][k - i]
-                cond = left[i - 1][k - i]
-                z = pc.hinv(z, cond, "first")
-            V[:, k] = z
-        U = np.empty_like(V)
-        U[:, list(self.order)] = V
-        return U
+            for i in range(k - 1, -1, -1):
+                z = self.pairs[i][k - 1 - i].hinv(z, x[i], "first")
+            return z
+
+        for i, j, _, _ in _h_pass(V, self.pairs, solve):
+            if i + j == self.M - 2:  # v_{M-1} is solved; no h-value of its pairs is read
+                break
+        return V[:, np.argsort(self.order)]
 
     # ------------------------------------------------------------------
     # conditional sampling
@@ -282,12 +257,9 @@ def pseudo_observations(data, marginals):
 
 
 def fit_dvine(data, order, mode=None, marginals=None):
-    """Fit a D-vine sequentially, tree by tree.
+    """Fit a D-vine, each pair on the h-function transforms the pass carries to it.
 
-    Tree 1 copulas are fitted on pseudo-observations of adjacent order
-    positions; higher trees use h-function transforms of the previous
-    tree's arguments.  `mode` is one of ParametricMode, NonparametricMode
-    or FixedMode (fixed installs copulas without touching the data).
+    `mode` is ParametricMode (the default) or NonparametricMode.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
@@ -300,30 +272,13 @@ def fit_dvine(data, order, mode=None, marginals=None):
         raise InvalidInputError(f"order must be a permutation of 0..{m - 1}")
     if mode is None:
         mode = ParametricMode()
-    fixed = isinstance(mode, FixedMode)
-    if not fixed and n < 30:
+    if n < 30:
         raise InvalidInputError(f"need at least 30 rows to fit, got {n}")
 
     if marginals is None:
         marginals = [EmpiricalMarginal(data[:, j]) for j in range(m)]
-    U = pseudo_observations(data, marginals)
-    V = U[:, order]
-
-    pairs = []
-    left = [V[:, j] for j in range(m - 1)]
-    right = [V[:, j + 1] for j in range(m - 1)]
-    for i in range(m - 1):
-        row = []
-        for j in range(m - 1 - i):
-            if fixed:
-                row.append(mode.fit_edge(None, i))
-            else:
-                row.append(mode.fit_edge(np.column_stack([left[j], right[j]]), i))
-        pairs.append(row)
-        if i < m - 2:
-            new_left, new_right = [], []
-            for j in range(m - 2 - i):
-                new_left.append(row[j].hfunc(left[j], right[j], "second"))
-                new_right.append(row[j + 1].hfunc(left[j + 1], right[j + 1], "first"))
-            left, right = new_left, new_right
+    V = pseudo_observations(data, marginals)[:, order]
+    pairs = [[None] * (m - 1 - i) for i in range(m - 1)]
+    for i, j, x, y in _h_pass(V, pairs):
+        pairs[i][j] = mode.fit_edge(np.column_stack([x, y]))
     return DVineModel(order, pairs, marginals)

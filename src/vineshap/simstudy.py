@@ -15,11 +15,13 @@ from scipy import stats
 from scipy.spatial import cKDTree
 
 from .bicop import ClaytonCopula
-from .dvine import DVineModel, NonparametricMode, ParametricMode, fit_dvine
+from .dvine import (DVineModel, NonparametricMode, ParametricMode, fit_dvine,
+                    pseudo_observations)
 from .errors import InvalidInputError
 from .explain import (Explanation, GaussianCopulaEstimator, GaussianEstimator,
                       IndependenceEstimator, VineCondSimEstimator,
                       VineRatioEstimator, shapley, shapley_from_values)
+from .marginals import EmpiricalMarginal
 from .structure import greedy_cover
 
 #: feature parameters of the full-scale study, truncated to M when M < 10
@@ -40,8 +42,10 @@ class BurrParams:
     def __post_init__(self):
         object.__setattr__(self, "b", tuple(float(x) for x in np.atleast_1d(self.b)))
         object.__setattr__(self, "r", tuple(float(x) for x in np.atleast_1d(self.r)))
-        if self.p <= 0 or any(x <= 0 for x in self.b) or any(x <= 0 for x in self.r):
-            raise InvalidInputError("Burr parameters must all be positive")
+        if self.p <= 0:
+            raise InvalidInputError(f"Burr parameter p must be positive, got {self.p}")
+        if any(x <= 0 for x in self.b + self.r):
+            raise InvalidInputError("Burr parameters b and r must all be positive")
         if len(self.b) != len(self.r) or len(self.b) < 1:
             raise InvalidInputError("b and r must have equal positive length")
 
@@ -52,7 +56,7 @@ class BurrParams:
 
 def study_params(p, M=10):
     if not 1 <= M <= 10:
-        raise InvalidInputError("study parameters are defined for M in 1..10")
+        raise InvalidInputError(f"study parameters are defined for M in 1..10, got M={M}")
     return BurrParams(p=p, b=STUDY_B[:M], r=STUDY_R[:M])
 
 
@@ -159,12 +163,6 @@ def response_mean_from_u(U):
             + u[:, 8] * np.exp(1.8 * u[:, 9]))
 
 
-def _uniform_scores(params, x):
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    return np.column_stack(
-        [marginal(params, m).cdf(x[:, m]) for m in range(params.M)])
-
-
 def generate_response(x, params, noise_scale=0.5, rng=None):
     """y = response mean + noise_scale (u1 + u5 + u9) eps, eps ~ N(0, 1)."""
     if noise_scale < 0:
@@ -172,7 +170,7 @@ def generate_response(x, params, noise_scale=0.5, rng=None):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if np.any(x <= 0):
         raise InvalidInputError("x must lie in the Burr support (positive)")
-    U = _uniform_scores(params, x)
+    U = pseudo_observations(x, [marginal(params, m) for m in range(params.M)])
     y = response_mean_from_u(U)
     if noise_scale > 0:
         if rng is None:
@@ -186,8 +184,10 @@ def generate_response(x, params, noise_scale=0.5, rng=None):
 
 def analytic_mean_predictor(params):
     """Noise-free conditional mean of the response, as a predictor g(x)."""
+    marginals = [marginal(params, m) for m in range(params.M)]
+
     def g(x):
-        return response_mean_from_u(_uniform_scores(params, x))
+        return response_mean_from_u(pseudo_observations(np.atleast_2d(x), marginals))
     return g
 
 
@@ -334,10 +334,13 @@ def _build_estimator(tag, train_x, g, K, rng, cover_batch, grid_size):
     mode = (ParametricMode() if tag.endswith("-par")
             else NonparametricMode(grid_size=grid_size))
     plan = greedy_cover(m, shap_method, B=cover_batch, rng=rng)
-    models = [fit_dvine(train_x, order, mode) for order in plan.orders]
+    marginals = [EmpiricalMarginal(train_x[:, j]) for j in range(m)]
+    models = [fit_dvine(train_x, order, mode, marginals=marginals)
+              for order in plan.orders]
     if shap_method == "condsim":
         return VineCondSimEstimator(train_x, g, models, plan, K=K, rng=rng)
-    return VineRatioEstimator(train_x, g, models, plan, K=K, rng=rng)
+    return VineRatioEstimator(train_x, g, models, plan, K=K, rng=rng,
+                              marginals=marginals)
 
 
 def run_repetition(config, rep):

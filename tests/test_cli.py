@@ -369,3 +369,29 @@ def test_bench_unknown_key(tmp_path):
     cfg = tmp_path / "bench.cfg"
     cfg.write_text("bogus=1\n")
     assert run_cli("bench", str(cfg), "--out-dir", str(tmp_path / "o")) == 3
+
+
+@pytest.mark.parametrize("key, value", [
+    ("k", "abc"), ("m", "x"), ("k", "0"), ("m", "11"), ("p", "-1"),
+    ("p", "nan"), ("seed", "-1"), ("k_oracle", "10"),
+])
+def test_bench_bad_config_value_is_data_error(tmp_path, capsys, key, value):
+    cfg = tmp_path / "bench.cfg"
+    write_bench_config(cfg, **{key: value})
+    assert run_cli("bench", str(cfg), "--out-dir", str(tmp_path / "o")) == 3
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert f" {key} must" in err or f"{key}={value}" in err.lower()
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_bench_threads_below_one_is_usage_error(tmp_path, capsys, threads):
+    cfg = tmp_path / "bench.cfg"
+    write_bench_config(cfg, reps=1, methods="independence")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("bench", str(cfg), "--threads", threads, "--out-dir", str(tmp_path / "o"))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "--threads" in err
+    assert not (tmp_path / "o").exists()

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from helpers import constant_vine
 from vineshap import (Block, ClaytonCopula, DVineModel, EmpiricalMarginal,
-                      FixedMode, GaussianCopula, IndependenceCopula,
-                      InvalidInputError, ParametricMode,
-                      UnsupportedBlockError, UnsupportedCoalitionError,
-                      fit_dvine, pseudo_observations)
+                      GaussianCopula, IndependenceCopula, InvalidInputError,
+                      ParametricMode, UnsupportedBlockError,
+                      UnsupportedCoalitionError, fit_dvine,
+                      pseudo_observations)
 
 
 def gaussian_vine(rhos, m=3, n_marg=100, seed=0):
@@ -53,7 +54,7 @@ def test_all_independence_log_density_zero_any_order():
     rng = np.random.default_rng(1)
     data = rng.normal(size=(100, 4))
     for order in [(0, 1, 2, 3), (2, 0, 3, 1)]:
-        model = fit_dvine(data, order, FixedMode(IndependenceCopula()))
+        model = constant_vine(data, order, IndependenceCopula())
         u = rng.uniform(0.05, 0.95, size=(50, 4))
         assert np.allclose(model.copula_log_density(u), 0.0, atol=0)
 
@@ -146,7 +147,7 @@ def test_fit_recovers_partial_correlation():
 def test_rosenblatt_independence_is_permuted_identity():
     rng = np.random.default_rng(9)
     data = rng.normal(size=(100, 3))
-    model = fit_dvine(data, (2, 0, 1), FixedMode(IndependenceCopula()))
+    model = constant_vine(data, (2, 0, 1), IndependenceCopula())
     u = rng.uniform(0.05, 0.95, size=(20, 3))
     w = model.rosenblatt(u)
     assert np.allclose(w, u[:, (2, 0, 1)], atol=0)
@@ -202,7 +203,7 @@ def test_simulated_samples_match_model_taus():
 def test_conditional_sample_independence_ignores_conditioning():
     rng = np.random.default_rng(14)
     data = rng.normal(size=(500, 3))
-    model = fit_dvine(data, (0, 1, 2), FixedMode(IndependenceCopula()))
+    model = constant_vine(data, (0, 1, 2), IndependenceCopula())
     x_star = np.array([10.0, 0.0, 0.0])
     x = model.conditional_sample({0}, x_star, 4000, np.random.default_rng(15))
     assert np.all(x[:, 0] == 10.0)
@@ -215,7 +216,7 @@ def test_conditional_sample_m2_gaussian_oracle():
     rho = 0.7
     rng = np.random.default_rng(16)
     z = rng.multivariate_normal([0, 0], [[1, rho], [rho, 1]], size=4000)
-    model = fit_dvine(z, (0, 1), FixedMode(GaussianCopula(rho)))
+    model = constant_vine(z, (0, 1), GaussianCopula(rho))
     x_star = np.array([1.2, 0.0])
     x = model.conditional_sample({0}, x_star, 10000, np.random.default_rng(17))
     u1 = model.marginals[0].cdf(x_star[0])
@@ -230,7 +231,7 @@ def test_conditional_sample_prefix_vs_suffix_same_distribution():
     # suffix of the reversed role must give the same conditional law
     rng = np.random.default_rng(18)
     data = rng.normal(size=(500, 3))
-    model = fit_dvine(data, (0, 1, 2), FixedMode(GaussianCopula(0.6)))
+    model = constant_vine(data, (0, 1, 2), GaussianCopula(0.6))
     x_star = np.array([0.5, 0.0, 0.5])
     a = model.conditional_sample({0}, x_star, 5000, np.random.default_rng(19))
     b = model.conditional_sample({2}, x_star, 5000, np.random.default_rng(20))

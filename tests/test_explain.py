@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from vineshap import (ClaytonCopula, FixedMode, GaussianCopula,
+from helpers import constant_vine
+from vineshap import (ClaytonCopula, GaussianCopula,
                       GaussianCopulaEstimator, GaussianEstimator,
                       IndependenceCopula, IndependenceEstimator,
                       InvalidInputError, NumericError, VineCondSimEstimator,
-                      VineRatioEstimator, fit_dvine, greedy_cover,
+                      VineRatioEstimator, greedy_cover,
                       mahalanobis_diagnostic, shapley, shapley_from_values,
                       shapley_weights)
 
@@ -19,7 +20,7 @@ def build_vine_models(train, method, copula, seed=0):
     rng = np.random.default_rng(seed)
     m = train.shape[1]
     plan = greedy_cover(m, method, rng=rng)
-    models = [fit_dvine(train, order, FixedMode(copula)) for order in plan.orders]
+    models = [constant_vine(train, order, copula) for order in plan.orders]
     return plan, models
 
 
