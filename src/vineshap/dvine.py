@@ -103,6 +103,13 @@ class DVineModel:
     # ------------------------------------------------------------------
     # densities
 
+    def _columns(self, a):
+        """a as an (n, M) float array; InvalidInputError for another width."""
+        a = np.atleast_2d(np.asarray(a, dtype=float))
+        if a.shape[1] != self.M:
+            raise InvalidInputError(f"expected {self.M} columns, got {a.shape[1]}")
+        return a
+
     def _log_density(self, V, start=0):
         """Log density of the sub-vine on positions start.., added tree by tree."""
         pairs = [row[start:] for row in self.pairs]
@@ -111,10 +118,7 @@ class DVineModel:
 
     def copula_log_density(self, u):
         """Log D-vine copula density at u (original feature indexing)."""
-        u = np.atleast_2d(np.asarray(u, dtype=float))
-        if u.shape[1] != self.M:
-            raise InvalidInputError(f"expected {self.M} columns, got {u.shape[1]}")
-        return self._log_density(u[:, self.order])
+        return self._log_density(self._columns(u)[:, self.order])
 
     def marginal_copula_log_density(self, block, u_block):
         """Log density of the sub-D-vine on order positions start..end.
@@ -145,8 +149,7 @@ class DVineModel:
 
     def rosenblatt(self, u):
         """w_k = F(u_{pi_k} | u_{pi_1..pi_{k-1}}); output in position indexing."""
-        u = np.atleast_2d(np.asarray(u, dtype=float))
-        V = np.clip(u[:, self.order], 1e-10, 1 - 1e-10)
+        V = np.clip(self._columns(u)[:, self.order], 1e-10, 1 - 1e-10)
         W = V.copy()
         for i, j, x, y in _h_pass(V, self.pairs):
             if j == 0:  # the last pair at position i+1 conditions it on 0..i
@@ -155,10 +158,7 @@ class DVineModel:
 
     def inverse_rosenblatt(self, w):
         """Inverse of :meth:`rosenblatt`; returns u in original indexing."""
-        w = np.atleast_2d(np.asarray(w, dtype=float))
-        if w.shape[1] != self.M:
-            raise InvalidInputError(f"expected {self.M} columns, got {w.shape[1]}")
-        W = np.clip(w, 1e-10, 1 - 1e-10)
+        W = np.clip(self._columns(w), 1e-10, 1 - 1e-10)
         V = W.copy()
 
         def solve(k, x):

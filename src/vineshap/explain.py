@@ -2,9 +2,14 @@
 
 The Shapley combination itself is exact: all 2^M coalitions are
 enumerated and each v(S) is obtained once.  Estimators differ only in
-how they approximate the conditional expectation v(S) = E[g(x) | x_S].
+how they approximate the conditional expectation v(S) = E[g(x) | x_S]:
+each draws the rows at which to evaluate g (and their weights).
+`shapley` stacks the draws of consecutive coalitions and calls the
+predictor once per `PREDICT_CELLS` matrix cells, so g must be row-wise:
+each output may depend only on its own row.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -16,6 +21,7 @@ from .errors import CoverageError, InvalidInputError, NumericError
 from .marginals import EmpiricalMarginal
 
 MAX_FEATURES = 20
+PREDICT_CELLS = 1 << 16     # matrix cells per predictor call in `shapley`
 
 
 @dataclass
@@ -68,6 +74,8 @@ class ContributionEstimator:
         if self.train_x.size == 0:
             raise InvalidInputError("empty training set")
         self._v_empty = None
+        self.predictor_calls = 0
+        self.predictor_rows = 0
 
     @property
     def M(self):
@@ -75,6 +83,8 @@ class ContributionEstimator:
 
     def predict(self, x):
         """The one call into the user's model: one finite value per row of x."""
+        self.predictor_calls += 1
+        self.predictor_rows += len(x)
         g = np.asarray(self.predictor(x), dtype=float)
         if g.shape not in ((len(x),), (len(x), 1)):
             raise NumericError(f"predictor returned shape {g.shape} for {len(x)} rows")
@@ -98,16 +108,9 @@ class ContributionEstimator:
         return self.contribution_with_se(features, x_star)[0]
 
     def contribution_with_se(self, features, x_star):
-        """v(S) and its Monte Carlo standard error (inf from a single row)."""
+        """v(S) and its Monte Carlo standard error, from one predictor call."""
         x, pi = self.sample(features, x_star)
-        g = self.predict(x)
-        if pi is not None:
-            v = float(np.sum(pi * g))
-            return v, float(np.sqrt(np.sum(pi ** 2 * (g - v) ** 2)))
-        v = float(np.mean(g))
-        if len(g) == 1:
-            return v, np.inf
-        return v, float(np.std(g, ddof=1) / np.sqrt(len(g)))
+        return _average(self.predict(x), pi)
 
     def _pinned(self, idx, features, x_star):
         """Training rows `idx` with the coalition's columns set to x_star."""
@@ -115,6 +118,33 @@ class ContributionEstimator:
         cols = sorted(features)
         x[:, cols] = x_star[cols]
         return x
+
+
+def _average(g, pi):
+    """(v, se): the Monte Carlo estimate of v(S) from g at the sampled rows,
+    weighted by pi (None for equal weights); se is inf from a single row."""
+    if pi is not None:
+        v = float(np.sum(pi * g))
+        return v, float(np.sqrt(np.sum(pi ** 2 * (g - v) ** 2)))
+    v = float(np.mean(g))
+    if len(g) == 1:
+        return v, np.inf
+    return v, float(np.std(g, ddof=1) / np.sqrt(len(g)))
+
+
+def _batches(draws, max_rows):
+    """Group consecutive (mask, x, pi) draws into lists of at most max_rows
+    rows; a draw larger than max_rows goes alone."""
+    batch, rows = [], 0
+    for draw in draws:
+        n = len(draw[1])
+        if batch and rows + n > max_rows:
+            yield batch
+            batch, rows = [], 0
+        batch.append(draw)
+        rows += n
+    if batch:
+        yield batch
 
 
 def _assignment(plan, features):
@@ -136,15 +166,23 @@ def shapley(estimator, x_star):
             f"exact enumeration over 2^{M} coalitions refused; reduce to "
             f"<= {MAX_FEATURES} features")
     estimator.begin_explanation(x_star)
+    calls, rows = estimator.predictor_calls, estimator.predictor_rows
     full = (1 << M) - 1
-    values = {0: estimator.v_empty(),
-              full: float(estimator.predict(x_star[None, :])[0])}
-    for mask in range(1, full):
-        features = frozenset(j for j in range(M) if mask & (1 << j))
-        values[mask] = float(estimator.contribution(features, x_star))
+    values = {0: estimator.v_empty()}
+    # x* gives v(full); every other coalition's draws follow in mask order
+    draws = itertools.chain([(full, x_star[None, :], None)], (
+        (mask, *estimator.sample(frozenset(j for j in range(M) if mask & (1 << j)), x_star))
+        for mask in range(1, full)))
+    for batch in _batches(draws, max(1, PREDICT_CELLS // M)):
+        g = estimator.predict(np.concatenate([x for _, x, _ in batch]))
+        ends = np.cumsum([len(x) for _, x, _ in batch])
+        for (mask, _, pi), g_s in zip(batch, np.split(g, ends[:-1])):
+            values[mask] = _average(g_s, pi)[0]
     phi0, phi = shapley_from_values(M, values)
     return Explanation(phi0=phi0, phi=phi, values=values,
-                       method=estimator.method, K=estimator.K)
+                       method=estimator.method, K=estimator.K,
+                       diagnostics={"predictor_calls": estimator.predictor_calls - calls,
+                                    "predictor_rows": estimator.predictor_rows - rows})
 
 
 # ----------------------------------------------------------------------

@@ -163,6 +163,15 @@ def test_rosenblatt_m2_is_hfunc():
     assert np.allclose(w[:, 1], pc.hfunc(u[:, 1], u[:, 0], "second"), atol=0)
 
 
+@pytest.mark.parametrize("width", [2, 4])
+def test_rosenblatt_rejects_wrong_column_count(width):
+    model = gaussian_vine([0.6, 0.5, 0.4])
+    u = np.random.default_rng(14).uniform(0.05, 0.95, size=(5, width))
+    for transform in (model.rosenblatt, model.inverse_rosenblatt):
+        with pytest.raises(InvalidInputError, match=f"expected 3 columns, got {width}"):
+            transform(u)
+
+
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_inverse_rosenblatt_roundtrip(m):
     rng = np.random.default_rng(11)

@@ -7,7 +7,7 @@ from vineshap import (ClaytonCopula, GaussianCopula,
                       GaussianCopulaEstimator, GaussianEstimator,
                       IndependenceCopula, IndependenceEstimator,
                       InvalidInputError, NumericError, VineCondSimEstimator,
-                      VineRatioEstimator, greedy_cover,
+                      VineRatioEstimator, explain, greedy_cover,
                       mahalanobis_diagnostic, shapley, shapley_from_values,
                       shapley_weights)
 
@@ -349,19 +349,21 @@ def test_condsim_standard_error_at_single_sample_is_inf():
 # ----------------------------------------------------------------------
 # one prediction path: every estimator checks and averages g the same way
 
-def make_estimator(method, train, g, seed):
+METHODS = ["independence", "gaussian", "gaussian-copula", "condsim", "ratio"]
+
+
+def make_estimator(method, train, g, seed, K=50):
     rng = np.random.default_rng(seed)
     if method in ("condsim", "ratio"):
         plan, models = build_vine_models(train, method, ClaytonCopula(1.5, rotation=180))
         cls = VineCondSimEstimator if method == "condsim" else VineRatioEstimator
-        return cls(train, g, models, plan, K=50, rng=rng)
+        return cls(train, g, models, plan, K=K, rng=rng)
     cls = {"independence": IndependenceEstimator, "gaussian": GaussianEstimator,
            "gaussian-copula": GaussianCopulaEstimator}[method]
-    return cls(train, g, K=50, rng=rng)
+    return cls(train, g, K=K, rng=rng)
 
 
-@pytest.mark.parametrize("method", ["independence", "gaussian", "gaussian-copula",
-                                    "condsim", "ratio"])
+@pytest.mark.parametrize("method", METHODS)
 def test_prediction_contract_is_shared(method):
     train = np.random.default_rng(39).normal(size=(100, 3))
     g = lambda x: np.sum(np.atleast_2d(x) * [1.0, -2.0, 3.0], axis=1) ** 2
@@ -373,3 +375,112 @@ def test_prediction_contract_is_shared(method):
     assert np.array_equal(flat.phi, column.phi) and flat.phi0 == column.phi0
     v, se = make_estimator(method, train, g, 41).contribution_with_se({0}, x_star)
     assert np.isfinite(v) and np.isfinite(se) and se > 0
+
+
+# ----------------------------------------------------------------------
+# shapley stacks the coalitions' draws into few predictor calls
+
+def row_wise(x):
+    """Each output depends only on its own row, bit for bit at any batch size."""
+    return np.tanh(x[:, 0]) * x[:, -1] + x[:, 1] ** 2
+
+
+class CountingPredictor:
+    def __init__(self, g):
+        self.g = g
+        self.batches = []
+
+    def __call__(self, x):
+        self.batches.append(np.array(x))
+        return self.g(x)
+
+
+def per_coalition_values(est, x_star):
+    """The v table of one predictor call per coalition, in mask order."""
+    est.begin_explanation(x_star)
+    full = (1 << est.M) - 1
+    values = {0: est.v_empty(), full: float(est.predict(x_star[None, :])[0])}
+    for mask in range(1, full):
+        features = frozenset(j for j in range(est.M) if mask >> j & 1)
+        values[mask] = est.contribution(features, x_star)
+    return values
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("M", [3, 5])
+@pytest.mark.parametrize("K", [1, 50])
+def test_batched_shapley_equals_per_coalition_reference(method, M, K):
+    train = np.random.default_rng(40).normal(size=(100, M))
+    batched = make_estimator(method, train, row_wise, 42, K)
+    reference = make_estimator(method, train, row_wise, 42, K)
+    for x_star in train[:2]:
+        expl = shapley(batched, x_star)
+        values = per_coalition_values(reference, x_star)
+        assert list(expl.values.items()) == list(values.items())
+        phi0, phi = shapley_from_values(M, values)
+        assert expl.phi0 == phi0 and np.array_equal(expl.phi, phi)
+
+
+class UnevenEstimator(IndependenceEstimator):
+    """Independence draws; coalition {1} draws four times as many rows."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.drawn = []
+
+    def sample(self, features, x_star):
+        n = 4 * self.K if features == {1} else self.K
+        x = self._pinned(self.rng.integers(0, len(self.train_x), size=n), features, x_star)
+        self.drawn.append(x)
+        return x, None
+
+
+def test_batches_flush_at_the_cell_budget(monkeypatch):
+    train = np.random.default_rng(43).normal(size=(60, 3))
+    x_star = train[0]
+    default = UnevenEstimator(train, row_wise, K=10, rng=np.random.default_rng(44))
+    expected = shapley(default, x_star)
+    assert len(default.drawn) == 6
+    # 25 rows per call: x* and {0} go together, {1} (40 rows) alone, then pairs
+    monkeypatch.setattr(explain, "PREDICT_CELLS", 3 * 25)
+    pred = CountingPredictor(row_wise)
+    est = UnevenEstimator(train, pred, K=10, rng=np.random.default_rng(44))
+    expl = shapley(est, x_star)
+    assert expl.phi0 == expected.phi0 and np.array_equal(expl.phi, expected.phi)
+    assert [len(b) for b in pred.batches] == [60, 11, 40, 20, 20]
+    assert np.array_equal(pred.batches[0], train)  # v(empty)
+    assert np.array_equal(np.concatenate(pred.batches[1:]),
+                          np.concatenate([x_star[None, :]] + est.drawn))
+    assert expl.diagnostics == {"predictor_calls": 5, "predictor_rows": 151}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_one_predictor_call_per_query_row(method):
+    train = np.random.default_rng(45).normal(size=(200, 4))
+    pred = CountingPredictor(row_wise)
+    est = make_estimator(method, train, pred, 46, K=1000)
+    first = shapley(est, train[0])  # also averages g over train for v(empty)
+    assert [len(b) for b in pred.batches] == [200, 14 * 1000 + 1]
+    assert first.diagnostics == {"predictor_calls": 2, "predictor_rows": 14201}
+    second = shapley(est, train[1])
+    assert [len(b) for b in pred.batches[2:]] == [14 * 1000 + 1]
+    assert second.diagnostics == {"predictor_calls": 1, "predictor_rows": 14001}
+    assert (est.predictor_calls, est.predictor_rows) == (3, 28202)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_bad_prediction_inside_a_batch_raises(method):
+    train = np.random.default_rng(47).normal(size=(100, 3))
+    x_star = train[2]
+
+    def nan_in_middle(x):
+        g = row_wise(x)
+        g[len(g) // 2] = np.nan
+        return g
+
+    for bad in (nan_in_middle, lambda x: row_wise(x)[:-1]):
+        est = make_estimator(method, train, row_wise, 48)
+        est.v_empty()  # cached from the good predictor; the batch alone is bad
+        est.predictor = bad
+        with pytest.raises(NumericError):
+            shapley(est, x_star)
