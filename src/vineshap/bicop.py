@@ -26,6 +26,7 @@ grid family is not exchangeable and adds its own cond_on="first" forms.
 
 import numpy as np
 from scipy import stats
+from scipy.special import ndtr, ndtri
 
 from .errors import InvalidInputError
 
@@ -146,21 +147,21 @@ class GaussianCopula(PairCopula):
         self.rho = rho
 
     def _logpdf(self, u, v):
-        x = stats.norm.ppf(u)
-        y = stats.norm.ppf(v)
+        x = ndtri(u)
+        y = ndtri(v)
         r = self.rho
         s2 = 1.0 - r * r
         return -0.5 * np.log(s2) - (r * r * (x * x + y * y) - 2.0 * r * x * y) / (2.0 * s2)
 
     def _h(self, u, v):
-        x = stats.norm.ppf(u)
-        y = stats.norm.ppf(v)
-        return stats.norm.cdf((x - self.rho * y) / np.sqrt(1.0 - self.rho ** 2))
+        x = ndtri(u)
+        y = ndtri(v)
+        return ndtr((x - self.rho * y) / np.sqrt(1.0 - self.rho ** 2))
 
     def _hinv(self, w, v):
-        z = stats.norm.ppf(w)
-        y = stats.norm.ppf(v)
-        return stats.norm.cdf(z * np.sqrt(1.0 - self.rho ** 2) + self.rho * y)
+        z = ndtri(w)
+        y = ndtri(v)
+        return ndtr(z * np.sqrt(1.0 - self.rho ** 2) + self.rho * y)
 
     def to_dict(self):
         return {"family": "gaussian", "rho": self.rho}
@@ -393,13 +394,13 @@ def fit_nonparametric(data, grid_size=64):
     """
     data = _validate_pseudo_obs(data, 30)
     n = data.shape[0]
-    z = stats.norm.ppf(data)
+    z = ndtri(data)
     h = np.std(z, axis=0, ddof=1) * n ** (-1.0 / 6.0)
     h = np.maximum(h, 1e-3)
 
     g = int(grid_size)
     nodes = (np.arange(g) + 0.5) / g
-    zg = stats.norm.ppf(nodes)
+    zg = ndtri(nodes)
     # product-kernel density on the normal-score scale, via two G x N factors
     k1 = stats.norm.pdf((zg[:, None] - z[None, :, 0]) / h[0]) / h[0]
     k2 = stats.norm.pdf((zg[:, None] - z[None, :, 1]) / h[1]) / h[1]

@@ -106,7 +106,7 @@ def make_predictor(spec, columns):
         if len(arg) != len(columns):
             raise DataError(
                 f"linear predictor needs {len(columns)} coefficients, got {len(arg)}")
-        return lambda x: np.atleast_2d(x) @ arg
+        return lambda x: np.einsum("ij,j->i", np.atleast_2d(x), arg)
     return _subprocess_predictor(arg, columns)
 
 

@@ -13,8 +13,9 @@ marginals are rebuilt by the caller, so that the several vines of one
 cover plan share a single copy of them: `from_dict(d, marginals)`.
 
 The simplified-vine assumption makes every contiguous sub-block of the
-order itself a D-vine, which is what the ratio method's marginal
-densities rely on.
+order itself a D-vine, so the ratio of the joint density to a block's
+own density reduces to the pairs that straddle the block's ends
+(`log_density_ratios`).
 
 Fitting, both densities, the Rosenblatt transform and its inverse all
 walk one h-function recursion, `_h_pass`, left to right over the order
@@ -134,15 +135,46 @@ class DVineModel:
             raise InvalidInputError("u_block width must match the block length")
         return self._log_density(u_block, s)
 
-    def block_for(self, features):
-        """Block of order positions for a feature set; raises if not contiguous."""
-        pos = sorted(self.order.index(f) for f in features)
-        if not pos:
-            raise UnsupportedBlockError("empty feature set has no block")
-        if pos != list(range(pos[0], pos[-1] + 1)):
-            raise UnsupportedBlockError(
-                f"features {sorted(features)} are not contiguous in order {self.order}")
-        return Block(pos[0], pos[-1])
+    def log_density_ratios(self, u, u_star, blocks):
+        """log c(u_b, u*_S) - log c(u_b) per block b = (a, e) of order positions
+        and row of u, up to a constant per block: shape (len(blocks), n).
+
+        S, the positions outside b, is pinned at u_star.  Only the pairs whose
+        span straddles b are evaluated (the others cancel or are constant),
+        once per tree on the stacked rows of all blocks they straddle.  An
+        argument spanning positions inside b comes from the pass over u, one
+        outside b from u_star's row of that pass, any other from the last tree.
+        """
+        V = np.vstack([self._columns(u), self._columns(u_star)])[:, self.order]
+        n, m = V.shape[0] - 1, V.shape[1]
+        if any(not 0 <= a <= e < m for a, e in blocks):
+            raise UnsupportedBlockError(f"invalid block in {blocks} for M={m}")
+        args = {(i, j): xy for i, j, *xy in _h_pass(V, self.pairs)}
+        out = np.zeros((len(blocks), n))
+        carried = ({}, {})  # x, y arguments of the next tree, by (pair j, block)
+        for i in range(m - 1):
+            prev, carried = carried, ({}, {})
+            for j in range(m - 1 - i):
+
+                def arg(side, b):  # x spans positions j..j+i, y spans j+1..j+i+1
+                    a, e = blocks[b]
+                    if a <= j + side and j + i + side <= e:
+                        return args[i, j][side][:n]
+                    if j + i + side < a or e < j + side:
+                        return np.broadcast_to(args[i, j][side][n], n)
+                    return prev[side][j, b]
+
+                bs = [b for b, (a, e) in enumerate(blocks)
+                      if a <= j + i + 1 and j <= e and not (a <= j and j + i + 1 <= e)]
+                if bs:
+                    x, y = (np.concatenate([arg(side, b) for b in bs]) for side in (0, 1))
+                    pc = self.pairs[i][j]
+                    out[bs] += pc.log_density(x, y).reshape(len(bs), n)
+                    for side, k in ((0, j), (1, j - 1)):  # x of pair (i+1, j), y of (i+1, j-1)
+                        if 0 <= k < m - 2 - i:
+                            h = pc.hfunc(x, y, ("second", "first")[side]).reshape(-1, n)
+                            carried[side].update(((k, b), row) for b, row in zip(bs, h))
+        return out
 
     # ------------------------------------------------------------------
     # Rosenblatt transform and inverse

@@ -4,9 +4,9 @@ The Shapley combination itself is exact: all 2^M coalitions are
 enumerated and each v(S) is obtained once.  Estimators differ only in
 how they approximate the conditional expectation v(S) = E[g(x) | x_S]:
 each draws the rows at which to evaluate g (and their weights).
-`shapley` stacks the draws of consecutive coalitions and calls the
-predictor once per `PREDICT_CELLS` matrix cells, so g must be row-wise:
-each output may depend only on its own row.
+`shapley` stacks the draws `sample_all` yields and calls the predictor
+once per `PREDICT_CELLS` matrix cells, so g must be row-wise: each
+output may depend only on its own row.
 """
 
 import itertools
@@ -14,11 +14,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr, ndtri
 
-from .dvine import Block, pseudo_observations
+from .dvine import pseudo_observations
 from .errors import CoverageError, InvalidInputError, NumericError
 from .marginals import EmpiricalMarginal
+from .structure import Assignment, set_of
 
 MAX_FEATURES = 20
 PREDICT_CELLS = 1 << 16     # matrix cells per predictor call in `shapley`
@@ -104,6 +105,12 @@ class ContributionEstimator:
         """(x, pi): rows at which to evaluate g, normalised weights or None."""
         raise NotImplementedError
 
+    def sample_all(self, x_star):
+        """(mask, x, pi) for every coalition but the empty and the full one,
+        in any order; here `sample` in mask order."""
+        for mask in range(1, (1 << self.M) - 1):
+            yield (mask, *self.sample(set_of(mask), x_star))
+
     def contribution(self, features, x_star):
         return self.contribution_with_se(features, x_star)[0]
 
@@ -168,11 +175,10 @@ def shapley(estimator, x_star):
     estimator.begin_explanation(x_star)
     calls, rows = estimator.predictor_calls, estimator.predictor_rows
     full = (1 << M) - 1
-    values = {0: estimator.v_empty()}
-    # x* gives v(full); every other coalition's draws follow in mask order
-    draws = itertools.chain([(full, x_star[None, :], None)], (
-        (mask, *estimator.sample(frozenset(j for j in range(M) if mask & (1 << j)), x_star))
-        for mask in range(1, full)))
+    values = dict.fromkeys([0, full, *range(1, full)])  # fixes the table's order
+    values[0] = estimator.v_empty()
+    # x* gives v(full); every other coalition's draws follow
+    draws = itertools.chain([(full, x_star[None, :], None)], estimator.sample_all(x_star))
     for batch in _batches(draws, max(1, PREDICT_CELLS // M)):
         g = estimator.predict(np.concatenate([x for _, x, _ in batch]))
         ends = np.cumsum([len(x) for _, x, _ in batch])
@@ -238,16 +244,16 @@ class GaussianCopulaEstimator(ContributionEstimator):
         """(mu, sigma) of the normal-scale model; fits the marginals."""
         self.marginals = [EmpiricalMarginal(self.train_x[:, j]) for j in range(self.M)]
         if correlation is None:
-            scores = stats.norm.ppf(pseudo_observations(self.train_x, self.marginals))
+            scores = ndtri(pseudo_observations(self.train_x, self.marginals))
             correlation = np.corrcoef(scores, rowvar=False)
         return np.zeros(self.M), np.asarray(correlation, dtype=float)
 
     def to_normal(self, cols, x):
-        return stats.norm.ppf([self.marginals[j].cdf(x[i]) for i, j in enumerate(cols)])
+        return ndtri([self.marginals[j].cdf(x[i]) for i, j in enumerate(cols)])
 
     def from_normal(self, cols, z):
         return np.column_stack([
-            self.marginals[j].quantile(np.clip(stats.norm.cdf(z[:, i]), 1e-12, 1 - 1e-12))
+            self.marginals[j].quantile(np.clip(ndtr(z[:, i]), 1e-12, 1 - 1e-12))
             for i, j in enumerate(cols)])
 
     def sample(self, features, x_star):
@@ -331,27 +337,34 @@ class VineRatioEstimator(ContributionEstimator):
         else:
             self._sub_idx = self.rng.integers(0, n, size=self.K)
 
-    def log_weights(self, features, x_star):
-        """Unnormalized log weights for the current shared subsample."""
+    def _log_weights(self, masks, x_star):
+        """(mask, log weights up to a constant) per coalition, on the shared
+        subsample.  Coalitions are grouped by the order that serves their
+        complement; one vine pass weights as many as a predictor batch holds."""
         if self._sub_idx is None:
             self.begin_explanation(x_star)
-        s_cols = sorted(features)
-        sbar = sorted(set(range(self.M)) - set(features))
-        u_sub = self.train_u[self._sub_idx].copy()
-        for j in s_cols:
-            u_sub[:, j] = self.marginals[j].cdf(x_star[j])
-        if len(sbar) < 2:  # a 1-dim copula marginal is uniform
-            return self.models[0].copula_log_density(u_sub)
-        a = _assignment(self.plan, sbar)
-        model = self.models[a.order_index]
-        block_cols = [model.order[p] for p in range(a.start, a.end + 1)]
-        log_den = model.marginal_copula_log_density(
-            Block(a.start, a.end), u_sub[:, block_cols])
-        return model.copula_log_density(u_sub) - log_den
+        groups = {}
+        for mask in masks:
+            sbar = [j for j in range(self.M) if not mask >> j & 1]
+            if len(sbar) == 1:  # a 1-dim copula marginal is uniform: any order serves it
+                p = self.models[0].order.index(sbar[0])
+                a = Assignment(0, "block", p, p)
+            else:
+                a = _assignment(self.plan, sbar)
+            groups.setdefault(a.order_index, []).append((mask, (a.start, a.end)))
+        u_star = [f.cdf(x) for f, x in zip(self.marginals, x_star)]
+        step = max(1, PREDICT_CELLS // self.M // self.K)
+        for order_index, group in groups.items():
+            for start in range(0, len(group), step):
+                chunk_masks, blocks = zip(*group[start:start + step])
+                yield from zip(chunk_masks, self.models[order_index].log_density_ratios(
+                    self.train_u[self._sub_idx], u_star, blocks))
 
-    def implicit_weights(self, features, x_star):
-        """Normalized sampling probabilities pi of the implicit model."""
-        logw = self.log_weights(features, x_star)
+    def log_weights(self, features, x_star):
+        """Log weights for the current shared subsample, up to a constant."""
+        return next(self._log_weights([sum(1 << j for j in features)], x_star))[1]
+
+    def _normalised(self, logw, features):
         logw = np.where(np.isfinite(logw), logw, -np.inf)
         if np.all(~np.isfinite(logw)):
             self.fallback_flagged.add(frozenset(features))
@@ -359,9 +372,19 @@ class VineRatioEstimator(ContributionEstimator):
         w = np.exp(logw - np.max(logw))  # the largest is 1, so the sum is in [1, K]
         return w / w.sum()
 
+    def implicit_weights(self, features, x_star):
+        """Normalized sampling probabilities pi of the implicit model."""
+        return self._normalised(self.log_weights(features, x_star), features)
+
     def sample(self, features, x_star):
         pi = self.implicit_weights(features, x_star)  # fixes the subsample if unset
         return self._pinned(self._sub_idx, features, x_star), pi
+
+    def sample_all(self, x_star):
+        for mask, logw in self._log_weights(range(1, (1 << self.M) - 1), x_star):
+            features = set_of(mask)
+            yield mask, self._pinned(self._sub_idx, features, x_star), self._normalised(
+                logw, features)
 
     def effective_sample_size(self, features, x_star):
         pi = self.implicit_weights(features, x_star)

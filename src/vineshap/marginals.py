@@ -5,9 +5,19 @@ plotting positions k/(n+1), which keep pseudo-observations strictly
 inside (0, 1).
 """
 
+import functools
+
 import numpy as np
 
 from .errors import InvalidInputError
+
+
+@functools.lru_cache(maxsize=16)
+def _plotting_positions(n):
+    """k/(n+1), k = 1..n: one read-only array shared by every size-n marginal."""
+    positions = np.arange(1, n + 1) / (n + 1)
+    positions.flags.writeable = False
+    return positions
 
 
 class EmpiricalMarginal:
@@ -29,7 +39,7 @@ class EmpiricalMarginal:
             raise InvalidInputError("marginal fit requires finite values")
         self.sorted_sample = np.sort(sample)
         self.n = sample.size
-        self._positions = np.arange(1, self.n + 1) / (self.n + 1)
+        self._positions = _plotting_positions(self.n)
 
     def cdf(self, x):
         """Empirical cdf on the k/(n+1) scale, strictly inside (0, 1)."""

@@ -64,6 +64,26 @@ def test_gaussian_hfunc_closed_form():
     assert np.max(np.abs(h - expected)) < 1e-12
 
 
+def test_normal_special_functions_equal_scipy_norm():
+    """ndtri/ndtr, which the Gaussian pieces call, give stats.norm's bytes."""
+    from scipy.special import ndtr, ndtri
+    u = np.concatenate([[1e-300, 1e-12, 1e-10, 0.5, 1 - 1e-10, 1 - 1e-12],
+                        np.random.default_rng(8).uniform(size=1000)])
+    z = np.concatenate([[-40.0, -8.5, -1e-9, 0.0, 1e-9, 8.5, 40.0],
+                        np.random.default_rng(9).normal(scale=5, size=1000)])
+    assert np.array_equal(ndtri(u), stats.norm.ppf(u))
+    assert np.array_equal(ndtr(z), stats.norm.cdf(z))
+    rho = -0.7
+    cop = GaussianCopula(rho)
+    x, y = stats.norm.ppf(np.clip(u[:-1], 1e-10, 1 - 1e-10)), \
+        stats.norm.ppf(np.clip(u[1:], 1e-10, 1 - 1e-10))
+    assert np.array_equal(cop.hfunc(u[:-1], u[1:]), np.clip(
+        stats.norm.cdf((x - rho * y) / np.sqrt(1 - rho * rho)), 1e-10, 1 - 1e-10))
+    s2 = 1 - rho * rho
+    assert np.array_equal(cop.log_density(u[:-1], u[1:]), -0.5 * np.log(s2) - (
+        rho * rho * (x * x + y * y) - 2 * rho * x * y) / (2 * s2))
+
+
 def test_gaussian_density_matches_fd_oracle():
     rho, eps = 0.6, 1e-5
     u, v = lattice()

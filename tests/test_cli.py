@@ -70,6 +70,15 @@ def test_linear_predictor():
     assert g(np.array([[3.0, 4.0]]))[0] == pytest.approx(11.0)
 
 
+def test_linear_predictor_is_row_exact():
+    """A row's value does not depend on the batch it comes in, bit for bit."""
+    rng = np.random.default_rng(7)
+    coef = rng.normal(size=6)
+    g = make_predictor("linear:" + ",".join(repr(float(c)) for c in coef), list("abcdef"))
+    x = rng.normal(size=(2000, 6)) * rng.uniform(0.1, 100, size=6)
+    assert np.array_equal(g(x), np.concatenate([g(row) for row in x]))
+
+
 def test_linear_predictor_wrong_arity():
     from vineshap.errors import DataError
     with pytest.raises(DataError):

@@ -100,11 +100,12 @@ def test_marginal_pair_block_is_bivariate_gaussian():
     assert np.allclose(got, pc.log_density(u[:, 0], u[:, 1]), atol=1e-10)
 
 
-def test_block_for_rejects_non_contiguous():
+def test_log_density_ratios_rejects_blocks_outside_the_order():
     model = gaussian_vine([0.5, -0.3, 0.4])
-    with pytest.raises(UnsupportedBlockError):
-        model.block_for({0, 2})
-    assert model.block_for({1, 2}) == Block(1, 2)
+    u = np.full((4, 3), 0.5)
+    for bad in ((2, 1), (-1, 1), (1, 3)):
+        with pytest.raises(UnsupportedBlockError):
+            model.log_density_ratios(u, u[0], [(0, 1), bad])
 
 
 # ----------------------------------------------------------------------

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from helpers import constant_vine
 from vineshap import (Block, ClaytonCopula, DVineModel, EmpiricalMarginal,
-                      GaussianCopula, IndependenceCopula, PairCopula,
-                      fit_dvine, fit_parametric)
+                      GaussianCopula, GridCopula, IndependenceCopula, PairCopula,
+                      VineRatioEstimator, fit_dvine, fit_parametric, greedy_cover)
+from vineshap.structure import set_of
 
 
 def reference_triangle(V, pairs):
@@ -140,3 +141,62 @@ def test_inverse_rosenblatt_h_points_per_row(monkeypatch):
     model = constant_vine(data, tuple(range(m)), GaussianCopula(0.5))
     model.inverse_rosenblatt(np.random.default_rng(1).uniform(size=(n, m)))
     assert sum(points) / n <= (m - 1) * (m - 2)
+
+
+# ----------------------------------------------------------------------
+# ratio weights: the straddling pairs, stacked per order, against the
+# former numerator-minus-denominator formula
+
+def reference_log_weights(est, features, x_star):
+    """The former `VineRatioEstimator.log_weights`: the full density with S
+    pinned at x*, minus the complement block's own density."""
+    u = est.train_u[est._sub_idx].copy()
+    for j in features:
+        u[:, j] = est.marginals[j].cdf(x_star[j])
+    sbar = sorted(set(range(est.M)) - set(features))
+    if len(sbar) < 2:
+        return est.models[0].copula_log_density(u)
+    a = est.plan.assignment[frozenset(sbar)]
+    model = est.models[a.order_index]
+    cols = [model.order[p] for p in range(a.start, a.end + 1)]
+    return (model.copula_log_density(u)
+            - model.marginal_copula_log_density(Block(a.start, a.end), u[:, cols]))
+
+
+def normalised(logw):
+    w = np.exp(logw - np.max(logw))
+    return w / w.sum()
+
+
+ratio_pairs = st.one_of(pair_copulas, st.integers(0, 2 ** 32 - 1).map(
+    lambda s: GridCopula(np.random.default_rng(s).uniform(0.2, 3.0, size=(8, 8)))))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(2, 8), st.data(), st.integers(0, 2 ** 32 - 1))
+def test_stacked_ratio_weights_match_numerator_minus_denominator(m, data, seed):
+    rng = np.random.default_rng(seed)
+    train = rng.normal(size=(60, m))
+    plan = greedy_cover(m, "ratio", B=5, rng=rng)
+    marginals = [EmpiricalMarginal(train[:, j]) for j in range(m)]
+    models = [DVineModel(order, [[data.draw(ratio_pairs) for _ in range(m - 1 - i)]
+                                 for i in range(m - 1)], marginals)
+              for order in plan.orders]
+    est = VineRatioEstimator(train, lambda x: x[:, 0], models, plan, K=40, rng=rng)
+    x_star = rng.normal(scale=2.0, size=m)  # some entries beyond the training range
+    est.begin_explanation(x_star)
+    draws = list(est.sample_all(x_star))
+    assert sorted(mask for mask, _, _ in draws) == list(range(1, (1 << m) - 1))
+    checked = set()
+    for mask, x, pi in draws:
+        features = set_of(mask)
+        want = normalised(reference_log_weights(est, features, x_star))
+        assert np.max(np.abs(pi - want)) <= 1e-12
+        assert np.array_equal(x, est._pinned(est._sub_idx, features, x_star))
+        # one block through `log_weights` is the stacked pass's row, bit for
+        # bit; checked on the first coalition of each serving order
+        sbar = frozenset(range(m)) - features
+        order_index = plan.assignment[sbar].order_index if len(sbar) > 1 else 0
+        if order_index not in checked:
+            checked.add(order_index)
+            assert np.array_equal(est.implicit_weights(features, x_star), pi)

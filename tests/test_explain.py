@@ -3,10 +3,11 @@ import pytest
 from scipy import stats
 
 from helpers import constant_vine
-from vineshap import (ClaytonCopula, GaussianCopula,
+from vineshap import (ClaytonCopula, CoverageError, GaussianCopula,
                       GaussianCopulaEstimator, GaussianEstimator,
                       IndependenceCopula, IndependenceEstimator,
-                      InvalidInputError, NumericError, VineCondSimEstimator,
+                      InvalidInputError, NumericError, PairCopula,
+                      VineCondSimEstimator,
                       VineRatioEstimator, explain, greedy_cover,
                       mahalanobis_diagnostic, shapley, shapley_from_values,
                       shapley_weights)
@@ -484,3 +485,38 @@ def test_bad_prediction_inside_a_batch_raises(method):
         est.predictor = bad
         with pytest.raises(NumericError):
             shapley(est, x_star)
+
+
+# ----------------------------------------------------------------------
+# vine-ratio: one stacked straddling-pair pass per serving order
+
+def test_ratio_pass_stacks_coalitions_within_the_row_budget(monkeypatch):
+    M, K = 4, 20
+    train = np.random.default_rng(49).normal(size=(100, M))
+    x_star = train[7]
+    expected = shapley(make_estimator("ratio", train, row_wise, 50, K), x_star)
+    rows = []
+    for name in ("log_density", "hfunc"):
+        kernel = getattr(PairCopula, name)
+
+        def counted(self, u, v, *args, kernel=kernel):
+            out = kernel(self, u, v, *args)
+            rows.append(out.size)
+            return out
+
+        monkeypatch.setattr(PairCopula, name, counted)
+    monkeypatch.setattr(explain, "PREDICT_CELLS", M * 50)  # 50 rows: two coalitions
+    expl = shapley(make_estimator("ratio", train, row_wise, 50, K), x_star)
+    assert max(rows) == 2 * K <= max(K, explain.PREDICT_CELLS // M)
+    assert expl.phi0 == expected.phi0 and np.array_equal(expl.phi, expected.phi)
+    assert list(expl.values) == [0, (1 << M) - 1, *range(1, (1 << M) - 1)]
+
+
+def test_ratio_uncovered_complement_raises_coverage_error():
+    train = np.random.default_rng(51).normal(size=(100, 3))
+    est = make_estimator("ratio", train, row_wise, 52)
+    del est.plan.assignment[frozenset({1, 2})]
+    with pytest.raises(CoverageError):
+        shapley(est, train[0])
+    with pytest.raises(CoverageError):
+        est.sample(frozenset({0}), train[0])
