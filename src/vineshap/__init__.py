@@ -18,8 +18,8 @@ from .errors import (CoverageError, DataError, InvalidInputError, NumericError,
 from .explain import (ContributionEstimator, Explanation,
                       GaussianCopulaEstimator, GaussianEstimator,
                       IndependenceEstimator, VineCondSimEstimator,
-                      VineRatioEstimator, mahalanobis_diagnostic, shapley,
-                      shapley_from_values, shapley_weights)
+                      VineRatioEstimator, shapley, shapley_from_values,
+                      shapley_weights)
 from .marginals import EmpiricalMarginal
 from .simstudy import (BurrMarginal, BurrParams, ExperimentConfig,
                        ExperimentReport, analytic_mean_predictor,
@@ -45,7 +45,7 @@ __all__ = [
     "burr_conditional_sample", "burr_log_density",
     "burr_sample", "covered_sets", "fit_dvine",
     "fit_nonparametric", "fit_parametric", "generate_response", "greedy_cover",
-    "knn_predictor", "mae", "mahalanobis_diagnostic", "pseudo_observations",
+    "knn_predictor", "mae", "pseudo_observations",
     "required_sets", "response_mean_from_u", "run_experiment",
     "run_repetition", "shapley", "shapley_from_values", "shapley_weights",
     "study_params", "true_shapley", "truth_vine",

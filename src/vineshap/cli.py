@@ -194,10 +194,13 @@ def estimator_from_bundle(bundle, predictor, K, rng):
         marginals = [EmpiricalMarginal(train[:, j]) for j in range(train.shape[1])]
         plan = CoverPlan.from_dict(bundle["plan"])
         models = [DVineModel.from_dict(d, marginals) for d in bundle["models"]]
+        for a in plan.assignment.values():
+            if a.order_index not in range(len(models)):
+                raise DataError(f"bundle plan names order {a.order_index!r}, but the "
+                                f"bundle holds {len(models)} vine models")
         if manifest["shap_method"] == "condsim":
             return VineCondSimEstimator(train, predictor, models, plan, K=K, rng=rng)
-        return VineRatioEstimator(train, predictor, models, plan, K=K, rng=rng,
-                                  marginals=marginals)
+        return VineRatioEstimator(train, predictor, models, plan, K=K, rng=rng)
     if method == "gaussian":
         return GaussianEstimator(train, predictor, K=K, rng=rng)
     if method == "gaussian-copula":

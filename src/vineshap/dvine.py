@@ -19,14 +19,16 @@ own density reduces to the pairs that straddle the block's ends
 
 Fitting, both densities, the Rosenblatt transform and its inverse all
 walk one h-function recursion, `_h_pass`, left to right over the order
-positions.
+positions.  Conditional sampling is that inverse pass with x*_S given:
+its marginal u-values fill the coalition's positions as they are, and
+only the other positions are solved.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bicop import PairCopula, fit_nonparametric, fit_parametric
+from .bicop import EPS, PairCopula, fit_nonparametric, fit_parametric
 from .errors import (InvalidInputError, UnsupportedBlockError,
                      UnsupportedCoalitionError)
 from .marginals import EmpiricalMarginal
@@ -181,7 +183,7 @@ class DVineModel:
 
     def rosenblatt(self, u):
         """w_k = F(u_{pi_k} | u_{pi_1..pi_{k-1}}); output in position indexing."""
-        V = np.clip(self._columns(u)[:, self.order], 1e-10, 1 - 1e-10)
+        V = np.clip(self._columns(u)[:, self.order], EPS, 1 - EPS)
         W = V.copy()
         for i, j, x, y in _h_pass(V, self.pairs):
             if j == 0:  # the last pair at position i+1 conditions it on 0..i
@@ -190,12 +192,19 @@ class DVineModel:
 
     def inverse_rosenblatt(self, w):
         """Inverse of :meth:`rosenblatt`; returns u in original indexing."""
-        W = np.clip(self._columns(w), 1e-10, 1 - 1e-10)
-        V = W.copy()
+        V = np.clip(self._columns(w), EPS, 1 - EPS)
+        self._solve(V, 1)
+        return V[:, np.argsort(self.order)]
+
+    def _solve(self, V, s):
+        """Solve order positions s..M-1 of V in place from the w-values they
+        hold; the positions before s hold given u-values."""
 
         def solve(k, x):
+            z = V[:, k]
+            if k < s:
+                return z
             # invert w_k = y_k down the chain y_{i+1} = h(y_i | x_i) to y_0 = v_k
-            z = W[:, k]
             for i in range(k - 1, -1, -1):
                 z = self.pairs[i][k - 1 - i].hinv(z, x[i], "first")
             return z
@@ -203,7 +212,6 @@ class DVineModel:
         for i, j, _, _ in _h_pass(V, self.pairs, solve):
             if i + j == self.M - 2:  # v_{M-1} is solved; no h-value of its pairs is read
                 break
-        return V[:, np.argsort(self.order)]
 
     # ------------------------------------------------------------------
     # conditional sampling
@@ -231,8 +239,10 @@ class DVineModel:
 
         `features` must form a prefix or suffix of the order; `x_star` is
         the full M-vector on data scale (only the conditioning entries are
-        read).  Returns a K x M data-scale table with the conditioning
-        columns pinned at their x_star values.
+        read).  The conditioning u-values enter the inverse pass as given
+        and only the other positions are solved from uniform draws.
+        Returns a K x M data-scale table with the conditioning columns
+        pinned at their x_star values.
         """
         role = self.coalition_role(features)
         if role is None:
@@ -243,23 +253,16 @@ class DVineModel:
         s = len(set(features))
         x_star = np.asarray(x_star, dtype=float)
 
-        u_star = np.full(model.M, 0.5)
-        for f in features:
-            u_star[f] = model.marginals[f].cdf(x_star[f])
+        V = np.empty((K, model.M))
+        V[:, :s] = [model.marginals[f].cdf(x_star[f]) for f in model.order[:s]]
+        V[:, s:] = rng.uniform(size=(K, model.M - s))
+        V = np.clip(V, EPS, 1 - EPS)
+        model._solve(V, s)
 
-        # transform of the conditioning prefix; positions > s are overwritten
-        w_prefix = model.rosenblatt(u_star)[0, :s]
-        W = np.empty((K, model.M))
-        W[:, :s] = w_prefix
-        W[:, s:] = rng.uniform(size=(K, model.M - s))
-        U = model.inverse_rosenblatt(W)
-
-        X = np.empty((K, model.M))
-        for f in range(model.M):
-            if f in set(features):
-                X[:, f] = x_star[f]
-            else:
-                X[:, f] = model.marginals[f].quantile(np.clip(U[:, f], 1e-12, 1 - 1e-12))
+        X = np.tile(x_star, (K, 1))
+        for p in range(s, model.M):
+            f = model.order[p]
+            X[:, f] = model.marginals[f].quantile(V[:, p])
         return X
 
     # ------------------------------------------------------------------

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr, ndtri
 
+from .bicop import EPS
 from .dvine import pseudo_observations
 from .errors import CoverageError, InvalidInputError, NumericError
 from .marginals import EmpiricalMarginal
@@ -235,25 +236,23 @@ class GaussianCopulaEstimator(ContributionEstimator):
 
     method = "gaussian-copula"
 
-    def __init__(self, train_x, predictor, K=1000, rng=None, correlation=None):
+    def __init__(self, train_x, predictor, K=1000, rng=None):
         super().__init__(train_x, predictor, K, rng)
         self.ridge_flagged = set()
-        self.mu, self.sigma = self.fit_normal(correlation)
+        self.mu, self.sigma = self.fit_normal()
 
-    def fit_normal(self, correlation):
+    def fit_normal(self):
         """(mu, sigma) of the normal-scale model; fits the marginals."""
         self.marginals = [EmpiricalMarginal(self.train_x[:, j]) for j in range(self.M)]
-        if correlation is None:
-            scores = ndtri(pseudo_observations(self.train_x, self.marginals))
-            correlation = np.corrcoef(scores, rowvar=False)
-        return np.zeros(self.M), np.asarray(correlation, dtype=float)
+        scores = ndtri(pseudo_observations(self.train_x, self.marginals))
+        return np.zeros(self.M), np.corrcoef(scores, rowvar=False)
 
     def to_normal(self, cols, x):
         return ndtri([self.marginals[j].cdf(x[i]) for i, j in enumerate(cols)])
 
     def from_normal(self, cols, z):
         return np.column_stack([
-            self.marginals[j].quantile(np.clip(ndtr(z[:, i]), 1e-12, 1 - 1e-12))
+            self.marginals[j].quantile(np.clip(ndtr(z[:, i]), EPS, 1 - EPS))
             for i, j in enumerate(cols)])
 
     def sample(self, features, x_star):
@@ -276,10 +275,7 @@ class GaussianEstimator(GaussianCopulaEstimator):
 
     method = "gaussian"
 
-    def __init__(self, train_x, predictor, K=1000, rng=None):
-        super().__init__(train_x, predictor, K, rng)  # no `correlation`: sigma is cov
-
-    def fit_normal(self, correlation):
+    def fit_normal(self):
         return np.mean(self.train_x, axis=0), np.cov(self.train_x, rowvar=False)
 
     def to_normal(self, cols, x):
@@ -317,14 +313,11 @@ class VineRatioEstimator(ContributionEstimator):
 
     method = "vine-ratio"
 
-    def __init__(self, train_x, predictor, models, plan, K=1000, rng=None,
-                 marginals=None):
+    def __init__(self, train_x, predictor, models, plan, K=1000, rng=None):
         super().__init__(train_x, predictor, K, rng)
         self.models = list(models)
         self.plan = plan
-        if marginals is None:
-            marginals = [EmpiricalMarginal(self.train_x[:, j]) for j in range(self.M)]
-        self.marginals = marginals
+        self.marginals = self.models[0].marginals  # the vines' copula scale
         self.train_u = pseudo_observations(self.train_x, self.marginals)
         self.fallback_flagged = set()
         self._sub_idx = None
@@ -390,27 +383,3 @@ class VineRatioEstimator(ContributionEstimator):
         pi = self.implicit_weights(features, x_star)
         return float(1.0 / np.sum(pi ** 2))
 
-
-def mahalanobis_diagnostic(samples, train, sbar_cols, neighbors=10):
-    """Mean Mahalanobis distance of each sample to its nearest training rows.
-
-    The metric is the training covariance of the complement columns
-    (ridge-regularized if singular)."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    train = np.asarray(train, dtype=float)
-    sbar_cols = sorted(sbar_cols)
-    if len(sbar_cols) == 0:
-        raise InvalidInputError("complement must be non-empty")
-    t = train[:, sbar_cols]
-    s = samples if samples.shape[1] == len(sbar_cols) else samples[:, sbar_cols]
-    cov = np.atleast_2d(np.cov(t, rowvar=False))
-    try:
-        prec = np.linalg.inv(cov)
-    except np.linalg.LinAlgError:
-        prec = np.linalg.inv(cov + 1e-8 * np.trace(cov) * np.eye(cov.shape[0]))
-    diff = s[:, None, :] - t[None, :, :]
-    d2 = np.einsum("kni,ij,knj->kn", diff, prec, diff)
-    d = np.sqrt(np.maximum(d2, 0.0))
-    k = min(int(neighbors), t.shape[0])
-    nearest = np.sort(d, axis=1)[:, :k]
-    return nearest.mean(axis=1)

@@ -282,11 +282,8 @@ class ExperimentConfig:
     K_oracle: int = 10000
     methods: tuple = ("independence", "gaussian-copula", "vine-ratio-par")
     predictor: str = "analytic-mean"   # or "knn"
-    knn_k: int = 10
     noise_scale: float = 0.5
     seed: int = 0
-    cover_batch: int = 100
-    grid_size: int = 64
 
     def validate(self):
         if self.n_train < 50:
@@ -321,7 +318,7 @@ class ExperimentReport:
         return summary
 
 
-def _build_estimator(tag, train_x, g, K, rng, cover_batch, grid_size):
+def _build_estimator(tag, train_x, g, K, rng):
     if tag == "independence":
         return IndependenceEstimator(train_x, g, K=K, rng=rng)
     if tag == "gaussian":
@@ -331,16 +328,14 @@ def _build_estimator(tag, train_x, g, K, rng, cover_batch, grid_size):
 
     m = train_x.shape[1]
     shap_method = "condsim" if "condsim" in tag else "ratio"
-    mode = (ParametricMode() if tag.endswith("-par")
-            else NonparametricMode(grid_size=grid_size))
-    plan = greedy_cover(m, shap_method, B=cover_batch, rng=rng)
+    mode = ParametricMode() if tag.endswith("-par") else NonparametricMode()
+    plan = greedy_cover(m, shap_method, rng=rng)
     marginals = [EmpiricalMarginal(train_x[:, j]) for j in range(m)]
     models = [fit_dvine(train_x, order, mode, marginals=marginals)
               for order in plan.orders]
     if shap_method == "condsim":
         return VineCondSimEstimator(train_x, g, models, plan, K=K, rng=rng)
-    return VineRatioEstimator(train_x, g, models, plan, K=K, rng=rng,
-                              marginals=marginals)
+    return VineRatioEstimator(train_x, g, models, plan, K=K, rng=rng)
 
 
 def run_repetition(config, rep):
@@ -356,7 +351,7 @@ def run_repetition(config, rep):
     if config.predictor == "analytic-mean":
         g = analytic_mean_predictor(params)
     else:
-        g = knn_predictor(train_x, train_y, k=config.knn_k)
+        g = knn_predictor(train_x, train_y)
     test_x = burr_sample(params, config.n_test, rng_data)
 
     truths = np.array([
@@ -366,8 +361,7 @@ def run_repetition(config, rep):
     rows, timings = [], []
     for tag in config.methods:
         t0 = time.perf_counter()
-        est = _build_estimator(tag, train_x, g, config.K, rng_fit,
-                               config.cover_batch, config.grid_size)
+        est = _build_estimator(tag, train_x, g, config.K, rng_fit)
         est.rng = rng_explain
         phis = np.array([shapley(est, x).phi for x in test_x])
         seconds = time.perf_counter() - t0

@@ -247,8 +247,7 @@ def test_criterion_07_estimator_oracle_agreement():
     cs = VineCondSimEstimator(train, g, models["condsim"], plans["condsim"],
                               K=K, rng=np.random.default_rng(107))
     ra = VineRatioEstimator(train, g, models["ratio"], plans["ratio"],
-                            K=K, rng=np.random.default_rng(108),
-                            marginals=marginals)
+                            K=K, rng=np.random.default_rng(108))
     oracle_rng = np.random.default_rng(109)
     worst = {"condsim": 0.0, "ratio": 0.0}
     checks = 0

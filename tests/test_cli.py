@@ -339,6 +339,23 @@ def test_version_one_bundle_rejected(train_csv, test_csv, tmp_path, capsys):
     assert "refit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("shap_method", ["condsim", "ratio"])
+def test_plan_naming_a_missing_order_is_data_error(train_csv, test_csv, tmp_path,
+                                                   capsys, shap_method):
+    model = tmp_path / "m.json"
+    assert run_cli("fit", str(train_csv), "--shap-method", shap_method,
+                   "--out", str(model)) == 0
+    bundle = json.loads(model.read_text())
+    bundle["plan"]["assignment"][0]["order_index"] = 99
+    model.write_text(json.dumps(bundle))
+    capsys.readouterr()
+    assert run_cli("explain", str(model), str(test_csv), "--predictor", "const:0",
+                   "--out", str(tmp_path / "e.json")) == 3
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "99" in err
+    assert not (tmp_path / "e.json").exists()
+
+
 # ----------------------------------------------------------------------
 # bench
 

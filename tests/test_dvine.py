@@ -3,9 +3,9 @@ import pytest
 from scipy import stats
 
 from helpers import constant_vine
-from vineshap import (Block, ClaytonCopula, DVineModel, EmpiricalMarginal,
-                      GaussianCopula, IndependenceCopula, InvalidInputError,
-                      ParametricMode, UnsupportedBlockError,
+from vineshap import (Block, BurrMarginal, ClaytonCopula, DVineModel,
+                      EmpiricalMarginal, GaussianCopula, IndependenceCopula,
+                      InvalidInputError, ParametricMode, UnsupportedBlockError,
                       UnsupportedCoalitionError, fit_dvine,
                       pseudo_observations)
 
@@ -247,6 +247,22 @@ def test_conditional_sample_prefix_vs_suffix_same_distribution():
     b = model.conditional_sample({2}, x_star, 5000, np.random.default_rng(20))
     ks = stats.ks_2samp(a[:, 1], b[:, 1])
     assert ks.pvalue > 0.01
+
+
+def test_conditional_sample_keeps_a_saturated_conditioning_value():
+    """x*_S enters the inverse pass as given, even where the h-function of
+    its own prefix saturates: with Clayton(10) and u* = (0.02, 0.5),
+    h(0.5 | 0.02) is clipped at 1 - EPS, and a Rosenblatt round trip of u*
+    returns u_1 near 0.2.  The draws must come from the conditional at u*."""
+    marginals = [BurrMarginal(0.5, b, r) for b, r in ((2.0, 1.0), (4.0, 3.0), (6.0, 5.0))]
+    model = DVineModel((0, 1, 2), [[ClaytonCopula(10.0), ClaytonCopula(10.0)],
+                                   [IndependenceCopula()]], marginals)
+    x_star = np.array([marginals[0].quantile(0.02), marginals[1].quantile(0.5), 1.0])
+    K = 2000
+    x = model.conditional_sample({0, 1}, x_star, K, np.random.default_rng(5))
+    drawn = np.random.default_rng(5).uniform(size=(K, 1))[:, 0]
+    u = np.column_stack([f.cdf(x[:, j]) for j, f in enumerate(marginals)])
+    assert np.median(np.abs(model.rosenblatt(u)[:, 2] - drawn)) <= 1e-12
 
 
 def test_conditional_sample_rejects_middle_coalition():

@@ -9,7 +9,7 @@ and add the log densities in the same (tree-by-tree) order.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import constant_vine
@@ -143,6 +143,32 @@ def test_inverse_rosenblatt_h_points_per_row(monkeypatch):
     assert sum(points) / n <= (m - 1) * (m - 2)
 
 
+def test_conditional_sample_solves_only_the_free_positions(monkeypatch):
+    """The pinned pass: no Rosenblatt transform of x*_S and no h-inverse on
+    its positions, so sum_{k=s}^{M-1} k h-inverse points per row."""
+    m, K = 8, 10
+    points = []
+    hinv = PairCopula.hinv
+
+    def counted(self, w, v, cond_on="second"):
+        out = hinv(self, w, v, cond_on)
+        points.append(out.size)
+        return out
+
+    def refused(self, u):
+        raise AssertionError("conditional_sample must not call rosenblatt")
+
+    monkeypatch.setattr(PairCopula, "hinv", counted)
+    monkeypatch.setattr(DVineModel, "rosenblatt", refused)
+    data = np.random.default_rng(0).normal(size=(50, m))
+    model = constant_vine(data, (3, 0, 7, 1, 6, 2, 5, 4), ClaytonCopula(2.0))
+    for s in range(1, m):
+        for features in (model.order[:s], model.order[m - s:]):
+            points.clear()
+            model.conditional_sample(set(features), data[0], K, np.random.default_rng(s))
+            assert sum(points) / K == sum(range(s, m))
+
+
 # ----------------------------------------------------------------------
 # ratio weights: the straddling pairs, stacked per order, against the
 # former numerator-minus-denominator formula
@@ -200,3 +226,46 @@ def test_stacked_ratio_weights_match_numerator_minus_denominator(m, data, seed):
         if order_index not in checked:
             checked.add(order_index)
             assert np.array_equal(est.implicit_weights(features, x_star), pi)
+
+
+# ----------------------------------------------------------------------
+# conditional sampling: the pinned pass against the former Rosenblatt
+# round trip of x*_S
+
+def reference_conditional_sample(model, features, x_star, K, rng):
+    """The former `DVineModel.conditional_sample`, which transformed u* and
+    inverted that transform with the draws.  Also returns how far the
+    inverse moved the conditioning u-values."""
+    model = model if model.coalition_role(features) == "prefix" else model.reversed()
+    m, s = model.M, len(features)
+    u_star = np.full(m, 0.5)
+    for f in features:
+        u_star[f] = model.marginals[f].cdf(x_star[f])
+    W = np.empty((K, m))
+    W[:, :s] = model.rosenblatt(u_star)[0, :s]
+    W[:, s:] = rng.uniform(size=(K, m - s))
+    U = model.inverse_rosenblatt(W)
+    cols = sorted(features)
+    moved = float(np.max(np.abs(U[:, cols] - np.clip(u_star[cols], 1e-10, 1 - 1e-10))))
+    X = np.empty((K, m))
+    for f in range(m):
+        X[:, f] = x_star[f] if f in features else model.marginals[f].quantile(U[:, f])
+    return X, moved
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 8), st.data(), st.integers(0, 2 ** 32 - 1))
+def test_pinned_pass_matches_the_round_trip_where_that_is_exact(m, data, seed):
+    rng = np.random.default_rng(seed)
+    order = data.draw(st.permutations(range(m)))
+    pairs = [[data.draw(ratio_pairs) for _ in range(m - 1 - i)] for i in range(m - 1)]
+    train = rng.normal(size=(60, m))
+    model = DVineModel(order, pairs, [EmpiricalMarginal(train[:, j]) for j in range(m)])
+    x_star = rng.normal(scale=2.0, size=m)  # some entries beyond the training range
+    s = data.draw(st.integers(1, m - 1))
+    features = set(data.draw(st.sampled_from([order[:s], order[m - s:]])))
+    want, moved = reference_conditional_sample(model, features, x_star, 50,
+                                               np.random.default_rng(seed))
+    assume(moved <= 1e-12)
+    got = model.conditional_sample(features, x_star, 50, np.random.default_rng(seed))
+    assert np.all(np.abs(got - want) <= 1e-8 * np.maximum(1.0, np.abs(want)))

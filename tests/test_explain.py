@@ -8,9 +8,8 @@ from vineshap import (ClaytonCopula, CoverageError, GaussianCopula,
                       IndependenceCopula, IndependenceEstimator,
                       InvalidInputError, NumericError, PairCopula,
                       VineCondSimEstimator,
-                      VineRatioEstimator, explain, greedy_cover,
-                      mahalanobis_diagnostic, shapley, shapley_from_values,
-                      shapley_weights)
+                      VineRatioEstimator, explain, greedy_cover, shapley,
+                      shapley_from_values, shapley_weights)
 
 
 def random_v_table(M, rng):
@@ -163,8 +162,8 @@ def test_gaussian_copula_identity_reduces_to_marginal_sampling():
     rng = np.random.default_rng(12)
     train = rng.normal(size=(500, 2))
     est = GaussianCopulaEstimator(train, lambda x: np.atleast_2d(x)[:, 1],
-                                  K=20000, rng=np.random.default_rng(13),
-                                  correlation=np.eye(2))
+                                  K=20000, rng=np.random.default_rng(13))
+    est.sigma = np.eye(2)
     v = est.contribution({0}, np.array([5.0, 0.0]))
     assert abs(v - np.mean(train[:, 1])) < 3 * np.std(train[:, 1]) / np.sqrt(20000) + 1e-3
 
@@ -278,43 +277,6 @@ def test_shapley_explanation_record_fields():
     assert expl.K == 100
     assert set(expl.values) == set(range(4))
     assert abs(expl.phi0 + expl.phi.sum() - expl.values[3]) < 1e-10
-
-
-# ----------------------------------------------------------------------
-# Mahalanobis diagnostic
-
-def test_mahalanobis_zero_for_training_rows():
-    rng = np.random.default_rng(32)
-    train = rng.normal(size=(100, 3))
-    d = mahalanobis_diagnostic(train[:10, 1:], train, [1, 2], neighbors=1)
-    assert np.allclose(d, 0.0, atol=1e-8)
-
-
-def test_mahalanobis_identity_cov_is_euclidean():
-    rng = np.random.default_rng(33)
-    train = rng.normal(size=(5000, 2))   # empirical cov ~ identity
-    q = np.array([[0.0, 0.0]])
-    d = mahalanobis_diagnostic(q, train, [0, 1], neighbors=1)
-    eu = np.min(np.linalg.norm(train, axis=1))
-    assert d[0] == pytest.approx(eu, rel=0.05)
-
-
-def test_mahalanobis_independence_samples_farther():
-    # on strongly dependent data, breaking the dependence pushes samples
-    # away from the training cloud
-    rng = np.random.default_rng(34)
-    rho = 0.95
-    train = rng.multivariate_normal([0, 0], [[1, rho], [rho, 1]], size=1000)
-    dep = rng.multivariate_normal([0, 0], [[1, rho], [rho, 1]], size=200)
-    indep = np.column_stack([rng.normal(size=200), rng.normal(size=200)])
-    d_dep = mahalanobis_diagnostic(dep, train, [0, 1])
-    d_ind = mahalanobis_diagnostic(indep, train, [0, 1])
-    assert np.median(d_ind) > np.median(d_dep)
-
-
-def test_mahalanobis_empty_complement_rejected():
-    with pytest.raises(InvalidInputError):
-        mahalanobis_diagnostic(np.zeros((1, 1)), np.zeros((10, 2)), [])
 
 
 # ----------------------------------------------------------------------
