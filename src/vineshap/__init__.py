@@ -28,12 +28,12 @@ from .simstudy import (BurrMarginal, BurrParams, ExperimentConfig,
                        generate_response, knn_predictor, mae,
                        response_mean_from_u, run_experiment, run_repetition,
                        study_params, true_shapley, truth_vine)
-from .structure import Assignment, CoverPlan, covered_sets, greedy_cover, required_sets
+from .structure import CoverPlan, covered_sets, greedy_cover, required_sets
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assignment", "Block", "BurrMarginal", "BurrParams", "ClaytonCopula",
+    "Block", "BurrMarginal", "BurrParams", "ClaytonCopula",
     "ContributionEstimator", "CoverPlan", "CoverageError", "DVineModel",
     "DataError", "EmpiricalMarginal", "ExperimentConfig", "ExperimentReport",
     "Explanation", "GaussianCopula", "GaussianCopulaEstimator",

@@ -62,8 +62,8 @@ class PairCopula:
     def _args(self, u, v):
         """Clipped (u, v) mapped into the unrotated copula's slots."""
         flip_u, flip_v = self._flips()
-        u, v = _clip(u), _clip(v)
-        return (_clip(1.0 - u) if flip_u else u), (_clip(1.0 - v) if flip_v else v)
+        u, v = _clip(u), _clip(v)  # then 1 - u and 1 - v lie in [EPS, 1 - EPS] too
+        return (1.0 - u if flip_u else u), (1.0 - v if flip_v else v)
 
     def _unflip(self, out, free):
         if self._flips()[free]:

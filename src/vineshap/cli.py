@@ -15,15 +15,15 @@ import time
 import numpy as np
 
 from . import simstudy
-from .dvine import DVineModel, NonparametricMode, ParametricMode, fit_dvine
+from .dvine import MIN_FIT_ROWS, DVineModel, NonparametricMode, ParametricMode, fit_dvine
 from .errors import DataError, InvalidInputError, NumericError, VineShapError
 from .explain import (GaussianCopulaEstimator, GaussianEstimator,
                       VineCondSimEstimator, VineRatioEstimator, shapley)
 from .marginals import EmpiricalMarginal
-from .structure import CoverPlan, greedy_cover
+from .structure import CoverPlan, greedy_cover, required_sets
 
 BUNDLE_FORMAT = "vineshap-bundle"
-BUNDLE_VERSION = 2
+BUNDLE_VERSION = 3
 FIT_METHODS = ("vine-parametric", "vine-nonparametric", "gaussian", "gaussian-copula")
 MAX_COLUMNS = 20
 
@@ -144,6 +144,8 @@ def cmd_fit(args):
         raise DataError(f"{args.train_csv}: {m} columns exceeds the {MAX_COLUMNS} cap")
     if m < 2:
         raise DataError(f"{args.train_csv}: need at least 2 feature columns")
+    if n < MIN_FIT_ROWS:
+        raise DataError(f"{args.train_csv}: need at least {MIN_FIT_ROWS} rows, got {n}")
     t0 = time.perf_counter()
     rng = np.random.default_rng(args.seed)
     bundle = {
@@ -153,7 +155,7 @@ def cmd_fit(args):
                      "M": m, "N": n, "seed": args.seed, "columns": columns},
         "train": data.tolist(),
     }
-    # the Gaussian baselines need only `train`; vines add their plan and pairs
+    # the Gaussian baselines need only `train`; vines add their orders and pairs
     if args.method in ("vine-parametric", "vine-nonparametric"):
         mode = (ParametricMode() if args.method == "vine-parametric"
                 else NonparametricMode(grid_size=args.grid_size))
@@ -161,7 +163,6 @@ def cmd_fit(args):
         marginals = [EmpiricalMarginal(data[:, j]) for j in range(m)]
         models = [fit_dvine(data, order, mode, marginals=marginals)
                   for order in plan.orders]
-        bundle["plan"] = plan.to_dict()
         bundle["models"] = [mod.to_dict() for mod in models]
     seconds = time.perf_counter() - t0
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -192,12 +193,12 @@ def estimator_from_bundle(bundle, predictor, K, rng):
     if method in ("vine-parametric", "vine-nonparametric"):
         # one set of marginals, rebuilt from `train`, shared by every vine
         marginals = [EmpiricalMarginal(train[:, j]) for j in range(train.shape[1])]
-        plan = CoverPlan.from_dict(bundle["plan"])
-        models = [DVineModel.from_dict(d, marginals) for d in bundle["models"]]
-        for a in plan.assignment.values():
-            if a.order_index not in range(len(models)):
-                raise DataError(f"bundle plan names order {a.order_index!r}, but the "
-                                f"bundle holds {len(models)} vine models")
+        models = [DVineModel.from_dict(d, marginals) for d in bundle.get("models", [])]
+        plan = CoverPlan(len(marginals), manifest["shap_method"],
+                         [m.order for m in models])
+        if not models or set(plan.assignment) != required_sets(plan.M, plan.method):
+            raise DataError("bundle's vines leave a coalition unserved; refit it with "
+                            "`vineshap fit`")
         if manifest["shap_method"] == "condsim":
             return VineCondSimEstimator(train, predictor, models, plan, K=K, rng=rng)
         return VineRatioEstimator(train, predictor, models, plan, K=K, rng=rng)

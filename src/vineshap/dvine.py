@@ -34,6 +34,7 @@ from .errors import (InvalidInputError, UnsupportedBlockError,
 from .marginals import EmpiricalMarginal
 
 FORMAT_VERSION = 2
+MIN_FIT_ROWS = 30           # the fewest training rows `fit_dvine` and `vineshap fit` take
 
 
 @dataclass(frozen=True)
@@ -307,8 +308,8 @@ def fit_dvine(data, order, mode=None, marginals=None):
         raise InvalidInputError(f"order must be a permutation of 0..{m - 1}")
     if mode is None:
         mode = ParametricMode()
-    if n < 30:
-        raise InvalidInputError(f"need at least 30 rows to fit, got {n}")
+    if n < MIN_FIT_ROWS:
+        raise InvalidInputError(f"need at least {MIN_FIT_ROWS} rows to fit, got {n}")
 
     if marginals is None:
         marginals = [EmpiricalMarginal(data[:, j]) for j in range(m)]

@@ -20,7 +20,7 @@ from .bicop import EPS
 from .dvine import pseudo_observations
 from .errors import CoverageError, InvalidInputError, NumericError
 from .marginals import EmpiricalMarginal
-from .structure import Assignment, set_of
+from .structure import set_of
 
 MAX_FEATURES = 20
 PREDICT_CELLS = 1 << 16     # matrix cells per predictor call in `shapley`
@@ -156,11 +156,11 @@ def _batches(draws, max_rows):
 
 
 def _assignment(plan, features):
-    """How the plan serves a feature set; CoverageError if it does not."""
-    a = plan.assignment.get(frozenset(features))
-    if a is None:
+    """Index of the plan order that serves a feature set; CoverageError if none."""
+    index = plan.assignment.get(frozenset(features))
+    if index is None:
         raise CoverageError(f"features {sorted(features)} are not covered by the plan")
-    return a
+    return index
 
 
 def shapley(estimator, x_star):
@@ -216,7 +216,8 @@ def _conditional_normal(mu, sigma, s_cols, sbar_cols, x_s):
         gain = np.linalg.solve(s_ss, s_bs.T).T
     except np.linalg.LinAlgError:
         ridge_flag = True
-        s_ss = s_ss + 1e-8 * np.trace(s_ss) * np.eye(len(s_cols))
+        # trace 0: every S column is constant, so s_bs = 0 and any ridge will do
+        s_ss = s_ss + (1e-8 * np.trace(s_ss) or 1e-8) * np.eye(len(s_cols))
         sol = np.linalg.solve(s_ss, (x_s - mu[s_cols]))
         gain = np.linalg.solve(s_ss, s_bs.T).T
     cond_mu = mu[sbar_cols] + s_bs @ sol
@@ -299,7 +300,7 @@ class VineCondSimEstimator(ContributionEstimator):
         self.plan = plan
 
     def sample(self, features, x_star):
-        model = self.models[_assignment(self.plan, features).order_index]
+        model = self.models[_assignment(self.plan, features)]
         return model.conditional_sample(features, x_star, self.K, self.rng), None
 
 
@@ -339,12 +340,10 @@ class VineRatioEstimator(ContributionEstimator):
         groups = {}
         for mask in masks:
             sbar = [j for j in range(self.M) if not mask >> j & 1]
-            if len(sbar) == 1:  # a 1-dim copula marginal is uniform: any order serves it
-                p = self.models[0].order.index(sbar[0])
-                a = Assignment(0, "block", p, p)
-            else:
-                a = _assignment(self.plan, sbar)
-            groups.setdefault(a.order_index, []).append((mask, (a.start, a.end)))
+            # a 1-dim copula marginal is uniform: any order serves it
+            index = 0 if len(sbar) == 1 else _assignment(self.plan, sbar)
+            positions = [self.models[index].order.index(j) for j in sbar]
+            groups.setdefault(index, []).append((mask, (min(positions), max(positions))))
         u_star = [f.cdf(x) for f, x in zip(self.marginals, x_star)]
         step = max(1, PREDICT_CELLS // self.M // self.K)
         for order_index, group in groups.items():

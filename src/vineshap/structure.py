@@ -4,6 +4,8 @@ The conditional simulation method needs every conditioning coalition to
 be a prefix or suffix of some order; the ratio method needs every
 complement set to be a contiguous block.  Both are set-cover problems
 over permutations, attacked with the batch-of-B randomized greedy loop.
+A plan records only its orders: a coalition is served by the first order
+that covers it, and its place in that order is read off the order.
 """
 
 from dataclasses import dataclass, field
@@ -27,46 +29,21 @@ def set_of(mask):
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """How one coalition is served: which order, and in what role.
-
-    role is "prefix"/"suffix" (condsim; the coalition occupies the first
-    or last `length` order positions) or "block" (ratio; the coalition is
-    the contiguous order slice [start, end])."""
-    order_index: int
-    role: str
-    start: int = 0
-    end: int = 0
-
-
 @dataclass
 class CoverPlan:
+    """D-vine orders for one method; `assignment` maps each required
+    coalition that an order covers to the index of the first such order."""
     M: int
     method: str
-    orders: list = field(default_factory=list)
-    assignment: dict = field(default_factory=dict)  # frozenset -> Assignment
+    orders: list
+    assignment: dict = field(init=False)  # frozenset -> order index
 
-    def to_dict(self):
-        return {
-            "M": self.M,
-            "method": self.method,
-            "orders": [list(o) for o in self.orders],
-            "assignment": [
-                {"features": sorted(k), "order_index": a.order_index,
-                 "role": a.role, "start": a.start, "end": a.end}
-                for k, a in sorted(self.assignment.items(), key=lambda kv: sorted(kv[0]))
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        plan = cls(M=d["M"], method=d["method"],
-                   orders=[tuple(o) for o in d["orders"]])
-        for rec in d["assignment"]:
-            plan.assignment[frozenset(rec["features"])] = Assignment(
-                rec["order_index"], rec["role"], rec["start"], rec["end"])
-        return plan
+    def __post_init__(self):
+        required = required_sets(self.M, self.method)
+        self.assignment = {}
+        for index, order in enumerate(self.orders):
+            for s in covered_sets(order, self.method) & required:
+                self.assignment.setdefault(s, index)
 
 
 def required_sets(M, method):
@@ -93,7 +70,7 @@ def required_sets(M, method):
 
 
 def covered_sets(order, method):
-    """Sets served by one order, mapped to their role.
+    """Sets served by one order.
 
     condsim: the 2(M-1) prefixes and suffixes (deduplicated, full set
     excluded).  ratio: all contiguous blocks of length >= 2, including
@@ -101,17 +78,15 @@ def covered_sets(order, method):
     """
     order = tuple(order)
     M = len(order)
-    out = {}
+    out = set()
     if method == "condsim":
         for k in range(1, M):
-            pre = frozenset(order[:k])
-            out.setdefault(pre, ("prefix", 0, k - 1))
-            suf = frozenset(order[M - k:])
-            out.setdefault(suf, ("suffix", M - k, M - 1))
+            out.add(frozenset(order[:k]))
+            out.add(frozenset(order[M - k:]))
     elif method == "ratio":
         for s in range(M):
             for e in range(s + 1, M):
-                out[frozenset(order[s:e + 1])] = ("block", s, e)
+                out.add(frozenset(order[s:e + 1]))
     else:
         raise InvalidInputError(f"method must be one of {METHODS}, got {method!r}")
     return out
@@ -128,27 +103,21 @@ def greedy_cover(M, method, B=DEFAULT_BATCH, rng=None):
     if rng is None:
         rng = np.random.default_rng()
     remaining = required_sets(M, method)
-    plan = CoverPlan(M=M, method=method)
-    if not remaining:
-        # ratio at M=2: no marginals to cover, but one model is still
-        # needed for the joint density
-        plan.orders.append(tuple(range(M)))
+    # ratio at M=2: no marginals to cover, but one model is still needed
+    # for the joint density
+    orders = [] if remaining else [tuple(range(M))]
     while remaining:
         best_order, best_cov, best_score = None, None, -1
         for _ in range(B):
             order = tuple(int(x) for x in rng.permutation(M))
-            cov = covered_sets(order, method)
-            score = sum(1 for s in cov if s in remaining)
+            cov = covered_sets(order, method) & remaining
+            score = len(cov)
             if score > best_score or (score == best_score and order < best_order):
                 best_order, best_cov, best_score = order, cov, score
         if best_score == 0:
             # every permutation covers its own singleton prefixes / adjacent
             # blocks, so this only happens if the batch was unlucky; retry
             continue
-        idx = len(plan.orders)
-        plan.orders.append(best_order)
-        for s, (role, start, end) in best_cov.items():
-            if s in remaining:
-                plan.assignment[s] = Assignment(idx, role, start, end)
-                remaining.discard(s)
-    return plan
+        orders.append(best_order)
+        remaining -= best_cov
+    return CoverPlan(M, method, orders)

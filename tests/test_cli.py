@@ -142,7 +142,6 @@ def test_fit_two_columns_single_order(tmp_path):
     assert run_cli("fit", str(p), "--method", "vine-parametric",
                    "--shap-method", "ratio", "--out", str(out)) == 0
     bundle = json.loads(out.read_text())
-    assert len(bundle["plan"]["orders"]) == 1
     assert len(bundle["models"]) == 1
     assert sum(len(row) for row in bundle["models"][0]["pairs"]) == 1
 
@@ -152,7 +151,7 @@ def test_fit_three_columns_condsim_two_orders(train_csv, tmp_path):
     assert run_cli("fit", str(train_csv), "--method", "vine-parametric",
                    "--shap-method", "condsim", "--out", str(out)) == 0
     bundle = json.loads(out.read_text())
-    assert len(bundle["plan"]["orders"]) == 2
+    assert len(bundle["models"]) == 2
 
 
 def test_fit_byte_identical(train_csv, tmp_path):
@@ -175,6 +174,19 @@ def test_fit_rejects_too_many_columns(tmp_path):
     p.write_text(",".join(cols) + "\n"
                  + "\n".join(",".join(map(repr, r.tolist())) for r in rows) + "\n")
     assert run_cli("fit", str(p), "--out", str(tmp_path / "m.json")) == 3
+
+
+@pytest.mark.parametrize("method", ["vine-parametric", "gaussian"])
+@pytest.mark.parametrize("n", [10, 0])
+def test_fit_below_the_row_floor_is_data_error(tmp_path, capsys, method, n):
+    p = tmp_path / "short.csv"
+    rows = np.random.default_rng(4).normal(size=(n, 3))
+    p.write_text("a,b,c\n" + "".join(",".join(map(repr, r.tolist())) + "\n" for r in rows))
+    out = tmp_path / "m.json"
+    assert run_cli("fit", str(p), "--method", method, "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "30 rows" in err
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------------
@@ -323,36 +335,55 @@ def test_bundle_stores_train_once(train_csv, tmp_path, method):
     assert run_cli("fit", str(train_csv), "--method", method,
                    "--shap-method", "condsim", "--out", str(out)) == 0
     bundle = json.loads(out.read_text())
-    assert bundle["version"] == 2
-    assert set(bundle) <= {"format", "version", "manifest", "train", "plan", "models"}
+    assert bundle["version"] == 3
+    assert set(bundle) <= {"format", "version", "manifest", "train", "models"}
     assert all("marginals" not in m for m in bundle.get("models", []))
 
 
-def test_version_one_bundle_rejected(train_csv, test_csv, tmp_path, capsys):
+@pytest.mark.parametrize("version", [1, 2])
+def test_old_version_bundle_rejected(train_csv, test_csv, tmp_path, capsys, version):
     model = tmp_path / "m.json"
     assert run_cli("fit", str(train_csv), "--out", str(model)) == 0
     bundle = json.loads(model.read_text())
-    bundle["version"] = 1
+    bundle["version"] = version
     model.write_text(json.dumps(bundle))
     assert run_cli("explain", str(model), str(test_csv), "--predictor", "const:0",
                    "--out", str(tmp_path / "e.json")) == 3
     assert "refit" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("shap_method", ["condsim", "ratio"])
-def test_plan_naming_a_missing_order_is_data_error(train_csv, test_csv, tmp_path,
-                                                   capsys, shap_method):
+def explain_edited_bundle(train_csv, test_csv, tmp_path, capsys, shap_method, edit):
+    """Exit code and stderr of `explain` on a fitted bundle after `edit(bundle)`."""
     model = tmp_path / "m.json"
     assert run_cli("fit", str(train_csv), "--shap-method", shap_method,
                    "--out", str(model)) == 0
     bundle = json.loads(model.read_text())
-    bundle["plan"]["assignment"][0]["order_index"] = 99
+    edit(bundle)
     model.write_text(json.dumps(bundle))
     capsys.readouterr()
-    assert run_cli("explain", str(model), str(test_csv), "--predictor", "const:0",
-                   "--out", str(tmp_path / "e.json")) == 3
-    err = capsys.readouterr().err
-    assert err.count("error:") == 1 and "99" in err
+    code = run_cli("explain", str(model), str(test_csv), "--predictor", "const:0",
+                   "--out", str(tmp_path / "e.json"))
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shap_method", ["condsim", "ratio"])
+def test_bundle_missing_an_order_is_data_error(train_csv, test_csv, tmp_path, capsys,
+                                               shap_method):
+    # at M = 3 both methods need two orders, so one alone leaves a coalition unserved
+    code, err = explain_edited_bundle(train_csv, test_csv, tmp_path, capsys, shap_method,
+                                      lambda bundle: bundle["models"].pop())
+    assert code == 3
+    assert err.count("error:") == 1 and "unserved" in err
+    assert not (tmp_path / "e.json").exists()
+
+
+@pytest.mark.parametrize("shap_method", ["condsim", "ratio"])
+def test_bundle_without_vines_is_data_error(train_csv, test_csv, tmp_path, capsys,
+                                            shap_method):
+    code, err = explain_edited_bundle(train_csv, test_csv, tmp_path, capsys, shap_method,
+                                      lambda bundle: bundle["models"].clear())
+    assert code == 3
+    assert err.count("error:") == 1 and "unserved" in err
     assert not (tmp_path / "e.json").exists()
 
 

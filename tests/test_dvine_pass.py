@@ -182,11 +182,13 @@ def reference_log_weights(est, features, x_star):
     sbar = sorted(set(range(est.M)) - set(features))
     if len(sbar) < 2:
         return est.models[0].copula_log_density(u)
-    a = est.plan.assignment[frozenset(sbar)]
-    model = est.models[a.order_index]
-    cols = [model.order[p] for p in range(a.start, a.end + 1)]
+    model = est.models[est.plan.assignment[frozenset(sbar)]]
+    positions = [model.order.index(j) for j in sbar]
+    start, end = min(positions), max(positions)
+    assert end - start + 1 == len(sbar)  # the complement is a contiguous block
+    cols = [model.order[p] for p in range(start, end + 1)]
     return (model.copula_log_density(u)
-            - model.marginal_copula_log_density(Block(a.start, a.end), u[:, cols]))
+            - model.marginal_copula_log_density(Block(start, end), u[:, cols]))
 
 
 def normalised(logw):
@@ -222,7 +224,7 @@ def test_stacked_ratio_weights_match_numerator_minus_denominator(m, data, seed):
         # one block through `log_weights` is the stacked pass's row, bit for
         # bit; checked on the first coalition of each serving order
         sbar = frozenset(range(m)) - features
-        order_index = plan.assignment[sbar].order_index if len(sbar) > 1 else 0
+        order_index = plan.assignment[sbar] if len(sbar) > 1 else 0
         if order_index not in checked:
             checked.add(order_index)
             assert np.array_equal(est.implicit_weights(features, x_star), pi)

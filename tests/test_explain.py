@@ -158,6 +158,19 @@ def test_gaussian_ridge_path_flags():
     assert est.ridge_flagged  # singular sigma_SS handled, not raised
 
 
+def test_gaussian_constant_coalition_takes_an_absolute_ridge():
+    # sigma_SS of S = {1} is exactly 0, so a ridge relative to its trace is 0 too
+    rng = np.random.default_rng(14)
+    train = np.column_stack([rng.normal(size=200), np.full(200, 5.0), rng.normal(size=200)])
+    g = lambda x: np.atleast_2d(x) @ [1.0, 2.0, 3.0] + np.atleast_2d(x)[:, 0] ** 2
+    est = GaussianEstimator(train, g, K=100, rng=np.random.default_rng(15))
+    x_star = np.array([0.5, 5.0, -1.0])
+    expl = shapley(est, x_star)
+    assert np.all(np.isfinite(expl.phi))
+    assert abs(expl.phi0 + expl.phi.sum() - g(x_star)[0]) < 1e-8
+    assert frozenset({1}) in est.ridge_flagged
+
+
 def test_gaussian_copula_identity_reduces_to_marginal_sampling():
     rng = np.random.default_rng(12)
     train = rng.normal(size=(500, 2))

@@ -1,19 +1,28 @@
-"""The benchmark's tracer patches vineshap by attribute path; keep those paths valid.
+"""The benchmark reads vineshap through its own files; keep what they read valid.
 
 `perfbench/tracer.py` is loaded from its file, unchanged, and its
 `SPANS`/`KERNELS` tables are checked against the package: every path
 must resolve, and no class may inherit a patched attribute from a class
 patched before it (the tracer would then wrap the inherited wrapper a
-second time and count every call twice).
+second time and count every call twice).  `perfbench/workloads.py` is
+loaded unchanged too, and its set-up and metric helpers are run on the
+smallest inputs, so a change to an API they read (the cover plan, the
+estimators, their diagnostics) fails here and not first in a benchmark
+run.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+from vineshap import shapley
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -51,3 +60,29 @@ def test_no_patched_attribute_is_inherited_from_an_earlier_patch(tracer):
             assert source is owner or (source, attr) not in patched, (
                 f"{owner.__name__}.{attr} would wrap {source.__name__}'s wrapper")
         patched.add((owner, attr))
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    # the module imports `tracer` by name, from its own directory
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                      PERFBENCH / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        mp.setitem(sys.modules, spec.name, module)
+        spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["ratio-par-m8", "condsim-par-m8", "gausscop-m8"])
+def test_workload_helpers_run_on_the_package(workloads, name):
+    inp = workloads.make_inputs(workloads.WORKLOADS[name], workloads.SIZES["tiny"],
+                                seed=1, poison=False)
+    ds = inp.datasets[0]
+    est = workloads.build_estimator(inp, ds, inp.g)
+    expl = shapley(est, ds.test[0])
+    assert np.isfinite(expl.phi0) and np.all(np.isfinite(expl.phi))
+    metrics = {**workloads.model_metrics(est),
+               **workloads.estimator_diagnostics(est, ds.test)}
+    assert all(np.isfinite(value) for value in metrics.values()), metrics
