@@ -13,7 +13,6 @@ from .bicop import (ClaytonCopula, GaussianCopula, GridCopula,
 from .dvine import (Block, DVineModel, NonparametricMode, ParametricMode,
                     fit_dvine, pseudo_observations)
 from .errors import (CoverageError, DataError, InvalidInputError, NumericError,
-                     UnsupportedBlockError, UnsupportedCoalitionError,
                      VineShapError)
 from .explain import (ContributionEstimator, Explanation,
                       GaussianCopulaEstimator, GaussianEstimator,
@@ -39,8 +38,8 @@ __all__ = [
     "Explanation", "GaussianCopula", "GaussianCopulaEstimator",
     "GaussianEstimator", "GridCopula", "IndependenceCopula",
     "IndependenceEstimator", "InvalidInputError", "NonparametricMode",
-    "NumericError", "PairCopula", "ParametricMode", "UnsupportedBlockError",
-    "UnsupportedCoalitionError", "VineCondSimEstimator", "VineRatioEstimator",
+    "NumericError", "PairCopula", "ParametricMode", "VineCondSimEstimator",
+    "VineRatioEstimator",
     "VineShapError", "analytic_mean_predictor", "burr_conditional_params",
     "burr_conditional_sample", "burr_log_density",
     "burr_sample", "covered_sets", "fit_dvine",

@@ -10,6 +10,7 @@ import json
 import shlex
 import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -20,12 +21,11 @@ from .errors import DataError, InvalidInputError, NumericError, VineShapError
 from .explain import (GaussianCopulaEstimator, GaussianEstimator,
                       VineCondSimEstimator, VineRatioEstimator, shapley)
 from .marginals import EmpiricalMarginal
-from .structure import CoverPlan, greedy_cover, required_sets
+from .structure import MAX_FEATURES, CoverPlan, greedy_cover
 
 BUNDLE_FORMAT = "vineshap-bundle"
 BUNDLE_VERSION = 3
 FIT_METHODS = ("vine-parametric", "vine-nonparametric", "gaussian", "gaussian-copula")
-MAX_COLUMNS = 20
 
 
 def read_csv(path):
@@ -113,11 +113,14 @@ def make_predictor(spec, columns):
 def _subprocess_predictor(command, columns):
     def g(x):
         x = np.atleast_2d(x)
-        lines = [",".join(columns)]
-        lines += [",".join(repr(float(v)) for v in row) for row in x]
-        proc = subprocess.run(
-            shlex.split(command), input="\n".join(lines) + "\n",
-            capture_output=True, text=True)
+        # the rows go through a file, not a pipe, so no call holds them all as text
+        with tempfile.TemporaryFile("w+", encoding="utf-8") as stdin:
+            stdin.write(",".join(columns) + "\n")
+            for row in x:
+                stdin.write(",".join(repr(float(v)) for v in row) + "\n")
+            stdin.seek(0)
+            proc = subprocess.run(shlex.split(command), stdin=stdin,
+                                  capture_output=True, text=True)
         if proc.returncode != 0:
             raise NumericError(
                 f"predictor command failed (exit {proc.returncode}): "
@@ -140,8 +143,8 @@ def _subprocess_predictor(command, columns):
 def cmd_fit(args):
     columns, data = read_csv(args.train_csv)
     n, m = data.shape
-    if m > MAX_COLUMNS:
-        raise DataError(f"{args.train_csv}: {m} columns exceeds the {MAX_COLUMNS} cap")
+    if m > MAX_FEATURES:
+        raise DataError(f"{args.train_csv}: {m} columns exceeds the {MAX_FEATURES} cap")
     if m < 2:
         raise DataError(f"{args.train_csv}: need at least 2 feature columns")
     if n < MIN_FIT_ROWS:
@@ -180,7 +183,8 @@ def load_bundle(path):
             bundle = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read model bundle {path}: {exc}")
-    if bundle.get("format") != BUNDLE_FORMAT or bundle.get("version") != BUNDLE_VERSION:
+    if (not isinstance(bundle, dict) or bundle.get("format") != BUNDLE_FORMAT
+            or bundle.get("version") != BUNDLE_VERSION):
         raise DataError(f"{path}: not a version-{BUNDLE_VERSION} vineshap model bundle; "
                         "refit it with `vineshap fit`")
     return bundle
@@ -196,9 +200,6 @@ def estimator_from_bundle(bundle, predictor, K, rng):
         models = [DVineModel.from_dict(d, marginals) for d in bundle.get("models", [])]
         plan = CoverPlan(len(marginals), manifest["shap_method"],
                          [m.order for m in models])
-        if not models or set(plan.assignment) != required_sets(plan.M, plan.method):
-            raise DataError("bundle's vines leave a coalition unserved; refit it with "
-                            "`vineshap fit`")
         if manifest["shap_method"] == "condsim":
             return VineCondSimEstimator(train, predictor, models, plan, K=K, rng=rng)
         return VineRatioEstimator(train, predictor, models, plan, K=K, rng=rng)
@@ -212,13 +213,18 @@ def estimator_from_bundle(bundle, predictor, K, rng):
 def cmd_explain(args):
     bundle = load_bundle(args.model)
     columns, test = read_csv(args.test_csv)
-    want = bundle["manifest"]["columns"]
+    predictor = make_predictor(args.predictor, columns)
+    rng = np.random.default_rng(args.seed)
+    try:
+        manifest = bundle["manifest"]
+        want, label = manifest["columns"], f"{manifest['method']}/{manifest['shap_method']}"
+        est = estimator_from_bundle(bundle, predictor, args.k, rng)
+    except (AttributeError, LookupError, TypeError, ValueError, VineShapError) as exc:
+        raise DataError(f"{args.model}: malformed model bundle ({type(exc).__name__}: "
+                        f"{exc}); refit it with `vineshap fit`")
     if columns != want:
         raise DataError(
             f"{args.test_csv}: columns {columns} do not match model columns {want}")
-    predictor = make_predictor(args.predictor, columns)
-    rng = np.random.default_rng(args.seed)
-    est = estimator_from_bundle(bundle, predictor, args.k, rng)
     records = []
     for i, x in enumerate(test):
         expl = shapley(est, x)
@@ -226,8 +232,7 @@ def cmd_explain(args):
             "row_id": i,
             "phi0": expl.phi0,
             "phi": expl.phi.tolist(),
-            "method": f"{bundle['manifest']['method']}"
-                      f"/{bundle['manifest']['shap_method']}",
+            "method": label,
             "K": args.k,
             "seed": args.seed,
         })

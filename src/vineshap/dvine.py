@@ -29,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bicop import EPS, PairCopula, fit_nonparametric, fit_parametric
-from .errors import (InvalidInputError, UnsupportedBlockError,
-                     UnsupportedCoalitionError)
+from .errors import CoverageError, InvalidInputError
 from .marginals import EmpiricalMarginal
 
 FORMAT_VERSION = 2
@@ -132,7 +131,7 @@ class DVineModel:
         """
         s, e = block.start, block.end
         if not (0 <= s <= e < self.M):
-            raise UnsupportedBlockError(f"invalid block [{s}, {e}] for M={self.M}")
+            raise InvalidInputError(f"invalid block [{s}, {e}] for M={self.M}")
         u_block = np.atleast_2d(np.asarray(u_block, dtype=float))
         if u_block.shape[1] != e - s + 1:
             raise InvalidInputError("u_block width must match the block length")
@@ -151,7 +150,7 @@ class DVineModel:
         V = np.vstack([self._columns(u), self._columns(u_star)])[:, self.order]
         n, m = V.shape[0] - 1, V.shape[1]
         if any(not 0 <= a <= e < m for a, e in blocks):
-            raise UnsupportedBlockError(f"invalid block in {blocks} for M={m}")
+            raise InvalidInputError(f"invalid block in {blocks} for M={m}")
         args = {(i, j): xy for i, j, *xy in _h_pass(V, self.pairs)}
         out = np.zeros((len(blocks), n))
         carried = ({}, {})  # x, y arguments of the next tree, by (pair j, block)
@@ -247,7 +246,7 @@ class DVineModel:
         """
         role = self.coalition_role(features)
         if role is None:
-            raise UnsupportedCoalitionError(
+            raise CoverageError(
                 f"coalition {sorted(features)} is not a prefix or suffix "
                 f"of order {self.order}")
         model = self if role == "prefix" else self.reversed()

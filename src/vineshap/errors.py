@@ -13,16 +13,8 @@ class DataError(VineShapError):
     """Raised for malformed input files (bad cells, missing columns, ...)."""
 
 
-class UnsupportedCoalitionError(VineShapError):
-    """Raised when a coalition is not a prefix or suffix of the vine order."""
-
-
-class UnsupportedBlockError(VineShapError):
-    """Raised when a requested copula marginal is not a contiguous block."""
-
-
 class CoverageError(VineShapError):
-    """Raised when a cover plan does not serve a requested coalition."""
+    """Raised when a coalition is not served by a cover plan or a vine order."""
 
 
 class NumericError(VineShapError):

@@ -20,9 +20,8 @@ from .bicop import EPS
 from .dvine import pseudo_observations
 from .errors import CoverageError, InvalidInputError, NumericError
 from .marginals import EmpiricalMarginal
-from .structure import set_of
+from .structure import MAX_FEATURES, set_of
 
-MAX_FEATURES = 20
 PREDICT_CELLS = 1 << 16     # matrix cells per predictor call in `shapley`
 
 
@@ -289,22 +288,30 @@ class GaussianEstimator(GaussianCopulaEstimator):
 # ----------------------------------------------------------------------
 # vine estimators
 
-class VineCondSimEstimator(ContributionEstimator):
-    """Conditional simulation through the cover plan's D-vine models."""
-
-    method = "vine-condsim"
+class _VineEstimator(ContributionEstimator):
+    """Base of the vine estimators: checks their cover plan once, when built."""
 
     def __init__(self, train_x, predictor, models, plan, K=1000, rng=None):
         super().__init__(train_x, predictor, K, rng)
         self.models = list(models)
         self.plan = plan
+        if plan.M != self.M or plan.orders != [m.order for m in self.models]:
+            raise InvalidInputError("plan must be the cover plan of the models' orders")
+        if len(plan.assignment) != (1 << self.M) - 2:  # it holds only required sets
+            raise CoverageError("the plan leaves a coalition unserved")
+
+
+class VineCondSimEstimator(_VineEstimator):
+    """Conditional simulation through the cover plan's D-vine models."""
+
+    method = "vine-condsim"
 
     def sample(self, features, x_star):
         model = self.models[_assignment(self.plan, features)]
         return model.conditional_sample(features, x_star, self.K, self.rng), None
 
 
-class VineRatioEstimator(ContributionEstimator):
+class VineRatioEstimator(_VineEstimator):
     """Copula-density-ratio weighting of a shared training subsample.
 
     Weights w_k = c(u_sbar^k, u_S*) / c(u_sbar^k) are computed in the log
@@ -315,9 +322,7 @@ class VineRatioEstimator(ContributionEstimator):
     method = "vine-ratio"
 
     def __init__(self, train_x, predictor, models, plan, K=1000, rng=None):
-        super().__init__(train_x, predictor, K, rng)
-        self.models = list(models)
-        self.plan = plan
+        super().__init__(train_x, predictor, models, plan, K, rng)
         self.marginals = self.models[0].marginals  # the vines' copula scale
         self.train_u = pseudo_observations(self.train_x, self.marginals)
         self.fallback_flagged = set()
@@ -340,8 +345,7 @@ class VineRatioEstimator(ContributionEstimator):
         groups = {}
         for mask in masks:
             sbar = [j for j in range(self.M) if not mask >> j & 1]
-            # a 1-dim copula marginal is uniform: any order serves it
-            index = 0 if len(sbar) == 1 else _assignment(self.plan, sbar)
+            index = _assignment(self.plan, sbar)
             positions = [self.models[index].order.index(j) for j in sbar]
             groups.setdefault(index, []).append((mask, (min(positions), max(positions))))
         u_star = [f.cdf(x) for f, x in zip(self.marginals, x_star)]

@@ -1,11 +1,11 @@
 """Randomized greedy search for a small set of D-vine orders.
 
-The conditional simulation method needs every conditioning coalition to
-be a prefix or suffix of some order; the ratio method needs every
-complement set to be a contiguous block.  Both are set-cover problems
-over permutations, attacked with the batch-of-B randomized greedy loop.
-A plan records only its orders: a coalition is served by the first order
-that covers it, and its place in that order is read off the order.
+The one place that says which orders serve a coalition: condsim needs
+every conditioning set to be a prefix or suffix of some order, ratio
+every complement set (one-feature ones too) to be a contiguous block.
+Both are set-cover problems over permutations, attacked with the
+batch-of-B randomized greedy loop.  A plan records only its orders: a
+coalition is served by the first order that covers it.
 """
 
 from dataclasses import dataclass, field
@@ -16,6 +16,7 @@ from .errors import InvalidInputError
 
 METHODS = ("condsim", "ratio")
 DEFAULT_BATCH = 100
+MAX_FEATURES = 20           # exact enumeration visits 2^M coalitions
 
 
 def set_of(mask):
@@ -49,32 +50,22 @@ class CoverPlan:
 def required_sets(M, method):
     """Coalitions a method needs served, as frozensets of 0-based indices.
 
-    condsim: every proper nonempty conditioning set S.  ratio: every
-    complement set S-bar with at least 2 elements (1-element copula
-    marginals are uniform and need no model).
+    condsim: every conditioning set S; ratio: every complement set S-bar.
+    For both that is every proper nonempty subset of the M features.
     """
-    if not 2 <= M <= 25:
-        raise InvalidInputError(f"M must be in [2, 25], got {M}")
+    if not 2 <= M <= MAX_FEATURES:
+        raise InvalidInputError(f"M must be in [2, {MAX_FEATURES}], got {M}")
     if method not in METHODS:
         raise InvalidInputError(f"method must be one of {METHODS}, got {method!r}")
-    out = set()
-    for mask in range(1, (1 << M) - 1):
-        s = set_of(mask)
-        if method == "condsim":
-            out.add(s)
-        else:
-            sbar = frozenset(range(M)) - s
-            if len(sbar) >= 2:
-                out.add(sbar)
-    return out
+    return {set_of(mask) for mask in range(1, (1 << M) - 1)}
 
 
 def covered_sets(order, method):
     """Sets served by one order.
 
     condsim: the 2(M-1) prefixes and suffixes (deduplicated, full set
-    excluded).  ratio: all contiguous blocks of length >= 2, including
-    the full order.
+    excluded).  ratio: all contiguous blocks, from the length-1 ones up
+    to the full order.
     """
     order = tuple(order)
     M = len(order)
@@ -85,7 +76,7 @@ def covered_sets(order, method):
             out.add(frozenset(order[M - k:]))
     elif method == "ratio":
         for s in range(M):
-            for e in range(s + 1, M):
+            for e in range(s, M):
                 out.add(frozenset(order[s:e + 1]))
     else:
         raise InvalidInputError(f"method must be one of {METHODS}, got {method!r}")
@@ -103,9 +94,7 @@ def greedy_cover(M, method, B=DEFAULT_BATCH, rng=None):
     if rng is None:
         rng = np.random.default_rng()
     remaining = required_sets(M, method)
-    # ratio at M=2: no marginals to cover, but one model is still needed
-    # for the joint density
-    orders = [] if remaining else [tuple(range(M))]
+    orders = []
     while remaining:
         best_order, best_cov, best_score = None, None, -1
         for _ in range(B):

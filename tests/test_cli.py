@@ -97,6 +97,20 @@ def test_cmd_predictor_roundtrip(tmp_path):
     assert np.allclose(out, [3.0, 7.0])
 
 
+def test_cmd_predictor_child_reads_the_csv_protocol(tmp_path):
+    script = tmp_path / "save.py"
+    saved = tmp_path / "stdin.csv"
+    script.write_text(
+        "import sys\n"
+        "data = sys.stdin.buffer.read()\n"
+        "open(sys.argv[1], 'wb').write(data)\n"
+        "print('0.0\\n' * (data.count(b'\\n') - 1), end='')\n")
+    g = make_predictor(f"cmd:{sys.executable} {script} {saved}", ["a", "b"])
+    out = g(np.array([[0.1, -2.5], [1e-300, 3.0], [12345678.9, -0.0]]))
+    assert np.array_equal(out, np.zeros(3))
+    assert saved.read_bytes() == b"a,b\n0.1,-2.5\n1e-300,3.0\n12345678.9,-0.0\n"
+
+
 def test_cmd_predictor_protocol_violation(tmp_path):
     script = tmp_path / "pred.py"
     script.write_text("print(1.0)\n")   # always one line regardless of input
@@ -384,6 +398,27 @@ def test_bundle_without_vines_is_data_error(train_csv, test_csv, tmp_path, capsy
                                       lambda bundle: bundle["models"].clear())
     assert code == 3
     assert err.count("error:") == 1 and "unserved" in err
+    assert not (tmp_path / "e.json").exists()
+
+
+def drop_theta_of_a_clayton_pair(bundle):
+    bundle["models"][0]["pairs"][0][0] = {"family": "clayton", "rotation": 0}
+
+
+@pytest.mark.parametrize("edit", [
+    lambda bundle: bundle.pop("manifest"),
+    lambda bundle: bundle["manifest"].pop("shap_method"),
+    lambda bundle: bundle["manifest"].update(shap_method="foo"),
+    lambda bundle: bundle.update(train="x"),
+    drop_theta_of_a_clayton_pair,
+    lambda bundle: bundle["models"][0].update(order=[0, 0, 1]),
+], ids=["no-manifest", "no-shap-method", "unknown-shap-method", "train-not-a-table",
+        "clayton-without-theta", "order-not-a-permutation"])
+def test_malformed_bundle_is_data_error(train_csv, test_csv, tmp_path, capsys, edit):
+    code, err = explain_edited_bundle(train_csv, test_csv, tmp_path, capsys, "ratio", edit)
+    assert code == 3
+    assert err.count("error:") == 1 and "malformed model bundle" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "e.json").exists()
 
 

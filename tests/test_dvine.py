@@ -3,11 +3,10 @@ import pytest
 from scipy import stats
 
 from helpers import constant_vine
-from vineshap import (Block, BurrMarginal, ClaytonCopula, DVineModel,
-                      EmpiricalMarginal, GaussianCopula, IndependenceCopula,
-                      InvalidInputError, ParametricMode, UnsupportedBlockError,
-                      UnsupportedCoalitionError, fit_dvine,
-                      pseudo_observations)
+from vineshap import (Block, BurrMarginal, ClaytonCopula, CoverageError,
+                      DVineModel, EmpiricalMarginal, GaussianCopula,
+                      IndependenceCopula, InvalidInputError, ParametricMode,
+                      fit_dvine, pseudo_observations)
 
 
 def gaussian_vine(rhos, m=3, n_marg=100, seed=0):
@@ -104,7 +103,7 @@ def test_log_density_ratios_rejects_blocks_outside_the_order():
     model = gaussian_vine([0.5, -0.3, 0.4])
     u = np.full((4, 3), 0.5)
     for bad in ((2, 1), (-1, 1), (1, 3)):
-        with pytest.raises(UnsupportedBlockError):
+        with pytest.raises(InvalidInputError):
             model.log_density_ratios(u, u[0], [(0, 1), bad])
 
 
@@ -267,7 +266,7 @@ def test_conditional_sample_keeps_a_saturated_conditioning_value():
 
 def test_conditional_sample_rejects_middle_coalition():
     model = gaussian_vine([0.5, 0.5, 0.5])
-    with pytest.raises(UnsupportedCoalitionError):
+    with pytest.raises(CoverageError):
         model.conditional_sample({1}, np.zeros(3), 10, np.random.default_rng(0))
 
 

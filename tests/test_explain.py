@@ -3,13 +3,14 @@ import pytest
 from scipy import stats
 
 from helpers import constant_vine
-from vineshap import (ClaytonCopula, CoverageError, GaussianCopula,
+from vineshap import (ClaytonCopula, CoverageError, CoverPlan, GaussianCopula,
                       GaussianCopulaEstimator, GaussianEstimator,
                       IndependenceCopula, IndependenceEstimator,
                       InvalidInputError, NumericError, PairCopula,
                       VineCondSimEstimator,
-                      VineRatioEstimator, explain, greedy_cover, shapley,
-                      shapley_from_values, shapley_weights)
+                      VineRatioEstimator, analytic_mean_predictor, burr_sample,
+                      explain, fit_dvine, greedy_cover, shapley,
+                      shapley_from_values, shapley_weights, study_params)
 
 
 def random_v_table(M, rng):
@@ -495,3 +496,39 @@ def test_ratio_uncovered_complement_raises_coverage_error():
         shapley(est, train[0])
     with pytest.raises(CoverageError):
         est.sample(frozenset({0}), train[0])
+
+
+# ----------------------------------------------------------------------
+# vine estimators check their plan once, when built
+
+VINE_ESTIMATORS = [("condsim", VineCondSimEstimator), ("ratio", VineRatioEstimator)]
+
+
+@pytest.mark.parametrize("method,cls", VINE_ESTIMATORS)
+def test_vine_estimator_rejects_a_plan_of_other_vines(method, cls):
+    # a plan drawn with another seed serves coalitions from the wrong vines:
+    # unchecked, it moved this ratio explanation's phi_5 from 0.27 to 0.008
+    params = study_params(0.5, M=5)
+    train = burr_sample(params, 300, np.random.default_rng(0))
+    g = analytic_mean_predictor(params)
+    plan = greedy_cover(5, method, rng=np.random.default_rng(1))
+    models = [fit_dvine(train, order) for order in plan.orders]
+    other = greedy_cover(5, method, rng=np.random.default_rng(2))
+    assert other.orders != plan.orders
+    for bad in (other, CoverPlan(5, method, plan.orders[::-1])):
+        with pytest.raises(InvalidInputError, match="plan"):
+            cls(train, g, models, bad, K=10)
+    with pytest.raises(InvalidInputError, match="plan"):
+        cls(train[:, :4], g, models, plan, K=10)
+    assert cls(train, g, models, plan, K=10).plan is plan
+
+
+@pytest.mark.parametrize("method,cls", VINE_ESTIMATORS)
+def test_vine_estimator_rejects_a_plan_that_leaves_a_coalition_unserved(method, cls):
+    train = np.random.default_rng(53).normal(size=(100, 3))
+    plan, models = build_vine_models(train, method, ClaytonCopula(1.5, rotation=180))
+    assert len(plan.orders) == 2    # no single order serves every coalition at M = 3
+    with pytest.raises(CoverageError, match="unserved"):
+        cls(train, row_wise, models[:1], CoverPlan(3, method, plan.orders[:1]))
+    with pytest.raises(CoverageError, match="unserved"):
+        cls(train, row_wise, [], CoverPlan(3, method, []))

@@ -3,6 +3,7 @@ import pytest
 
 from vineshap import (CoverPlan, InvalidInputError, covered_sets, greedy_cover,
                       required_sets)
+from vineshap.structure import MAX_FEATURES
 
 
 def union_covered(plan):
@@ -22,8 +23,10 @@ def test_required_condsim_m3():
 
 
 def test_required_ratio_m3():
+    # every complement S-bar, one-feature ones included
     got = required_sets(3, "ratio")
-    assert got == {frozenset(s) for s in [{0, 1}, {0, 2}, {1, 2}]}
+    want = {frozenset(s) for s in [{0}, {1}, {2}, {0, 1}, {0, 2}, {1, 2}]}
+    assert got == want
 
 
 def test_required_condsim_m10_count():
@@ -35,6 +38,12 @@ def test_required_rejects_bad_m():
         required_sets(1, "condsim")
     with pytest.raises(InvalidInputError):
         required_sets(26, "ratio")
+
+
+def test_one_feature_cap():
+    assert MAX_FEATURES == 20
+    with pytest.raises(InvalidInputError):
+        required_sets(21, "ratio")
 
 
 # ----------------------------------------------------------------------
@@ -50,7 +59,8 @@ def test_covered_condsim_order_0123():
 def test_covered_ratio_order_0123():
     got = set(covered_sets((0, 1, 2, 3), "ratio"))
     want = {frozenset(s) for s in
-            [{0, 1}, {1, 2}, {2, 3}, {0, 1, 2}, {1, 2, 3}, {0, 1, 2, 3}]}
+            [{0}, {1}, {2}, {3}, {0, 1}, {1, 2}, {2, 3}, {0, 1, 2}, {1, 2, 3},
+             {0, 1, 2, 3}]}
     assert got == want
 
 
@@ -65,6 +75,16 @@ def test_covered_condsim_m2():
 def test_m2_single_order(method):
     plan = greedy_cover(2, method, rng=np.random.default_rng(0))
     assert len(plan.orders) == 1
+
+
+def test_m2_ratio_plan_is_the_identity_order():
+    assert greedy_cover(2, "ratio", rng=np.random.default_rng(0)).orders == [(0, 1)]
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 8])
+def test_one_feature_ratio_complements_go_to_the_first_order(m):
+    plan = greedy_cover(m, "ratio", rng=np.random.default_rng(m))
+    assert all(plan.assignment[frozenset({j})] == 0 for j in range(m))
 
 
 def test_m3_condsim_exactly_two_orders():
