@@ -221,9 +221,10 @@ class GridCopula(PairCopula):
     """Nonparametric copula density on a G x G equispaced mesh.
 
     Grid nodes sit at cell centers (i + 0.5)/G.  Cumulative tables over
-    both axes are precomputed so that h-functions and their inverses are
-    piecewise-linear interpolations of the same monotone curve (which
-    makes hinv(hfunc(u)) exact up to float precision).
+    both axes are precomputed.  h reads four cells of a table, bilinearly,
+    as the density reads four grid cells.  hinv builds the whole
+    piecewise-linear curve that h reads and inverts it, so hinv(hfunc(u))
+    is exact up to float precision.
     """
 
     family = "grid"
@@ -266,14 +267,17 @@ class GridCopula(PairCopula):
     def _logpdf(self, u, v):
         return np.log(np.maximum(self._bilinear(u, v), 1e-300))
 
-    def _bilinear(self, u, v):
+    def _cell(self, x):
+        """(j, t): the mesh node at or below x, clamped so that node j + 1
+        exists, and node j + 1's interpolation weight."""
         g = self.grid_size
-        fu = np.clip(u * g - 0.5, 0.0, g - 1.0)
-        fv = np.clip(v * g - 0.5, 0.0, g - 1.0)
-        i0 = np.clip(np.floor(fu).astype(int), 0, g - 2)
-        j0 = np.clip(np.floor(fv).astype(int), 0, g - 2)
-        du = fu - i0
-        dv = fv - j0
+        f = np.clip(x * g - 0.5, 0.0, g - 1.0)
+        j = np.clip(np.floor(f).astype(int), 0, g - 2)
+        return j, f - j
+
+    def _bilinear(self, u, v):
+        i0, du = self._cell(u)
+        j0, dv = self._cell(v)
         z = (self.grid[i0, j0] * (1 - du) * (1 - dv)
              + self.grid[i0 + 1, j0] * du * (1 - dv)
              + self.grid[i0, j0 + 1] * (1 - du) * dv
@@ -282,17 +286,20 @@ class GridCopula(PairCopula):
 
     def _curve(self, cum, cond):
         """Cumulative curves (n x (G+2)) at conditioning values `cond`."""
-        g = self.grid_size
-        f = np.clip(cond * g - 0.5, 0.0, g - 1.0)
-        j0 = np.clip(np.floor(f).astype(int), 0, g - 2)
-        t = (f - j0)[:, None]
+        j0, t = self._cell(cond)
+        t = t[:, None]
         return cum[:, j0].T * (1 - t) + cum[:, j0 + 1].T * t
 
     def _h(self, u, v, cum=None):
-        """F(u | v); _h(v, u, self._cum_v) is F(v | u)."""
-        u, v = np.broadcast_arrays(u, v)
-        curve = self._curve(self._cum_u if cum is None else cum, v.ravel())
-        return self._interp_rows(u.ravel(), self.breaks, curve).reshape(u.shape)
+        """F(u | v); _h(v, u, self._cum_v) is F(v | u).  Table rows k - 1 and k
+        bracket u on `breaks`; each is read at v between two nodes."""
+        cum = self._cum_u if cum is None else cum
+        k = np.clip(np.searchsorted(self.breaks, u, side="right"), 1, self.grid_size + 1)
+        j, t = self._cell(v)
+        y0 = cum[k - 1, j] * (1 - t) + cum[k - 1, j + 1] * t
+        y1 = cum[k, j] * (1 - t) + cum[k, j + 1] * t
+        x0, x1 = self.breaks[k - 1], self.breaks[k]
+        return y0 + (u - x0) / (x1 - x0) * (y1 - y0)
 
     def _hinv(self, w, v, cum=None):
         """Inverse of _h in its first argument."""
@@ -305,17 +312,6 @@ class GridCopula(PairCopula):
 
     def _hinv_first(self, w, u):
         return self._hinv(w, u, self._cum_v)
-
-    @staticmethod
-    def _interp_rows(x, xs, ys_rows):
-        """Per-row linear interpolation: ys_rows[k] evaluated at x[k]."""
-        idx = np.clip(np.searchsorted(xs, x, side="right"), 1, len(xs) - 1)
-        x0, x1 = xs[idx - 1], xs[idx]
-        rows = np.arange(len(x))
-        y0 = ys_rows[rows, idx - 1]
-        y1 = ys_rows[rows, idx]
-        t = np.where(x1 > x0, (x - x0) / np.where(x1 > x0, x1 - x0, 1.0), 0.0)
-        return y0 + t * (y1 - y0)
 
     @staticmethod
     def _interp_rows_inverse(w, curve_rows, xs):
@@ -338,6 +334,11 @@ class GridCopula(PairCopula):
 
     def __repr__(self):
         return f"GridCopula(grid_size={self.grid_size})"
+
+
+def _normal_pdf(x):
+    """Standard normal density: `scipy.stats.norm.pdf`'s expression, without its dispatch."""
+    return np.exp(-x ** 2 / 2.0) / np.sqrt(2 * np.pi)
 
 
 def _validate_pseudo_obs(data, min_n):
@@ -402,10 +403,10 @@ def fit_nonparametric(data, grid_size=64):
     nodes = (np.arange(g) + 0.5) / g
     zg = ndtri(nodes)
     # product-kernel density on the normal-score scale, via two G x N factors
-    k1 = stats.norm.pdf((zg[:, None] - z[None, :, 0]) / h[0]) / h[0]
-    k2 = stats.norm.pdf((zg[:, None] - z[None, :, 1]) / h[1]) / h[1]
+    k1 = _normal_pdf((zg[:, None] - z[None, :, 0]) / h[0]) / h[0]
+    k2 = _normal_pdf((zg[:, None] - z[None, :, 1]) / h[1]) / h[1]
     f = k1 @ k2.T / n
-    phi = stats.norm.pdf(zg)
+    phi = _normal_pdf(zg)
     c = f / (phi[:, None] * phi[None, :])
     c = np.maximum(c, 1e-4)
 

@@ -165,9 +165,11 @@ def _assignment(plan, features):
 def shapley(estimator, x_star):
     """Exact Shapley values of the estimator's contribution game at x_star."""
     x_star = np.asarray(x_star, dtype=float)
+    M = estimator.M
+    if x_star.shape != (M,):
+        raise InvalidInputError(f"query point must have shape ({M},), got {x_star.shape}")
     if not np.all(np.isfinite(x_star)):
         raise InvalidInputError("query point must be finite")
-    M = estimator.M
     if M > MAX_FEATURES:
         raise InvalidInputError(
             f"exact enumeration over 2^{M} coalitions refused; reduce to "
@@ -289,14 +291,17 @@ class GaussianEstimator(GaussianCopulaEstimator):
 # vine estimators
 
 class _VineEstimator(ContributionEstimator):
-    """Base of the vine estimators: checks their cover plan once, when built."""
+    """Base of the vine estimators: checks their cover plan once, when built.
+    A subclass sets `plan_method`, the `CoverPlan.method` it serves."""
 
     def __init__(self, train_x, predictor, models, plan, K=1000, rng=None):
         super().__init__(train_x, predictor, K, rng)
         self.models = list(models)
         self.plan = plan
-        if plan.M != self.M or plan.orders != [m.order for m in self.models]:
-            raise InvalidInputError("plan must be the cover plan of the models' orders")
+        if (plan.M, plan.method, plan.orders) != (
+                self.M, self.plan_method, [m.order for m in self.models]):
+            raise InvalidInputError(f"plan must be the {self.plan_method} cover plan "
+                                    "of the models' orders")
         if len(plan.assignment) != (1 << self.M) - 2:  # it holds only required sets
             raise CoverageError("the plan leaves a coalition unserved")
 
@@ -305,6 +310,7 @@ class VineCondSimEstimator(_VineEstimator):
     """Conditional simulation through the cover plan's D-vine models."""
 
     method = "vine-condsim"
+    plan_method = "condsim"
 
     def sample(self, features, x_star):
         model = self.models[_assignment(self.plan, features)]
@@ -320,6 +326,7 @@ class VineRatioEstimator(_VineEstimator):
     """
 
     method = "vine-ratio"
+    plan_method = "ratio"
 
     def __init__(self, train_x, predictor, models, plan, K=1000, rng=None):
         super().__init__(train_x, predictor, models, plan, K, rng)
@@ -336,10 +343,10 @@ class VineRatioEstimator(_VineEstimator):
         else:
             self._sub_idx = self.rng.integers(0, n, size=self.K)
 
-    def _log_weights(self, masks, x_star):
-        """(mask, log weights up to a constant) per coalition, on the shared
-        subsample.  Coalitions are grouped by the order that serves their
-        complement; one vine pass weights as many as a predictor batch holds."""
+    def _draws(self, masks, x_star):
+        """(mask, x, pi) per coalition, on the shared subsample.  Coalitions
+        are grouped by the order that serves their complement; one vine pass
+        weights as many as a predictor batch holds."""
         if self._sub_idx is None:
             self.begin_explanation(x_star)
         groups = {}
@@ -353,36 +360,25 @@ class VineRatioEstimator(_VineEstimator):
         for order_index, group in groups.items():
             for start in range(0, len(group), step):
                 chunk_masks, blocks = zip(*group[start:start + step])
-                yield from zip(chunk_masks, self.models[order_index].log_density_ratios(
-                    self.train_u[self._sub_idx], u_star, blocks))
-
-    def log_weights(self, features, x_star):
-        """Log weights for the current shared subsample, up to a constant."""
-        return next(self._log_weights([sum(1 << j for j in features)], x_star))[1]
-
-    def _normalised(self, logw, features):
-        logw = np.where(np.isfinite(logw), logw, -np.inf)
-        if np.all(~np.isfinite(logw)):
-            self.fallback_flagged.add(frozenset(features))
-            return np.full(len(logw), 1.0 / len(logw))
-        w = np.exp(logw - np.max(logw))  # the largest is 1, so the sum is in [1, K]
-        return w / w.sum()
-
-    def implicit_weights(self, features, x_star):
-        """Normalized sampling probabilities pi of the implicit model."""
-        return self._normalised(self.log_weights(features, x_star), features)
+                log_ratios = self.models[order_index].log_density_ratios(
+                    self.train_u[self._sub_idx], u_star, blocks)
+                for mask, logw in zip(chunk_masks, log_ratios):
+                    features = set_of(mask)
+                    logw = np.where(np.isfinite(logw), logw, -np.inf)
+                    if np.all(~np.isfinite(logw)):
+                        self.fallback_flagged.add(frozenset(features))
+                        pi = np.full(len(logw), 1.0 / len(logw))
+                    else:
+                        w = np.exp(logw - np.max(logw))  # the largest is 1: sum in [1, K]
+                        pi = w / w.sum()
+                    yield mask, self._pinned(self._sub_idx, features, x_star), pi
 
     def sample(self, features, x_star):
-        pi = self.implicit_weights(features, x_star)  # fixes the subsample if unset
-        return self._pinned(self._sub_idx, features, x_star), pi
+        return next(self._draws([sum(1 << j for j in features)], x_star))[1:]
 
     def sample_all(self, x_star):
-        for mask, logw in self._log_weights(range(1, (1 << self.M) - 1), x_star):
-            features = set_of(mask)
-            yield mask, self._pinned(self._sub_idx, features, x_star), self._normalised(
-                logw, features)
+        return self._draws(range(1, (1 << self.M) - 1), x_star)
 
     def effective_sample_size(self, features, x_star):
-        pi = self.implicit_weights(features, x_star)
+        pi = self.sample(features, x_star)[1]
         return float(1.0 / np.sum(pi ** 2))
-

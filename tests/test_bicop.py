@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from vineshap import (ClaytonCopula, GaussianCopula, GridCopula,
                       IndependenceCopula, InvalidInputError, fit_nonparametric,
                       fit_parametric)
-from vineshap.bicop import TAU_INDEPENDENCE_THRESHOLD
+from vineshap.bicop import EPS, TAU_INDEPENDENCE_THRESHOLD, _normal_pdf
 
 
 def clayton_cdf(u, v, theta):
@@ -65,14 +67,19 @@ def test_gaussian_hfunc_closed_form():
 
 
 def test_normal_special_functions_equal_scipy_norm():
-    """ndtri/ndtr, which the Gaussian pieces call, give stats.norm's bytes."""
+    """ndtri/ndtr, which the Gaussian pieces call, and the grid fit's normal
+    density give stats.norm's bytes."""
     from scipy.special import ndtr, ndtri
     u = np.concatenate([[1e-300, 1e-12, 1e-10, 0.5, 1 - 1e-10, 1 - 1e-12],
                         np.random.default_rng(8).uniform(size=1000)])
-    z = np.concatenate([[-40.0, -8.5, -1e-9, 0.0, 1e-9, 8.5, 40.0],
+    z = np.concatenate([[-40.0, -8.5, -1e-9, -0.0, 0.0, 1e-300, 1e-9, 8.5, 38.0, 40.0],
                         np.random.default_rng(9).normal(scale=5, size=1000)])
     assert np.array_equal(ndtri(u), stats.norm.ppf(u))
     assert np.array_equal(ndtr(z), stats.norm.cdf(z))
+    for scale in (3.0, 10.0):
+        d = np.random.default_rng(10).normal(scale=scale, size=(64, 1000))
+        assert np.array_equal(_normal_pdf(d), stats.norm.pdf(d))
+    assert np.array_equal(_normal_pdf(z), stats.norm.pdf(z))
     rho = -0.7
     cop = GaussianCopula(rho)
     x, y = stats.norm.ppf(np.clip(u[:-1], 1e-10, 1 - 1e-10)), \
@@ -297,6 +304,70 @@ def test_grid_hinv_roundtrip(cond_on):
     else:
         back, target = cop.hinv(w, u, "first"), v
     assert np.max(np.abs(back - target)) < 1e-3
+
+
+def reference_grid_hfunc(cop, u, v, cond_on):
+    """The former grid h-function: it built each input's whole conditional
+    cdf curve, G + 2 points long, and interpolated that curve at one point."""
+    u, v = np.clip(u, EPS, 1 - EPS), np.clip(v, EPS, 1 - EPS)
+    cum = cop._cum_u
+    if cond_on == "first":
+        u, v, cum = v, u, cop._cum_v
+    u, v = np.broadcast_arrays(u, v)
+    g = cop.grid_size
+    f = np.clip(v.ravel() * g - 0.5, 0.0, g - 1.0)
+    j0 = np.clip(np.floor(f).astype(int), 0, g - 2)
+    t = (f - j0)[:, None]
+    curve = cum[:, j0].T * (1 - t) + cum[:, j0 + 1].T * t
+    x, xs = u.ravel(), cop.breaks
+    idx = np.clip(np.searchsorted(xs, x, side="right"), 1, len(xs) - 1)
+    x0, x1 = xs[idx - 1], xs[idx]
+    rows = np.arange(len(x))
+    y0, y1 = curve[rows, idx - 1], curve[rows, idx]
+    t = np.where(x1 > x0, (x - x0) / np.where(x1 > x0, x1 - x0, 1.0), 0.0)
+    return np.clip((y0 + t * (y1 - y0)).reshape(u.shape), EPS, 1 - EPS)
+
+
+@st.composite
+def grid_points(draw):
+    """A random grid (a zero row or column sometimes) and inputs that mix
+    uniform draws with 0, 1e-300, EPS, 1 and every node and break."""
+    g = draw(st.integers(2, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    grid = rng.uniform(0.0, 3.0, size=(g, g))
+    zero = draw(st.sampled_from([None, "row", "column"]))
+    if zero == "row":
+        grid[rng.integers(g)] = 0.0
+    elif zero == "column":
+        grid[:, rng.integers(g)] = 0.0
+    cop = GridCopula(grid)
+    edges = np.concatenate([[0.0, 1e-300, EPS, 1 - EPS, 1.0], cop.nodes, cop.breaks])
+    n = draw(st.integers(1, 3 * len(edges)))
+    u, v = (np.where(rng.uniform(size=n) < 0.5, rng.choice(edges, n), rng.uniform(size=n))
+            for _ in range(2))
+    return cop, u, v
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_points())
+def test_grid_hfunc_equals_the_former_curve_interpolation(points):
+    cop, u, v = points
+    for cond_on in ("first", "second"):
+        for a, b in ((u, v), (u[:, None], v[None, :]), (u[0], v), (u, v[0]), (u[0], v[0])):
+            h = cop.hfunc(a, b, cond_on)
+            want = reference_grid_hfunc(cop, a, b, cond_on)
+            assert h.shape == want.shape and np.array_equal(h, want)
+
+
+def test_grid_hfunc_builds_no_curve(monkeypatch):
+    def refused(*args):
+        raise AssertionError("hfunc built a whole conditional cdf curve")
+
+    cop = _fitted_grid()
+    u, v = lattice(15, 0.0, 1.0)
+    monkeypatch.setattr(GridCopula, "_curve", refused)
+    for cond_on in ("first", "second"):
+        assert np.all(np.isfinite(cop.hfunc(u, v, cond_on)))
 
 
 def test_grid_transpose_identity():

@@ -221,13 +221,13 @@ def test_stacked_ratio_weights_match_numerator_minus_denominator(m, data, seed):
         want = normalised(reference_log_weights(est, features, x_star))
         assert np.max(np.abs(pi - want)) <= 1e-12
         assert np.array_equal(x, est._pinned(est._sub_idx, features, x_star))
-        # one block through `log_weights` is the stacked pass's row, bit for
+        # one block through `sample` is the stacked pass's row, bit for
         # bit; checked on the first coalition of each serving order
         sbar = frozenset(range(m)) - features
         order_index = plan.assignment[sbar] if len(sbar) > 1 else 0
         if order_index not in checked:
             checked.add(order_index)
-            assert np.array_equal(est.implicit_weights(features, x_star), pi)
+            assert np.array_equal(est.sample(features, x_star)[1], pi)
 
 
 # ----------------------------------------------------------------------

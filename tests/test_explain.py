@@ -233,7 +233,7 @@ def test_ratio_independence_reduces_to_subsample_average():
                              rng=np.random.default_rng(23))
     x_star = train[5]
     est.begin_explanation(x_star)
-    pi = est.implicit_weights({0}, x_star)
+    pi = est.sample({0}, x_star)[1]
     assert np.allclose(pi, 1.0 / 100, atol=1e-14)
     # exact equality with the unweighted average on the shared subsample
     x = train[est._sub_idx].copy()
@@ -262,7 +262,7 @@ def test_ratio_weights_normalized_and_ess():
                              rng=np.random.default_rng(27))
     x_star = np.quantile(train, 0.99, axis=0)   # tail point
     est.begin_explanation(x_star)
-    pi = est.implicit_weights({0}, x_star)
+    pi = est.sample({0}, x_star)[1]
     assert pi.sum() == pytest.approx(1.0, abs=1e-12)
     ess = est.effective_sample_size({0}, x_star)
     assert 1.0 <= ess < 200
@@ -532,3 +532,24 @@ def test_vine_estimator_rejects_a_plan_that_leaves_a_coalition_unserved(method, 
         cls(train, row_wise, models[:1], CoverPlan(3, method, plan.orders[:1]))
     with pytest.raises(CoverageError, match="unserved"):
         cls(train, row_wise, [], CoverPlan(3, method, []))
+
+
+@pytest.mark.parametrize("method,cls", VINE_ESTIMATORS)
+def test_vine_estimator_rejects_a_plan_of_the_other_method(method, cls):
+    # a condsim estimator on ratio vines failed mid-row with CoverageError;
+    # a ratio estimator on condsim vines computed
+    train = np.random.default_rng(54).normal(size=(100, 4))
+    other = "ratio" if method == "condsim" else "condsim"
+    plan, models = build_vine_models(train, other, ClaytonCopula(1.5, rotation=180))
+    with pytest.raises(InvalidInputError, match=f"{method} cover plan"):
+        cls(train, row_wise, models, plan)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("shape", [(4,), (2,), (1, 3)])
+def test_shapley_rejects_a_query_point_that_is_not_an_m_vector(method, shape):
+    train = np.random.default_rng(55).normal(size=(100, 3))
+    est = make_estimator(method, train, row_wise, 56)
+    with pytest.raises(InvalidInputError, match="query point"):
+        shapley(est, np.zeros(shape))
+    assert est.predictor_calls == 0

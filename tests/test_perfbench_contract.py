@@ -8,12 +8,14 @@ second time and count every call twice).  `perfbench/workloads.py` is
 loaded unchanged too, and its set-up and metric helpers are run on the
 smallest inputs, so a change to an API they read (the cover plan, the
 estimators, their diagnostics) fails here and not first in a benchmark
-run.
+run.  The CLI workload's tiny cycle runs whole: `vineshap fit`, `explain`
+through the `cmd:` predictor, the Burr oracle and the gate.
 """
 
 import importlib
 import importlib.util
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -86,3 +88,16 @@ def test_workload_helpers_run_on_the_package(workloads, name):
     metrics = {**workloads.model_metrics(est),
                **workloads.estimator_diagnostics(est, ds.test)}
     assert all(np.isfinite(value) for value in metrics.values()), metrics
+
+
+def test_cli_workload_cycle_passes_the_gate(workloads, tmp_path):
+    # the bundle, the `cmd:` predictor protocol and the oracle, end to end
+    inp = workloads.make_inputs(workloads.WORKLOADS["cli-cmd-m4"], workloads.SIZES["tiny"],
+                                seed=1, poison=False)
+    ds = inp.datasets[0]
+    runner = workloads.CliRunner(inp, ds, PERFBENCH.parent, tmp_path / "work",
+                                 deadline=time.perf_counter() + 120.0)
+    cycle = runner.cycle(in_process=True)
+    cycle.truths, cycle.oracle_s = workloads.run_oracle(inp, ds)
+    assert workloads.gate([cycle], inp) == (len(ds.test), 0)
+    assert cycle.calls >= 1 and cycle.bundle_bytes > 0
