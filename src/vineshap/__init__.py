@@ -10,8 +10,8 @@ against a Monte Carlo oracle.
 from .bicop import (ClaytonCopula, GaussianCopula, GridCopula,
                     IndependenceCopula, PairCopula, fit_nonparametric,
                     fit_parametric)
-from .dvine import (Block, DVineModel, NonparametricMode, ParametricMode,
-                    fit_dvine, pseudo_observations)
+from .dvine import (DVineModel, NonparametricMode, ParametricMode, fit_dvine,
+                    pseudo_observations)
 from .errors import (CoverageError, DataError, InvalidInputError, NumericError,
                      VineShapError)
 from .explain import (ContributionEstimator, Explanation,
@@ -32,7 +32,7 @@ from .structure import CoverPlan, covered_sets, greedy_cover, required_sets
 __version__ = "0.1.0"
 
 __all__ = [
-    "Block", "BurrMarginal", "BurrParams", "ClaytonCopula",
+    "BurrMarginal", "BurrParams", "ClaytonCopula",
     "ContributionEstimator", "CoverPlan", "CoverageError", "DVineModel",
     "DataError", "EmpiricalMarginal", "ExperimentConfig", "ExperimentReport",
     "Explanation", "GaussianCopula", "GaussianCopulaEstimator",

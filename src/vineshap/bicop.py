@@ -22,6 +22,7 @@ u -> 1 - u, by 180 or 270 degrees reflects v -> 1 - v; the h output, or
 the h-inverse target, is reflected when the argument that is not
 conditioned on was.  Exchangeable families get F(v | u) = _h(v, u); the
 grid family is not exchangeable and adds its own cond_on="first" forms.
+Its h and h-inverse read a cumulative table through one four-cell read.
 """
 
 import numpy as np
@@ -222,9 +223,10 @@ class GridCopula(PairCopula):
 
     Grid nodes sit at cell centers (i + 0.5)/G.  Cumulative tables over
     both axes are precomputed.  h reads four cells of a table, bilinearly,
-    as the density reads four grid cells.  hinv builds the whole
-    piecewise-linear curve that h reads and inverts it, so hinv(hfunc(u))
-    is exact up to float precision.
+    as the density reads four grid cells.  hinv reads table rows the same
+    way, binary-searching for the two breaks whose rows bracket its
+    target, and inverts h linearly between them, so hinv(hfunc(u)) is
+    exact up to float precision.
     """
 
     family = "grid"
@@ -284,11 +286,10 @@ class GridCopula(PairCopula):
              + self.grid[i0 + 1, j0 + 1] * du * dv)
         return z
 
-    def _curve(self, cum, cond):
-        """Cumulative curves (n x (G+2)) at conditioning values `cond`."""
-        j0, t = self._cell(cond)
-        t = t[:, None]
-        return cum[:, j0].T * (1 - t) + cum[:, j0 + 1].T * t
+    @staticmethod
+    def _read(cum, k, j, t):
+        """Table row k read between conditioning nodes j and j + 1, weight t."""
+        return cum[k, j] * (1 - t) + cum[k, j + 1] * t
 
     def _h(self, u, v, cum=None):
         """F(u | v); _h(v, u, self._cum_v) is F(v | u).  Table rows k - 1 and k
@@ -296,35 +297,32 @@ class GridCopula(PairCopula):
         cum = self._cum_u if cum is None else cum
         k = np.clip(np.searchsorted(self.breaks, u, side="right"), 1, self.grid_size + 1)
         j, t = self._cell(v)
-        y0 = cum[k - 1, j] * (1 - t) + cum[k - 1, j + 1] * t
-        y1 = cum[k, j] * (1 - t) + cum[k, j + 1] * t
+        y0, y1 = self._read(cum, k - 1, j, t), self._read(cum, k, j, t)
         x0, x1 = self.breaks[k - 1], self.breaks[k]
         return y0 + (u - x0) / (x1 - x0) * (y1 - y0)
 
     def _hinv(self, w, v, cum=None):
-        """Inverse of _h in its first argument."""
-        w, v = np.broadcast_arrays(w, v)
-        curve = self._curve(self._cum_u if cum is None else cum, v.ravel())
-        return self._interp_rows_inverse(w.ravel(), curve, self.breaks).reshape(w.shape)
+        """Inverse of _h in its first argument.  Read at v, the table rows are
+        non-decreasing in k, so a binary search finds the first row k >= 1
+        that reaches w (or k = G + 1), and h is inverted between breaks k - 1
+        and k."""
+        cum = self._cum_u if cum is None else cum
+        j, t = self._cell(v)
+        lo, hi = 0, self.grid_size + 1  # rows 1..lo lie below w; row hi reaches it or is last
+        for _ in range((self.grid_size + 2).bit_length()):
+            mid = (lo + hi + 1) // 2
+            below = self._read(cum, mid, j, t) < w
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        y0, y1 = self._read(cum, hi - 1, j, t), self._read(cum, hi, j, t)
+        x0, x1 = self.breaks[hi - 1], self.breaks[hi]
+        s = np.where(y1 > y0, (w - y0) / np.where(y1 > y0, y1 - y0, 1.0), 0.0)
+        return x0 + np.clip(s, 0.0, 1.0) * (x1 - x0)
 
     def _h_first(self, u, v):
         return self._h(v, u, self._cum_v)
 
     def _hinv_first(self, w, u):
         return self._hinv(w, u, self._cum_v)
-
-    @staticmethod
-    def _interp_rows_inverse(w, curve_rows, xs):
-        """Invert per-row monotone curves: find x with curve(x) = w."""
-        n, m = curve_rows.shape
-        idx = (curve_rows < w[:, None]).sum(axis=1)
-        idx = np.clip(idx, 1, m - 1)
-        rows = np.arange(n)
-        y0 = curve_rows[rows, idx - 1]
-        y1 = curve_rows[rows, idx]
-        x0, x1 = xs[idx - 1], xs[idx]
-        t = np.where(y1 > y0, (w - y0) / np.where(y1 > y0, y1 - y0, 1.0), 0.0)
-        return x0 + np.clip(t, 0.0, 1.0) * (x1 - x0)
 
     def transpose(self):
         return GridCopula(self.grid.T)

@@ -24,8 +24,6 @@ its marginal u-values fill the coalition's positions as they are, and
 only the other positions are solved.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bicop import EPS, PairCopula, fit_nonparametric, fit_parametric
@@ -34,13 +32,6 @@ from .marginals import EmpiricalMarginal
 
 FORMAT_VERSION = 2
 MIN_FIT_ROWS = 30           # the fewest training rows `fit_dvine` and `vineshap fit` take
-
-
-@dataclass(frozen=True)
-class Block:
-    """Contiguous range of order positions, 0-based inclusive bounds."""
-    start: int
-    end: int
 
 
 class ParametricMode:
@@ -124,12 +115,12 @@ class DVineModel:
         return self._log_density(self._columns(u)[:, self.order])
 
     def marginal_copula_log_density(self, block, u_block):
-        """Log density of the sub-D-vine on order positions start..end.
+        """Log density of the sub-D-vine on the block (s, e) of order
+        positions, both ends included.
 
-        u_block holds values for order positions start..end, in order
-        sequence.
+        u_block holds values for order positions s..e, in order sequence.
         """
-        s, e = block.start, block.end
+        s, e = block
         if not (0 <= s <= e < self.M):
             raise InvalidInputError(f"invalid block [{s}, {e}] for M={self.M}")
         u_block = np.atleast_2d(np.asarray(u_block, dtype=float))

@@ -115,9 +115,16 @@ class ContributionEstimator:
         return self.contribution_with_se(features, x_star)[0]
 
     def contribution_with_se(self, features, x_star):
-        """v(S) and its Monte Carlo standard error, from one predictor call."""
+        """v(S) and its Monte Carlo standard error, from one predictor call;
+        the error is inf from a single unweighted row."""
         x, pi = self.sample(features, x_star)
-        return _average(self.predict(x), pi)
+        g = self.predict(x)
+        v = _mean(g, pi)
+        if pi is not None:
+            return v, float(np.sqrt(np.sum(pi ** 2 * (g - v) ** 2)))
+        if len(g) == 1:
+            return v, np.inf
+        return v, float(np.std(g, ddof=1) / np.sqrt(len(g)))
 
     def _pinned(self, idx, features, x_star):
         """Training rows `idx` with the coalition's columns set to x_star."""
@@ -127,16 +134,10 @@ class ContributionEstimator:
         return x
 
 
-def _average(g, pi):
-    """(v, se): the Monte Carlo estimate of v(S) from g at the sampled rows,
-    weighted by pi (None for equal weights); se is inf from a single row."""
-    if pi is not None:
-        v = float(np.sum(pi * g))
-        return v, float(np.sqrt(np.sum(pi ** 2 * (g - v) ** 2)))
-    v = float(np.mean(g))
-    if len(g) == 1:
-        return v, np.inf
-    return v, float(np.std(g, ddof=1) / np.sqrt(len(g)))
+def _mean(g, pi):
+    """The Monte Carlo estimate of v(S) from g at the sampled rows, weighted
+    by pi (None for equal weights)."""
+    return float(np.mean(g)) if pi is None else float(np.sum(pi * g))
 
 
 def _batches(draws, max_rows):
@@ -185,7 +186,7 @@ def shapley(estimator, x_star):
         g = estimator.predict(np.concatenate([x for _, x, _ in batch]))
         ends = np.cumsum([len(x) for _, x, _ in batch])
         for (mask, _, pi), g_s in zip(batch, np.split(g, ends[:-1])):
-            values[mask] = _average(g_s, pi)[0]
+            values[mask] = _mean(g_s, pi)
     phi0, phi = shapley_from_values(M, values)
     return Explanation(phi0=phi0, phi=phi, values=values,
                        method=estimator.method, K=estimator.K,
@@ -321,8 +322,9 @@ class VineRatioEstimator(_VineEstimator):
     """Copula-density-ratio weighting of a shared training subsample.
 
     Weights w_k = c(u_sbar^k, u_S*) / c(u_sbar^k) are computed in the log
-    domain with max subtraction; an all-underflow coalition falls back to
-    the unweighted average and is flagged in `fallback_flagged`.
+    domain with max subtraction.  Every pair log density is finite on the
+    clipped unit square, so a non-finite log weight is an overflow and
+    raises NumericError.
     """
 
     method = "vine-ratio"
@@ -332,7 +334,6 @@ class VineRatioEstimator(_VineEstimator):
         super().__init__(train_x, predictor, models, plan, K, rng)
         self.marginals = self.models[0].marginals  # the vines' copula scale
         self.train_u = pseudo_observations(self.train_x, self.marginals)
-        self.fallback_flagged = set()
         self._sub_idx = None
 
     def begin_explanation(self, x_star):
@@ -362,16 +363,12 @@ class VineRatioEstimator(_VineEstimator):
                 chunk_masks, blocks = zip(*group[start:start + step])
                 log_ratios = self.models[order_index].log_density_ratios(
                     self.train_u[self._sub_idx], u_star, blocks)
+                if not np.all(np.isfinite(log_ratios)):
+                    raise NumericError("a density-ratio log weight is not finite "
+                                       "(a pair copula density overflowed)")
                 for mask, logw in zip(chunk_masks, log_ratios):
-                    features = set_of(mask)
-                    logw = np.where(np.isfinite(logw), logw, -np.inf)
-                    if np.all(~np.isfinite(logw)):
-                        self.fallback_flagged.add(frozenset(features))
-                        pi = np.full(len(logw), 1.0 / len(logw))
-                    else:
-                        w = np.exp(logw - np.max(logw))  # the largest is 1: sum in [1, K]
-                        pi = w / w.sum()
-                    yield mask, self._pinned(self._sub_idx, features, x_star), pi
+                    w = np.exp(logw - np.max(logw))  # the largest is 1: sum in [1, K]
+                    yield mask, self._pinned(self._sub_idx, set_of(mask), x_star), w / w.sum()
 
     def sample(self, features, x_star):
         return next(self._draws([sum(1 << j for j in features)], x_star))[1:]

@@ -42,10 +42,10 @@ class BurrParams:
     def __post_init__(self):
         object.__setattr__(self, "b", tuple(float(x) for x in np.atleast_1d(self.b)))
         object.__setattr__(self, "r", tuple(float(x) for x in np.atleast_1d(self.r)))
-        if self.p <= 0:
-            raise InvalidInputError(f"Burr parameter p must be positive, got {self.p}")
-        if any(x <= 0 for x in self.b + self.r):
-            raise InvalidInputError("Burr parameters b and r must all be positive")
+        if not 0 < self.p < np.inf:
+            raise InvalidInputError(f"Burr parameter p must be positive and finite, got {self.p}")
+        if not all(0 < x < np.inf for x in self.b + self.r):
+            raise InvalidInputError("Burr parameters b and r must all be positive and finite")
         if len(self.b) != len(self.r) or len(self.b) < 1:
             raise InvalidInputError("b and r must have equal positive length")
 

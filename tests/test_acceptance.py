@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from vineshap import (Block, ClaytonCopula, DVineModel, ExperimentConfig,
+from vineshap import (ClaytonCopula, DVineModel, ExperimentConfig,
                       GaussianCopula, VineCondSimEstimator, VineRatioEstimator,
                       analytic_mean_predictor, burr_conditional_params,
                       burr_log_density, burr_sample, covered_sets, fit_dvine,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -306,19 +308,25 @@ def test_grid_hinv_roundtrip(cond_on):
     assert np.max(np.abs(back - target)) < 1e-3
 
 
+def reference_grid_curves(cop, v, cum):
+    """The former grid copula's conditional cdf curves, one per input value,
+    G + 2 points long: table `cum` read at each of the (clipped) values v."""
+    g = cop.grid_size
+    f = np.clip(v * g - 0.5, 0.0, g - 1.0)
+    j0 = np.clip(np.floor(f).astype(int), 0, g - 2)
+    t = (f - j0)[:, None]
+    return cum[:, j0].T * (1 - t) + cum[:, j0 + 1].T * t
+
+
 def reference_grid_hfunc(cop, u, v, cond_on):
     """The former grid h-function: it built each input's whole conditional
-    cdf curve, G + 2 points long, and interpolated that curve at one point."""
+    cdf curve and interpolated that curve at one point."""
     u, v = np.clip(u, EPS, 1 - EPS), np.clip(v, EPS, 1 - EPS)
     cum = cop._cum_u
     if cond_on == "first":
         u, v, cum = v, u, cop._cum_v
     u, v = np.broadcast_arrays(u, v)
-    g = cop.grid_size
-    f = np.clip(v.ravel() * g - 0.5, 0.0, g - 1.0)
-    j0 = np.clip(np.floor(f).astype(int), 0, g - 2)
-    t = (f - j0)[:, None]
-    curve = cum[:, j0].T * (1 - t) + cum[:, j0 + 1].T * t
+    curve = reference_grid_curves(cop, v.ravel(), cum)
     x, xs = u.ravel(), cop.breaks
     idx = np.clip(np.searchsorted(xs, x, side="right"), 1, len(xs) - 1)
     x0, x1 = xs[idx - 1], xs[idx]
@@ -328,18 +336,35 @@ def reference_grid_hfunc(cop, u, v, cond_on):
     return np.clip((y0 + t * (y1 - y0)).reshape(u.shape), EPS, 1 - EPS)
 
 
+def reference_grid_hinv(cop, w, v, cond_on):
+    """The former grid h-inverse: it built each input's whole conditional
+    cdf curve and counted the curve's entries below w."""
+    w, v = np.broadcast_arrays(np.clip(w, EPS, 1 - EPS), np.clip(v, EPS, 1 - EPS))
+    curve = reference_grid_curves(cop, v.ravel(),
+                                  cop._cum_v if cond_on == "first" else cop._cum_u)
+    x, xs = w.ravel(), cop.breaks
+    idx = np.clip((curve < x[:, None]).sum(axis=1), 1, len(xs) - 1)
+    rows = np.arange(len(x))
+    y0, y1 = curve[rows, idx - 1], curve[rows, idx]
+    x0, x1 = xs[idx - 1], xs[idx]
+    t = np.where(y1 > y0, (x - y0) / np.where(y1 > y0, y1 - y0, 1.0), 0.0)
+    return np.clip((x0 + np.clip(t, 0.0, 1.0) * (x1 - x0)).reshape(w.shape), EPS, 1 - EPS)
+
+
 @st.composite
 def grid_points(draw):
-    """A random grid (a zero row or column sometimes) and inputs that mix
+    """A random grid (sometimes with one or two adjacent zero rows or
+    columns, which flatten its cumulative tables) and inputs that mix
     uniform draws with 0, 1e-300, EPS, 1 and every node and break."""
     g = draw(st.integers(2, 64))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     grid = rng.uniform(0.0, 3.0, size=(g, g))
-    zero = draw(st.sampled_from([None, "row", "column"]))
+    zero, run = draw(st.sampled_from([None, "row", "column"])), draw(st.integers(1, 2))
+    start = rng.integers(g - run + 1)
     if zero == "row":
-        grid[rng.integers(g)] = 0.0
+        grid[start:start + run] = 0.0
     elif zero == "column":
-        grid[:, rng.integers(g)] = 0.0
+        grid[:, start:start + run] = 0.0
     cop = GridCopula(grid)
     edges = np.concatenate([[0.0, 1e-300, EPS, 1 - EPS, 1.0], cop.nodes, cop.breaks])
     n = draw(st.integers(1, 3 * len(edges)))
@@ -351,23 +376,36 @@ def grid_points(draw):
 @settings(max_examples=60, deadline=None)
 @given(grid_points())
 def test_grid_hfunc_equals_the_former_curve_interpolation(points):
+    """h and its inverse are bit-identical to the former whole-curve reads;
+    half the inverse's targets are exact curve values (ties)."""
     cop, u, v = points
+    rows = np.arange(len(u))
     for cond_on in ("first", "second"):
-        for a, b in ((u, v), (u[:, None], v[None, :]), (u[0], v), (u, v[0]), (u[0], v[0])):
-            h = cop.hfunc(a, b, cond_on)
-            want = reference_grid_hfunc(cop, a, b, cond_on)
-            assert h.shape == want.shape and np.array_equal(h, want)
+        curve = reference_grid_curves(cop, np.clip(v, EPS, 1 - EPS),
+                                      cop._cum_v if cond_on == "first" else cop._cum_u)
+        w = np.where(rows % 2 == 0, curve[rows, rows % (cop.grid_size + 2)], u)
+        for f, reference, x in ((cop.hfunc, reference_grid_hfunc, u),
+                                (cop.hinv, reference_grid_hinv, w)):
+            for a, b in ((x, v), (x[:, None], v[None, :]), (x[0], v), (x, v[0]), (x[0], v[0])):
+                got, want = f(a, b, cond_on), reference(cop, a, b, cond_on)
+                assert got.shape == want.shape and np.array_equal(got, want)
 
 
-def test_grid_hfunc_builds_no_curve(monkeypatch):
-    def refused(*args):
-        raise AssertionError("hfunc built a whole conditional cdf curve")
-
-    cop = _fitted_grid()
-    u, v = lattice(15, 0.0, 1.0)
-    monkeypatch.setattr(GridCopula, "_curve", refused)
-    for cond_on in ("first", "second"):
-        assert np.all(np.isfinite(cop.hfunc(u, v, cond_on)))
+def test_grid_h_and_hinv_hold_no_curve_per_point():
+    """Each peaks below 32 floats per point; a (G + 2)-point curve per point
+    alone would take 66 at G = 64."""
+    rng = np.random.default_rng(11)
+    cop = GridCopula(rng.uniform(0.0, 3.0, size=(64, 64)))
+    n = 20_000
+    a, b = rng.uniform(size=n), rng.uniform(size=n)
+    for f in (cop.hfunc, cop.hinv):
+        tracemalloc.start()
+        try:
+            f(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 8 * n, f.__name__
 
 
 def test_grid_transpose_identity():

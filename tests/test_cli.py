@@ -139,10 +139,15 @@ def test_simulate_n_zero_header_only(tmp_path):
     assert out.read_text().strip() == "x1"
 
 
-def test_simulate_invalid_params(tmp_path):
+def test_simulate_invalid_params(tmp_path, capsys):
     out = tmp_path / "x.csv"
-    assert run_cli("simulate", "--p", "-1", "--b", "2", "--r", "1",
-                   "--n", "5", "--out", str(out)) == 3
+    for p, b, r in (("-1", "2", "1"), ("nan", "2", "1"), ("inf", "2", "1"),
+                    ("1", "1,nan", "1,1"), ("1", "2", "inf")):
+        assert run_cli("simulate", "--p", p, "--b", b, "--r", r,
+                       "--n", "5", "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from helpers import constant_vine
-from vineshap import (Block, BurrMarginal, ClaytonCopula, CoverageError,
+from vineshap import (BurrMarginal, ClaytonCopula, CoverageError,
                       DVineModel, EmpiricalMarginal, GaussianCopula,
                       IndependenceCopula, InvalidInputError, ParametricMode,
                       fit_dvine, pseudo_observations)
@@ -79,14 +79,14 @@ def test_m3_gaussian_matches_trivariate_closed_form():
 
 def test_marginal_block_length_one_is_uniform():
     model = gaussian_vine([0.5, -0.3, 0.4])
-    assert model.marginal_copula_log_density(Block(1, 1), [[0.3]]) == 0.0
+    assert model.marginal_copula_log_density((1, 1), [[0.3]]) == 0.0
 
 
 def test_marginal_full_block_equals_joint():
     model = gaussian_vine([0.5, -0.3, 0.4])
     u = np.random.default_rng(4).uniform(0.05, 0.95, size=(100, 3))
     joint = model.copula_log_density(u)
-    block = model.marginal_copula_log_density(Block(0, 2), u[:, model.order])
+    block = model.marginal_copula_log_density((0, 2), u[:, model.order])
     assert np.allclose(joint, block, atol=0)
 
 
@@ -95,7 +95,7 @@ def test_marginal_pair_block_is_bivariate_gaussian():
     model = gaussian_vine([r12, -0.3, 0.4])
     pc = GaussianCopula(r12)
     u = np.random.default_rng(5).uniform(0.05, 0.95, size=(50, 2))
-    got = model.marginal_copula_log_density(Block(0, 1), u)
+    got = model.marginal_copula_log_density((0, 1), u)
     assert np.allclose(got, pc.log_density(u[:, 0], u[:, 1]), atol=1e-10)
 
 

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import constant_vine
-from vineshap import (Block, ClaytonCopula, DVineModel, EmpiricalMarginal,
+from vineshap import (ClaytonCopula, DVineModel, EmpiricalMarginal,
                       GaussianCopula, GridCopula, IndependenceCopula, PairCopula,
                       VineRatioEstimator, fit_dvine, fit_parametric, greedy_cover)
 from vineshap.structure import set_of
@@ -110,7 +110,7 @@ def test_pass_matches_tree_by_tree_recursion(model, seed):
         for e in range(s, m):
             sub = [[model.pairs[i][j] for j in range(s, e - i)] for i in range(e - s)]
             assert np.array_equal(
-                model.marginal_copula_log_density(Block(s, e), V[:, s:e + 1]),
+                model.marginal_copula_log_density((s, e), V[:, s:e + 1]),
                 reference_log_density(V[:, s:e + 1], sub))
     assert np.array_equal(model.rosenblatt(u), reference_rosenblatt(model, u))
     assert np.array_equal(model.inverse_rosenblatt(u),
@@ -188,7 +188,7 @@ def reference_log_weights(est, features, x_star):
     assert end - start + 1 == len(sbar)  # the complement is a contiguous block
     cols = [model.order[p] for p in range(start, end + 1)]
     return (model.copula_log_density(u)
-            - model.marginal_copula_log_density(Block(start, end), u[:, cols]))
+            - model.marginal_copula_log_density((start, end), u[:, cols]))
 
 
 def normalised(logw):

@@ -268,6 +268,18 @@ def test_ratio_weights_normalized_and_ess():
     assert 1.0 <= ess < 200
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_ratio_non_finite_log_weight_raises_numeric_error():
+    # Clayton at the fit cap theta = 50 overflows at the training minimum;
+    # the rows whose log weight is not finite must not silently get weight 0
+    train = np.random.default_rng(49).normal(size=(100, 3))
+    plan, models = build_vine_models(train, "ratio", ClaytonCopula(50.0))
+    est = VineRatioEstimator(train, lambda x: x[:, 0], models, plan, K=50,
+                             rng=np.random.default_rng(50))
+    with pytest.raises(NumericError, match="not finite"):
+        shapley(est, train.min(axis=0))
+
+
 def test_shared_subsample_across_coalitions():
     rng = np.random.default_rng(28)
     train = rng.normal(size=(300, 3))
@@ -352,6 +364,16 @@ def test_prediction_contract_is_shared(method):
     assert np.array_equal(flat.phi, column.phi) and flat.phi0 == column.phi0
     v, se = make_estimator(method, train, g, 41).contribution_with_se({0}, x_star)
     assert np.isfinite(v) and np.isfinite(se) and se > 0
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_shapley_computes_no_standard_error(method):
+    # at x*_0 = 1e200 the squared deviations of a linear predictor overflow,
+    # which the suite turns into an error; v(S) itself stays finite
+    train = np.random.default_rng(51).normal(size=(100, 3))
+    est = make_estimator(method, train, lambda x: x @ [1.0, 2.0, 3.0], 52)
+    expl = shapley(est, np.array([1e200, 0.5, -0.5]))
+    assert np.all(np.isfinite(expl.phi))
 
 
 # ----------------------------------------------------------------------

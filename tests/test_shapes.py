@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from vineshap import (Block, ClaytonCopula, DVineModel, EmpiricalMarginal,
+from vineshap import (ClaytonCopula, DVineModel, EmpiricalMarginal,
                       GaussianCopula, IndependenceCopula, fit_nonparametric)
 
 SHAPES = [(), (1,), (5,)]
@@ -42,9 +42,9 @@ def _cases():
         cases += [
             (f"copula_log_density-{tag}", model.copula_log_density, (u,), (n,)),
             (f"marginal_copula_log_density-{tag}", model.marginal_copula_log_density,
-             (Block(0, 1), u[..., :2]), (n,)),
+             ((0, 1), u[..., :2]), (n,)),
             (f"marginal_copula_log_density-width1-{tag}",
-             model.marginal_copula_log_density, (Block(1, 1), u[..., :1]), (n,)),
+             model.marginal_copula_log_density, ((1, 1), u[..., :1]), (n,)),
             (f"rosenblatt-{tag}", model.rosenblatt, (u,), (n, 3)),
             (f"inverse_rosenblatt-{tag}", model.inverse_rosenblatt, (u,), (n, 3)),
         ]

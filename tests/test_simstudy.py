@@ -19,6 +19,10 @@ def test_params_validation():
         BurrParams(p=-1, b=[1], r=[1])
     with pytest.raises(InvalidInputError):
         BurrParams(p=1, b=[1, 2], r=[1])
+    for p, b, r in ((np.nan, [1], [1]), (np.inf, [1], [1]),
+                    (1, [1, np.nan], [1, 1]), (1, [1], [np.inf])):
+        with pytest.raises(InvalidInputError, match="finite"):
+            BurrParams(p=p, b=b, r=r)
 
 
 def test_study_params_grid():
