@@ -26,7 +26,6 @@ Its h and h-inverse read a cumulative table through one four-cell read.
 """
 
 import numpy as np
-from scipy import stats
 from scipy.special import ndtr, ndtri
 
 from .errors import InvalidInputError
@@ -226,7 +225,8 @@ class GridCopula(PairCopula):
     as the density reads four grid cells.  hinv reads table rows the same
     way, binary-searching for the two breaks whose rows bracket its
     target, and inverts h linearly between them, so hinv(hfunc(u)) is
-    exact up to float precision.
+    exact up to float precision.  A NaN input gives NaN, as in the
+    parametric families.
     """
 
     family = "grid"
@@ -271,10 +271,12 @@ class GridCopula(PairCopula):
 
     def _cell(self, x):
         """(j, t): the mesh node at or below x, clamped so that node j + 1
-        exists, and node j + 1's interpolation weight."""
+        exists, and node j + 1's interpolation weight.  A NaN x gets some
+        node j and t = NaN, so every read at it is NaN."""
         g = self.grid_size
         f = np.clip(x * g - 0.5, 0.0, g - 1.0)
-        j = np.clip(np.floor(f).astype(int), 0, g - 2)
+        with np.errstate(invalid="ignore"):  # the cast of a NaN
+            j = np.clip(np.floor(f).astype(int), 0, g - 2)
         return j, f - j
 
     def _bilinear(self, u, v):
@@ -315,7 +317,7 @@ class GridCopula(PairCopula):
             lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
         y0, y1 = self._read(cum, hi - 1, j, t), self._read(cum, hi, j, t)
         x0, x1 = self.breaks[hi - 1], self.breaks[hi]
-        s = np.where(y1 > y0, (w - y0) / np.where(y1 > y0, y1 - y0, 1.0), 0.0)
+        s = (w - y0) / np.where(y1 > y0, y1 - y0, np.inf)  # 0 on a flat stretch, NaN at NaN
         return x0 + np.clip(s, 0.0, 1.0) * (x1 - x0)
 
     def _h_first(self, u, v):
@@ -359,6 +361,8 @@ def fit_parametric(data):
     better tail is picked by AIC).  |tau| below the independence threshold,
     or a degenerate column, yields the independence copula.
     """
+    from scipy import stats  # here, so that `import vineshap.cli` does not load it
+
     data = _validate_pseudo_obs(data, 10)
     if np.std(data[:, 0]) < 1e-12 or np.std(data[:, 1]) < 1e-12:
         cop = IndependenceCopula()

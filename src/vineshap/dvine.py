@@ -21,7 +21,13 @@ Fitting, both densities, the Rosenblatt transform and its inverse all
 walk one h-function recursion, `_h_pass`, left to right over the order
 positions.  Conditional sampling is that inverse pass with x*_S given:
 its marginal u-values fill the coalition's positions as they are, and
-only the other positions are solved.
+only the other positions are solved from the caller's uniform draws.
+All prefixes of one order share x*'s u-values, so one call samples a
+whole group of them: the pass over the pinned positions runs once, on
+one row, and each coalition's rows are stacked below the others' and
+join the inverse pass at their first free position.  A suffix is a
+prefix of the reversed model, which is built once per model and not
+serialised.
 """
 
 import numpy as np
@@ -47,7 +53,7 @@ class NonparametricMode:
         return fit_nonparametric(u, grid_size=self.grid_size)
 
 
-def _h_pass(V, pairs, solve=None):
+def _h_pass(V, pairs, solve=None, joins=None):
     """Walk the h-function recursion over V's columns (one per order position).
 
     Position k closes the pairs (i, k-1-i), i = 0..k-1: pair i links
@@ -57,13 +63,23 @@ def _h_pass(V, pairs, solve=None):
     pair in its loop body.  `solve(k, x)`, if given, first sets column k
     (the inverse Rosenblatt step).  Only h-values a later step reads are
     computed.
+
+    `joins` stacks V's rows in blocks that enter at different positions:
+    (k, n, x), in ascending k, lets the next n rows take part from
+    position k on, entering with the carried values x (k arrays that
+    broadcast to n rows).  By default every row enters at position 1 with
+    x = [V[:, 0]].
     """
     m = V.shape[1]
-    x = [V[:, 0]]
-    for k in range(1, m):
+    joins = list(joins or [(1, len(V), [V[:, 0]])])
+    x = [V[:0, 0]] * joins[0][0]
+    for k in range(joins[0][0], m):
+        while joins and joins[0][0] == k:
+            _, n, enter = joins.pop(0)
+            x = [np.concatenate([a, np.broadcast_to(b, n)]) for a, b in zip(x, enter)]
         if solve is not None:
-            V[:, k] = solve(k, x)
-        y = V[:, k]
+            V[:len(x[0]), k] = solve(k, x)
+        y = V[:len(x[0]), k]
         carry = [y]
         for i in range(k):
             yield i, k - 1 - i, x[i], y
@@ -89,6 +105,7 @@ class DVineModel:
         self.order = order
         self.pairs = [list(row) for row in pairs]
         self.marginals = list(marginals)
+        self._reversed = None
 
     @property
     def M(self):
@@ -184,23 +201,21 @@ class DVineModel:
     def inverse_rosenblatt(self, w):
         """Inverse of :meth:`rosenblatt`; returns u in original indexing."""
         V = np.clip(self._columns(w), EPS, 1 - EPS)
-        self._solve(V, 1)
+        self._solve(V)
         return V[:, np.argsort(self.order)]
 
-    def _solve(self, V, s):
-        """Solve order positions s..M-1 of V in place from the w-values they
-        hold; the positions before s hold given u-values."""
+    def _solve(self, V, joins=None):
+        """Solve each row of V in place, from the position it joins the pass
+        at (see `_h_pass`) on, from the w-values it holds there."""
 
         def solve(k, x):
-            z = V[:, k]
-            if k < s:
-                return z
+            z = V[:len(x[0]), k]
             # invert w_k = y_k down the chain y_{i+1} = h(y_i | x_i) to y_0 = v_k
             for i in range(k - 1, -1, -1):
                 z = self.pairs[i][k - 1 - i].hinv(z, x[i], "first")
             return z
 
-        for i, j, _, _ in _h_pass(V, self.pairs, solve):
+        for i, j, _, _ in _h_pass(V, self.pairs, solve, joins):
             if i + j == self.M - 2:  # v_{M-1} is solved; no h-value of its pairs is read
                 break
 
@@ -208,11 +223,15 @@ class DVineModel:
     # conditional sampling
 
     def reversed(self):
-        """Same model with the order reversed (pair table mirrored/transposed)."""
-        m = self.M
-        pairs = [[self.pairs[i][m - 2 - i - j].transpose()
-                  for j in range(m - 1 - i)] for i in range(m - 1)]
-        return DVineModel(self.order[::-1], pairs, self.marginals)
+        """Same model with the order reversed (pair table mirrored/transposed).
+        Built once, on first use, and never serialised."""
+        if self._reversed is None:
+            m = self.M
+            pairs = [[self.pairs[i][m - 2 - i - j].transpose()
+                      for j in range(m - 1 - i)] for i in range(m - 1)]
+            self._reversed = DVineModel(self.order[::-1], pairs, self.marginals)
+            self._reversed._reversed = self
+        return self._reversed
 
     def coalition_role(self, features):
         """'prefix' or 'suffix' if the feature set lines up with the order."""
@@ -225,36 +244,55 @@ class DVineModel:
                 return "suffix"
         return None
 
-    def conditional_sample(self, features, x_star, K, rng):
-        """Draw K joint samples conditional on the given features.
+    def conditional_sample(self, coalitions, x_star, draws):
+        """Joint samples conditional on each coalition, from one inverse pass.
 
-        `features` must form a prefix or suffix of the order; `x_star` is
-        the full M-vector on data scale (only the conditioning entries are
-        read).  The conditioning u-values enter the inverse pass as given
-        and only the other positions are solved from uniform draws.
-        Returns a K x M data-scale table with the conditioning columns
-        pinned at their x_star values.
+        The coalitions must all be prefixes, or all suffixes, of the order
+        (a suffix is a prefix of the reversed model).  `x_star` is the full
+        M-vector on data scale (only the conditioning entries are read).
+        draws[c] holds coalition c's uniforms, K_c x (M - |S_c|), one
+        column per free position in order sequence.  Returns one K_c x M
+        data-scale table per coalition, its conditioning columns pinned at
+        their x_star values.
+
+        The blocks are stacked by ascending |S|, and the block of |S| = s
+        joins the pass at position s, entering with the h-values that x*'s
+        pinned prefix carries there: one pass on one row computes those
+        for every block.  Each pair's h-inverse then runs once per position
+        on the rows of every block that has joined.
         """
-        role = self.coalition_role(features)
-        if role is None:
+        roles = {self.coalition_role(f) for f in coalitions}
+        if len(roles) != 1 or None in roles:
             raise CoverageError(
-                f"coalition {sorted(features)} is not a prefix or suffix "
-                f"of order {self.order}")
-        model = self if role == "prefix" else self.reversed()
-        s = len(set(features))
+                f"coalitions {[sorted(f) for f in coalitions]} are not all prefixes "
+                f"or all suffixes of order {self.order}")
+        model = self if roles == {"prefix"} else self.reversed()
+        m, sizes = self.M, [len(set(f)) for f in coalitions]
+        if len(draws) != len(coalitions) or any(
+                np.ndim(d) != 2 or np.shape(d)[1] != m - s for d, s in zip(draws, sizes)):
+            raise InvalidInputError("need one K x (M - |S|) table of draws per coalition")
         x_star = np.asarray(x_star, dtype=float)
+        rank = sorted(range(len(coalitions)), key=sizes.__getitem__)
+        starts = [sizes[c] for c in rank]
 
-        V = np.empty((K, model.M))
-        V[:, :s] = [model.marginals[f].cdf(x_star[f]) for f in model.order[:s]]
-        V[:, s:] = rng.uniform(size=(K, model.M - s))
-        V = np.clip(V, EPS, 1 - EPS)
-        model._solve(V, s)
+        u_star = [[model.marginals[f].cdf(x_star[f]) for f in model.order[:starts[-1] + 1]]]
+        carried = {}  # position -> the pinned prefix's carried values there
+        for i, j, x, _ in _h_pass(np.clip(u_star, EPS, 1 - EPS), model.pairs):
+            carried.setdefault(i + j + 1, []).append(x)
 
-        X = np.tile(x_star, (K, 1))
-        for p in range(s, model.M):
+        ends = np.cumsum([len(draws[c]) for c in rank])
+        V = np.empty((ends[-1], m))
+        for c, end in zip(rank, ends):
+            V[end - len(draws[c]):end, sizes[c]:] = np.clip(draws[c], EPS, 1 - EPS)
+        model._solve(V, [(s, len(draws[c]), carried[s]) for c, s in zip(rank, starts)])
+
+        X = np.tile(x_star, (len(V), 1))
+        for p in range(starts[0], m):
+            rows = ends[np.searchsorted(starts, p, "right") - 1]  # the blocks joined by p
             f = model.order[p]
-            X[:, f] = model.marginals[f].quantile(V[:, p])
-        return X
+            X[:rows, f] = model.marginals[f].quantile(V[:rows, p])
+        tables = np.split(X, ends[:-1])
+        return [tables[r] for r in np.argsort(rank)]  # back in input order
 
     # ------------------------------------------------------------------
     # serialization

@@ -308,14 +308,52 @@ class _VineEstimator(ContributionEstimator):
 
 
 class VineCondSimEstimator(_VineEstimator):
-    """Conditional simulation through the cover plan's D-vine models."""
+    """Conditional simulation through the cover plan's D-vine models.
+
+    Each coalition draws its uniforms from its own stream, keyed by the
+    explanation's key and its mask, so the draws do not depend on which
+    coalitions share an inverse pass.
+    """
 
     method = "vine-condsim"
     plan_method = "condsim"
 
+    def __init__(self, train_x, predictor, models, plan, K=1000, rng=None):
+        super().__init__(train_x, predictor, models, plan, K, rng)
+        self._key = None
+
+    def begin_explanation(self, x_star):
+        self._key = int(self.rng.integers(1 << 63))
+
+    def _draws(self, masks, x_star):
+        """(mask, x, None) per coalition.  Coalitions are grouped by their
+        serving order and whether they are its prefix or suffix; one inverse
+        pass samples as many of a group as a predictor batch holds."""
+        if self._key is None:
+            self.begin_explanation(x_star)
+        groups = {}
+        for mask in masks:
+            features = set_of(mask)
+            index = _assignment(self.plan, features)
+            role = self.models[index].coalition_role(features)
+            groups.setdefault((index, role), []).append(mask)
+        step = max(1, PREDICT_CELLS // self.M // self.K)
+        for (index, _), group in groups.items():
+            for start in range(0, len(group), step):
+                chunk = group[start:start + step]
+                coalitions = [set_of(mask) for mask in chunk]
+                draws = [np.random.default_rng([self._key, mask]).uniform(
+                    size=(self.K, self.M - len(features)))
+                    for mask, features in zip(chunk, coalitions)]
+                tables = self.models[index].conditional_sample(coalitions, x_star, draws)
+                for mask, x in zip(chunk, tables):
+                    yield mask, x, None
+
     def sample(self, features, x_star):
-        model = self.models[_assignment(self.plan, features)]
-        return model.conditional_sample(features, x_star, self.K, self.rng), None
+        return next(self._draws([sum(1 << j for j in features)], x_star))[1:]
+
+    def sample_all(self, x_star):
+        return self._draws(range(1, (1 << self.M) - 1), x_star)
 
 
 class VineRatioEstimator(_VineEstimator):

@@ -11,8 +11,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
-from scipy.spatial import cKDTree
 
 from .bicop import ClaytonCopula
 from .dvine import (DVineModel, NonparametricMode, ParametricMode, fit_dvine,
@@ -193,6 +191,8 @@ def analytic_mean_predictor(params):
 
 def knn_predictor(train_x, train_y, k=10):
     """k-nearest-neighbor regressor with inverse-distance weights."""
+    from scipy.spatial import cKDTree  # here, so that `import vineshap.cli` does not load it
+
     train_x = np.asarray(train_x, dtype=float)
     train_y = np.asarray(train_y, dtype=float)
     tree = cKDTree(train_x)

@@ -408,6 +408,23 @@ def test_grid_h_and_hinv_hold_no_curve_per_point():
         assert peak < 32 * 8 * n, f.__name__
 
 
+@pytest.mark.parametrize("cond_on", ["first", "second"])
+def test_grid_gives_nan_at_a_nan_input(cond_on):
+    """As the parametric families do, with no warning; also where the
+    h-inverse meets a flat stretch of the table (zero rows)."""
+    grid = np.random.default_rng(13).uniform(0.2, 3.0, size=(8, 8))
+    flat = grid.copy()
+    flat[:3] = 0.0
+    for cop in (GridCopula(grid), GridCopula(flat)):
+        for a, b in ((0.3, np.nan), (np.nan, 0.3), (np.nan, np.nan)):
+            assert np.isnan(cop.hfunc(a, b, cond_on))
+            assert np.isnan(cop.hinv(a, b, cond_on))
+            assert np.isnan(cop.density(a, b)) and np.isnan(cop.log_density(a, b))
+        out = cop.hinv([0.3, np.nan, 0.7], [0.5, 0.5, np.nan], cond_on)
+        assert np.isnan(out).tolist() == [False, True, True]
+    assert np.isnan(GaussianCopula(0.5).hinv(0.3, np.nan, cond_on))
+
+
 def test_grid_transpose_identity():
     rng = np.random.default_rng(12)
     cs = ClaytonCopula(1.0, rotation=180)

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vineshap
 from vineshap import burr_sample, study_params
 from vineshap.cli import main, make_predictor, read_csv
 
@@ -59,6 +63,17 @@ def test_read_csv_rejects_duplicate_columns(tmp_path):
 
 # ----------------------------------------------------------------------
 # predictors
+
+def test_cli_import_loads_no_scipy_stats():
+    """`scipy.stats` and `scipy.spatial` load where they are used (vine
+    fits, the kNN predictor); they took most of the CLI's start-up."""
+    src = Path(vineshap.__file__).resolve().parents[1]
+    code = ("import sys, vineshap.cli; "
+            "print(sorted({'scipy.stats', 'scipy.spatial'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"
+
 
 def test_const_predictor():
     g = make_predictor("const:2.5", ["a", "b"])

@@ -214,7 +214,8 @@ def test_conditional_sample_independence_ignores_conditioning():
     data = rng.normal(size=(500, 3))
     model = constant_vine(data, (0, 1, 2), IndependenceCopula())
     x_star = np.array([10.0, 0.0, 0.0])
-    x = model.conditional_sample({0}, x_star, 4000, np.random.default_rng(15))
+    x = model.conditional_sample([{0}], x_star,
+                                [np.random.default_rng(15).uniform(size=(4000, 2))])[0]
     assert np.all(x[:, 0] == 10.0)
     # complement columns are plain draws from the marginals
     ks = stats.ks_2samp(x[:, 1], data[:, 1])
@@ -227,7 +228,8 @@ def test_conditional_sample_m2_gaussian_oracle():
     z = rng.multivariate_normal([0, 0], [[1, rho], [rho, 1]], size=4000)
     model = constant_vine(z, (0, 1), GaussianCopula(rho))
     x_star = np.array([1.2, 0.0])
-    x = model.conditional_sample({0}, x_star, 10000, np.random.default_rng(17))
+    x = model.conditional_sample([{0}], x_star,
+                                [np.random.default_rng(17).uniform(size=(10000, 1))])[0]
     u1 = model.marginals[0].cdf(x_star[0])
     scores = stats.norm.ppf(np.clip(model.marginals[1].cdf(x[:, 1]), 1e-9, 1 - 1e-9))
     want_mean = rho * stats.norm.ppf(u1)
@@ -242,8 +244,10 @@ def test_conditional_sample_prefix_vs_suffix_same_distribution():
     data = rng.normal(size=(500, 3))
     model = constant_vine(data, (0, 1, 2), GaussianCopula(0.6))
     x_star = np.array([0.5, 0.0, 0.5])
-    a = model.conditional_sample({0}, x_star, 5000, np.random.default_rng(19))
-    b = model.conditional_sample({2}, x_star, 5000, np.random.default_rng(20))
+    a = model.conditional_sample([{0}], x_star,
+                                [np.random.default_rng(19).uniform(size=(5000, 2))])[0]
+    b = model.conditional_sample([{2}], x_star,
+                                [np.random.default_rng(20).uniform(size=(5000, 2))])[0]
     ks = stats.ks_2samp(a[:, 1], b[:, 1])
     assert ks.pvalue > 0.01
 
@@ -258,7 +262,8 @@ def test_conditional_sample_keeps_a_saturated_conditioning_value():
                                    [IndependenceCopula()]], marginals)
     x_star = np.array([marginals[0].quantile(0.02), marginals[1].quantile(0.5), 1.0])
     K = 2000
-    x = model.conditional_sample({0, 1}, x_star, K, np.random.default_rng(5))
+    x = model.conditional_sample([{0, 1}], x_star,
+                                [np.random.default_rng(5).uniform(size=(K, 1))])[0]
     drawn = np.random.default_rng(5).uniform(size=(K, 1))[:, 0]
     u = np.column_stack([f.cdf(x[:, j]) for j, f in enumerate(marginals)])
     assert np.median(np.abs(model.rosenblatt(u)[:, 2] - drawn)) <= 1e-12
@@ -267,7 +272,8 @@ def test_conditional_sample_keeps_a_saturated_conditioning_value():
 def test_conditional_sample_rejects_middle_coalition():
     model = gaussian_vine([0.5, 0.5, 0.5])
     with pytest.raises(CoverageError):
-        model.conditional_sample({1}, np.zeros(3), 10, np.random.default_rng(0))
+        model.conditional_sample([{1}], np.zeros(3),
+                                 [np.random.default_rng(0).uniform(size=(10, 2))])
 
 
 def test_coalition_role():

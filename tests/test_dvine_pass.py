@@ -8,14 +8,21 @@ same bytes, since both evaluate the same kernels on the same arguments
 and add the log densities in the same (tree-by-tree) order.
 """
 
+import json
+from collections import Counter
+
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import constant_vine
-from vineshap import (ClaytonCopula, DVineModel, EmpiricalMarginal,
-                      GaussianCopula, GridCopula, IndependenceCopula, PairCopula,
-                      VineRatioEstimator, fit_dvine, fit_parametric, greedy_cover)
+from vineshap import (ClaytonCopula, CoverageError, DVineModel, EmpiricalMarginal,
+                      GaussianCopula, GridCopula, IndependenceCopula,
+                      InvalidInputError, NonparametricMode, PairCopula, ParametricMode,
+                      VineCondSimEstimator, VineRatioEstimator,
+                      analytic_mean_predictor, burr_sample, explain, fit_dvine,
+                      fit_parametric, greedy_cover, shapley, study_params)
 from vineshap.structure import set_of
 
 
@@ -165,7 +172,8 @@ def test_conditional_sample_solves_only_the_free_positions(monkeypatch):
     for s in range(1, m):
         for features in (model.order[:s], model.order[m - s:]):
             points.clear()
-            model.conditional_sample(set(features), data[0], K, np.random.default_rng(s))
+            model.conditional_sample([set(features)], data[0],
+                                     [np.random.default_rng(s).uniform(size=(K, m - s))])
             assert sum(points) / K == sum(range(s, m))
 
 
@@ -269,5 +277,109 @@ def test_pinned_pass_matches_the_round_trip_where_that_is_exact(m, data, seed):
     want, moved = reference_conditional_sample(model, features, x_star, 50,
                                                np.random.default_rng(seed))
     assume(moved <= 1e-12)
-    got = model.conditional_sample(features, x_star, 50, np.random.default_rng(seed))
+    got = model.conditional_sample([features], x_star,
+                                   [np.random.default_rng(seed).uniform(size=(50, m - s))])[0]
     assert np.all(np.abs(got - want) <= 1e-8 * np.maximum(1.0, np.abs(want)))
+
+
+# ----------------------------------------------------------------------
+# conditional sampling: one stacked pass per order and end against one
+# pass per coalition
+
+MODES = {"parametric": ParametricMode(), "grid-16": NonparametricMode(16)}
+
+
+def burr_vines(m, mode, method="condsim", seed=0):
+    """Burr training rows, a cover plan and its vines fitted in `mode`."""
+    params = study_params(0.5, M=m)
+    train = burr_sample(params, 200, np.random.default_rng(seed))
+    plan = greedy_cover(m, method, rng=np.random.default_rng(seed + 1))
+    models = [fit_dvine(train, order, MODES[mode]) for order in plan.orders]
+    return params, train, plan, models
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+@pytest.mark.parametrize("m", [2, 3, 5, 8])
+def test_stacked_conditional_sample_equals_one_coalition_calls(m, mode):
+    """Every prefix group and every suffix group of an order, stacked in
+    shuffled input order, in chunks of one, two and all, with blocks of
+    different sizes: each table is the one-coalition call's, bit for bit."""
+    _, train, _, models = burr_vines(m, mode)
+    model = models[0]
+    rng = np.random.default_rng(m)
+    x_star = train[0] * rng.uniform(0.5, 2.0, size=m)  # some entries beyond the range
+    for group in ([model.order[:s] for s in range(1, m)],
+                  [model.order[m - s:] for s in range(1, m)]):
+        group = [set(group[c]) for c in rng.permutation(len(group))]
+        draws = [rng.uniform(size=(3 + c, m - len(f))) for c, f in enumerate(group)]
+        want = [model.conditional_sample([f], x_star, [d])[0] for f, d in zip(group, draws)]
+        for step in (1, 2, len(group)):
+            got = []
+            for start in range(0, len(group), step):
+                got += model.conditional_sample(group[start:start + step], x_star,
+                                                draws[start:start + step])
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_conditional_sample_rejects_a_mixed_or_malformed_group():
+    model = constant_vine(np.random.default_rng(0).normal(size=(50, 4)), (0, 1, 2, 3),
+                          GaussianCopula(0.5))
+    draws = [np.full((5, 3), 0.5), np.full((5, 3), 0.5)]
+    with pytest.raises(CoverageError):
+        model.conditional_sample([{0}, {3}], np.zeros(4), draws)
+    with pytest.raises(InvalidInputError):
+        model.conditional_sample([{0}, {0, 1}], np.zeros(4), draws)
+    with pytest.raises(InvalidInputError):
+        model.conditional_sample([{0}], np.zeros(4), draws)
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+@pytest.mark.parametrize("m", [3, 5])
+def test_condsim_estimator_chunks_groups_to_the_predictor_batch(monkeypatch, m, mode):
+    """With room for two coalitions per chunk, groups split into chunks of
+    at most max(K, PREDICT_CELLS // M) rows, and every draw is still the
+    one-coalition sample's: the draws are keyed by the coalition alone."""
+    params, train, plan, models = burr_vines(m, mode)
+    g = analytic_mean_predictor(params)
+    K = 7
+    monkeypatch.setattr(explain, "PREDICT_CELLS", 2 * K * m)
+    rows = []
+    sample = DVineModel.conditional_sample
+
+    def counted(self, coalitions, x_star, draws):
+        rows.append(sum(len(d) for d in draws))
+        return sample(self, coalitions, x_star, draws)
+
+    monkeypatch.setattr(DVineModel, "conditional_sample", counted)
+    est = VineCondSimEstimator(train, g, models, plan, K=K, rng=np.random.default_rng(5))
+    x_star = train[1]
+    est.begin_explanation(x_star)
+    drawn = {mask: x for mask, x, _ in est.sample_all(x_star)}
+    assert sorted(drawn) == list(range(1, (1 << m) - 1))
+    assert max(rows) <= 2 * K and len(rows) < len(drawn)
+    for mask, x in drawn.items():
+        assert np.array_equal(est.sample(set_of(mask), x_star)[0], x)
+
+
+def test_each_models_pairs_are_transposed_at_most_once(monkeypatch):
+    """Grid vines, two explanations: a suffix samples from the order's
+    reversed model, which is built once and never serialised."""
+    params, train, plan, models = burr_vines(5, "grid-16")
+    before = [json.dumps(model.to_dict()) for model in models]
+    transposed = Counter()
+    transpose = GridCopula.transpose
+
+    def counted(self):
+        transposed[id(self)] += 1
+        return transpose(self)
+
+    monkeypatch.setattr(GridCopula, "transpose", counted)
+    est = VineCondSimEstimator(train, analytic_mean_predictor(params), models, plan,
+                               K=20, rng=np.random.default_rng(3))
+    for x_star in train[:2]:
+        shapley(est, x_star)
+    pairs = {id(pc) for model in models for row in model.pairs for pc in row}
+    assert transposed and set(transposed) <= pairs
+    assert max(transposed.values()) == 1
+    assert [json.dumps(model.to_dict()) for model in models] == before

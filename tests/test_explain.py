@@ -406,7 +406,7 @@ def per_coalition_values(est, x_star):
 
 
 @pytest.mark.parametrize("method", METHODS)
-@pytest.mark.parametrize("M", [3, 5])
+@pytest.mark.parametrize("M", [3, 5, 8])
 @pytest.mark.parametrize("K", [1, 50])
 def test_batched_shapley_equals_per_coalition_reference(method, M, K):
     train = np.random.default_rng(40).normal(size=(100, M))

@@ -49,8 +49,10 @@ def _cases():
             (f"inverse_rosenblatt-{tag}", model.inverse_rosenblatt, (u,), (n, 3)),
         ]
     for K in (1, 4):
-        cases.append((f"conditional_sample-K{K}", model.conditional_sample,
-                      ({2}, np.zeros(3), K, np.random.default_rng(0)), (K, 3)))
+        cases.append((f"conditional_sample-K{K}",
+                      lambda *args: model.conditional_sample(*args)[0],
+                      ([{2}], np.zeros(3), [np.random.default_rng(0).uniform(size=(K, 2))]),
+                      (K, 3)))
     return cases
 
 
