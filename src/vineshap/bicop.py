@@ -353,22 +353,86 @@ def _validate_pseudo_obs(data, min_n):
     return data
 
 
+_BLOCK = 32     # entries per block that `_inversions` counts by broadcasting
+_UPPER = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool), 1)
+
+
+def _inversions(r):
+    """Number of pairs i < j with r[i] > r[j], for integer ranks 1 <= r <= n.
+
+    Blocks of _BLOCK entries are counted by broadcasting and sorted; then
+    each level merges neighbouring sorted blocks with one sort per row.  The
+    right block's entries are tagged (2r + 1 against 2r on the left), so on
+    a tie a left entry sorts first, and a right entry at merged position s
+    that is the t-th of its block has s - t left entries at or below it.
+    The padding, n + 1 after the end, adds no pair.
+    """
+    n = len(r)
+    blocks = 1 << (-(-n // _BLOCK) - 1).bit_length()  # a power of two
+    a = np.full(blocks * _BLOCK, n + 1, dtype=np.int32 if n < 1 << 29 else np.int64)
+    a[:n] = r
+    a = a.reshape(blocks, _BLOCK)
+    count = int(np.count_nonzero((a[:, :, None] > a[:, None, :]) & _UPPER))
+    a.sort(axis=1)
+    w = _BLOCK
+    while len(a) > 1:
+        a = a.reshape(-1, 2 * w) << 1
+        a[:, w:] |= 1
+        a.sort(axis=1)
+        s = np.count_nonzero(a & 1, axis=0) @ np.arange(2 * w)
+        count += len(a) * (w * w + w * (w - 1) // 2) - int(s)
+        a >>= 1
+        w *= 2
+    return count
+
+
+def _tied_pairs(counts):
+    """Number of pairs within groups of the given sizes."""
+    counts = counts.astype(np.int64)
+    return int((counts * (counts - 1) // 2).sum())
+
+
+def _kendall_tau(x, y):
+    """Kendall's tau-b, equal bit for bit to `scipy.stats.kendalltau(x, y).statistic`.
+
+    scipy's steps: dense ranks (y by argsort, then x by a stable sort, so
+    y ascends within tied x), the discordant pairs as the inversions of y,
+    the joint, x and y tie counts, and its final expression in the same
+    float order.  NaN when either column is constant.
+    """
+    perm = np.argsort(y)
+    x, y = x[perm], y[perm]
+    y = np.r_[True, y[1:] != y[:-1]].cumsum(dtype=np.intp)
+    perm = np.argsort(x, kind="mergesort")
+    x, y = x[perm], y[perm]
+    x = np.r_[True, x[1:] != x[:-1]].cumsum(dtype=np.intp)
+    dis = _inversions(y)
+    obs = np.r_[True, (x[1:] != x[:-1]) | (y[1:] != y[:-1]), True]
+    ntie = _tied_pairs(np.diff(np.nonzero(obs)[0]))
+    xtie, ytie = _tied_pairs(np.bincount(x)), _tied_pairs(np.bincount(y))
+    tot = len(x) * (len(x) - 1) // 2
+    if xtie == tot or ytie == tot:
+        return np.float64(np.nan)
+    con_minus_dis = tot - xtie - ytie + ntie - 2 * dis
+    return np.minimum(1.0, max(-1.0, con_minus_dis / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)))
+
+
 def fit_parametric(data):
     """Fit a parametric pair copula by Kendall's-tau inversion + AIC selection.
 
     Gaussian: rho = sin(pi * tau / 2).  Clayton: theta = 2|tau|/(1 - |tau|),
     with rotations 0/180 for positive tau and 90/270 for negative tau (the
     better tail is picked by AIC).  |tau| below the independence threshold,
-    or a degenerate column, yields the independence copula.
+    or a degenerate column, yields the independence copula.  Tau is
+    computed in NumPy, O(n log n), so no vineshap command imports
+    `scipy.stats`.
     """
-    from scipy import stats  # here, so that `import vineshap.cli` does not load it
-
     data = _validate_pseudo_obs(data, 10)
     if np.std(data[:, 0]) < 1e-12 or np.std(data[:, 1]) < 1e-12:
         cop = IndependenceCopula()
         cop.degenerate = True
         return cop
-    tau = stats.kendalltau(data[:, 0], data[:, 1]).statistic
+    tau = _kendall_tau(data[:, 0], data[:, 1])
     if not np.isfinite(tau) or abs(tau) < TAU_INDEPENDENCE_THRESHOLD:
         return IndependenceCopula()
 

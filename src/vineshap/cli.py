@@ -81,7 +81,8 @@ def parse_predictor(spec):
 
     const:<c>            constant prediction
     linear:<a1,a2,...>   dot product with the feature vector
-    cmd:<shell command>  child process: CSV on stdin, one float per line out
+    cmd:<command>        child process: CSV on stdin, one float per line out;
+                         the command is split as a shell would, but no shell runs it
     """
     kind, _, arg = spec.partition(":")
     try:
@@ -92,7 +93,13 @@ def parse_predictor(spec):
     except ValueError:
         raise InvalidInputError(f"non-numeric value in predictor spec {spec!r}")
     if kind == "cmd":
-        return kind, arg
+        try:
+            argv = shlex.split(arg)
+        except ValueError as exc:
+            raise InvalidInputError(f"cannot parse predictor command {arg!r}: {exc}")
+        if not argv:
+            raise InvalidInputError("empty predictor command")
+        return kind, argv
     raise InvalidInputError(
         f"unknown predictor spec {spec!r}; use const:, linear: or cmd:")
 
@@ -110,7 +117,7 @@ def make_predictor(spec, columns):
     return _subprocess_predictor(arg, columns)
 
 
-def _subprocess_predictor(command, columns):
+def _subprocess_predictor(argv, columns):
     def g(x):
         x = np.atleast_2d(x)
         # the rows go through a file, not a pipe, so no call holds them all as text
@@ -119,8 +126,10 @@ def _subprocess_predictor(command, columns):
             for row in x:
                 stdin.write(",".join(repr(float(v)) for v in row) + "\n")
             stdin.seek(0)
-            proc = subprocess.run(shlex.split(command), stdin=stdin,
-                                  capture_output=True, text=True)
+            try:
+                proc = subprocess.run(argv, stdin=stdin, capture_output=True, text=True)
+            except OSError as exc:
+                raise NumericError(f"cannot run predictor command {argv[0]!r}: {exc}")
         if proc.returncode != 0:
             raise NumericError(
                 f"predictor command failed (exit {proc.returncode}): "

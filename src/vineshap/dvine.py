@@ -145,21 +145,34 @@ class DVineModel:
             raise InvalidInputError("u_block width must match the block length")
         return self._log_density(u_block, s)
 
-    def log_density_ratios(self, u, u_star, blocks):
+    def log_density_ratios(self, u, u_star, blocks, step=None):
         """log c(u_b, u*_S) - log c(u_b) per block b = (a, e) of order positions
-        and row of u, up to a constant per block: shape (len(blocks), n).
+        and row of u, up to a constant per block: an iterator of one
+        (len(chunk), n) array per `step` consecutive blocks (all of them in
+        one chunk by default).
 
-        S, the positions outside b, is pinned at u_star.  Only the pairs whose
-        span straddles b are evaluated (the others cancel or are constant),
-        once per tree on the stacked rows of all blocks they straddle.  An
-        argument spanning positions inside b comes from the pass over u, one
-        outside b from u_star's row of that pass, any other from the last tree.
+        S, the positions outside b, is pinned at u_star.  One h-pass over u,
+        with u_star as one more row, runs in this call.  Only the pairs whose
+        span straddles a block are then evaluated (the others cancel or are
+        constant), once per tree on the stacked rows of the chunk's blocks
+        they straddle, as the iterator is read.
         """
         V = np.vstack([self._columns(u), self._columns(u_star)])[:, self.order]
         n, m = V.shape[0] - 1, V.shape[1]
         if any(not 0 <= a <= e < m for a, e in blocks):
             raise InvalidInputError(f"invalid block in {blocks} for M={m}")
         args = {(i, j): xy for i, j, *xy in _h_pass(V, self.pairs)}
+        step = step or max(1, len(blocks))
+        return (self._straddling(args, n, blocks[start:start + step])
+                for start in range(0, len(blocks), step))
+
+    def _straddling(self, args, n, blocks):
+        """The (len(blocks), n) log ratios from the pass's pair arguments
+        `args`.  An argument spanning positions inside b comes from the pass
+        over u, one outside b from u_star's row of that pass, any other from
+        the last tree.
+        """
+        m = self.M
         out = np.zeros((len(blocks), n))
         carried = ({}, {})  # x, y arguments of the next tree, by (pair j, block)
         for i in range(m - 1):

@@ -385,7 +385,8 @@ class VineRatioEstimator(_VineEstimator):
     def _draws(self, masks, x_star):
         """(mask, x, pi) per coalition, on the shared subsample.  Coalitions
         are grouped by the order that serves their complement; one vine pass
-        weights as many as a predictor batch holds."""
+        per order serves them all, and its straddling pairs are evaluated for
+        as many as a predictor batch holds at a time."""
         if self._sub_idx is None:
             self.begin_explanation(x_star)
         groups = {}
@@ -394,17 +395,17 @@ class VineRatioEstimator(_VineEstimator):
             index = _assignment(self.plan, sbar)
             positions = [self.models[index].order.index(j) for j in sbar]
             groups.setdefault(index, []).append((mask, (min(positions), max(positions))))
+        u_sub = self.train_u[self._sub_idx]
         u_star = [f.cdf(x) for f, x in zip(self.marginals, x_star)]
         step = max(1, PREDICT_CELLS // self.M // self.K)
         for order_index, group in groups.items():
-            for start in range(0, len(group), step):
-                chunk_masks, blocks = zip(*group[start:start + step])
-                log_ratios = self.models[order_index].log_density_ratios(
-                    self.train_u[self._sub_idx], u_star, blocks)
+            group_masks, blocks = zip(*group)
+            chunks = self.models[order_index].log_density_ratios(u_sub, u_star, blocks, step)
+            for start, log_ratios in zip(range(0, len(group), step), chunks):
                 if not np.all(np.isfinite(log_ratios)):
                     raise NumericError("a density-ratio log weight is not finite "
                                        "(a pair copula density overflowed)")
-                for mask, logw in zip(chunk_masks, log_ratios):
+                for mask, logw in zip(group_masks[start:start + step], log_ratios):
                     w = np.exp(logw - np.max(logw))  # the largest is 1: sum in [1, K]
                     yield mask, self._pinned(self._sub_idx, set_of(mask), x_star), w / w.sum()
 

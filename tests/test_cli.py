@@ -9,7 +9,7 @@ import pytest
 
 import vineshap
 from vineshap import burr_sample, study_params
-from vineshap.cli import main, make_predictor, read_csv
+from vineshap.cli import FIT_METHODS, main, make_predictor, read_csv
 
 
 def run_cli(*argv):
@@ -73,6 +73,21 @@ def test_cli_import_loads_no_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert out.stdout.strip() == "[]"
+
+
+def test_fit_loads_no_scipy_stats(train_csv, tmp_path):
+    """Kendall's tau, the vine fits' one use of `scipy.stats`, is computed
+    without it, so no `vineshap fit` loads it."""
+    src = Path(vineshap.__file__).resolve().parents[1]
+    runs = [[str(train_csv), "--method", method, "--shap-method", shap_method,
+             "--out", str(tmp_path / f"{method}-{shap_method}.json")]
+            for method in FIT_METHODS for shap_method in ("condsim", "ratio")]
+    code = ("import sys; from vineshap.cli import main; "
+            f"print([main(['fit', *argv]) for argv in {runs!r}], "
+            "'scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == f"{[0] * len(runs)} False"
 
 
 def test_const_predictor():
@@ -306,6 +321,19 @@ def test_explain_nan_predictor_is_numeric_error(train_csv, test_csv, tmp_path):
     assert not out.exists()
 
 
+def test_explain_predictor_that_cannot_start_is_numeric_error(train_csv, test_csv, tmp_path,
+                                                               capsys):
+    model, out = tmp_path / "m.json", tmp_path / "e.json"
+    run_cli("fit", str(train_csv), "--out", str(model))
+    capsys.readouterr()
+    missing = tmp_path / "no-such-program"
+    assert run_cli("explain", str(model), str(test_csv), "--k", "20",
+                   "--predictor", f"cmd:{missing} --flag", "--out", str(out)) == 4
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and str(missing) in err
+    assert not out.exists()
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run_cli("explain")   # missing required arguments
@@ -316,6 +344,9 @@ def test_usage_error_exit_code():
     ("--predictor", "const:abc"),
     ("--predictor", "linear:1,x,1,1"),
     ("--predictor", "quadratic:1"),
+    ("--predictor", "cmd:"),
+    ("--predictor", "cmd:  "),
+    ("--predictor", "cmd:'unterminated"),
     ("--k", "0"),
     ("--k", "-3"),
     ("--k", "ten"),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import vineshap.dvine as dvine
 from helpers import constant_vine
 from vineshap import (ClaytonCopula, CoverageError, CoverPlan, GaussianCopula,
                       GaussianCopulaEstimator, GaussianEstimator,
@@ -503,9 +504,23 @@ def test_ratio_pass_stacks_coalitions_within_the_row_budget(monkeypatch):
             return out
 
         monkeypatch.setattr(PairCopula, name, counted)
+    passes = []
+    h_pass = dvine._h_pass
+
+    def counted_pass(V, *args):
+        passes.append(len(V))
+        return h_pass(V, *args)
+
+    monkeypatch.setattr(dvine, "_h_pass", counted_pass)
     monkeypatch.setattr(explain, "PREDICT_CELLS", M * 50)  # 50 rows: two coalitions
-    expl = shapley(make_estimator("ratio", train, row_wise, 50, K), x_star)
+    est = make_estimator("ratio", train, row_wise, 50, K)
+    expl = shapley(est, x_star)
     assert max(rows) == 2 * K <= max(K, explain.PREDICT_CELLS // M)
+    # one subsample pass per serving order, though some order serves three
+    # or more coalitions and so more than one chunk
+    served = list(est.plan.assignment.values())
+    assert passes == [K + 1] * len(set(served))
+    assert max(map(served.count, served)) > 2
     assert expl.phi0 == expected.phi0 and np.array_equal(expl.phi, expected.phi)
     assert list(expl.values) == [0, (1 << M) - 1, *range(1, (1 << M) - 1)]
 
