@@ -247,6 +247,8 @@ def cmd_explain(args):
         })
         if args.diagnostics:
             records[-1]["values"] = {str(k): v for k, v in sorted(expl.values.items())}
+            if "ess_min" in expl.diagnostics:
+                records[-1]["ess_min"] = expl.diagnostics["ess_min"]
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump({"columns": columns, "explanations": records}, fh, sort_keys=True)
         fh.write("\n")
@@ -393,7 +395,8 @@ def build_parser():
                    help="const:<c> | linear:<a1,..> | cmd:<command>")
     e.add_argument("--k", type=int_at_least(1), default=1000)
     e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--diagnostics", action="store_true")
+    e.add_argument("--diagnostics", action="store_true",
+                   help="also write each row's v(S) table and, for vine-ratio, its ess_min")
     e.add_argument("--out", required=True)
     e.set_defaults(func=cmd_explain)
 

@@ -15,7 +15,10 @@ cover plan share a single copy of them: `from_dict(d, marginals)`.
 The simplified-vine assumption makes every contiguous sub-block of the
 order itself a D-vine, so the ratio of the joint density to a block's
 own density reduces to the pairs that straddle the block's ends
-(`log_density_ratios`).
+(`log_density_ratios`).  All the blocks one order serves get their
+ratios in one (len(blocks), n) array, len(blocks)·n floats: each
+straddling pair runs once per distinct overlap of a block with its span,
+at most `step` overlaps per kernel call.
 
 Fitting, both densities, the Rosenblatt transform and its inverse all
 walk one h-function recursion, `_h_pass`, left to right over the order
@@ -147,15 +150,17 @@ class DVineModel:
 
     def log_density_ratios(self, u, u_star, blocks, step=None):
         """log c(u_b, u*_S) - log c(u_b) per block b = (a, e) of order positions
-        and row of u, up to a constant per block: an iterator of one
-        (len(chunk), n) array per `step` consecutive blocks (all of them in
-        one chunk by default).
+        and row of u, up to a constant per block: one (len(blocks), n) array.
 
         S, the positions outside b, is pinned at u_star.  One h-pass over u,
-        with u_star as one more row, runs in this call.  Only the pairs whose
-        span straddles a block are then evaluated (the others cancel or are
-        constant), once per tree on the stacked rows of the chunk's blocks
-        they straddle, as the iterator is read.
+        with u_star as one more row, runs first.  Only the pairs whose span
+        straddles a block are then evaluated (the others cancel or are
+        constant).  Their arguments depend only on the block's overlap with
+        the span: each runs once per distinct overlap, up to `step` overlaps
+        per kernel call (all by default), and adds its row to every block
+        with that overlap.  An argument inside the block comes from the pass
+        over u, one outside it from u_star's row, any other from the h-values
+        the last tree carried for its own overlap.
         """
         V = np.vstack([self._columns(u), self._columns(u_star)])[:, self.order]
         n, m = V.shape[0] - 1, V.shape[1]
@@ -163,40 +168,35 @@ class DVineModel:
             raise InvalidInputError(f"invalid block in {blocks} for M={m}")
         args = {(i, j): xy for i, j, *xy in _h_pass(V, self.pairs)}
         step = step or max(1, len(blocks))
-        return (self._straddling(args, n, blocks[start:start + step])
-                for start in range(0, len(blocks), step))
-
-    def _straddling(self, args, n, blocks):
-        """The (len(blocks), n) log ratios from the pass's pair arguments
-        `args`.  An argument spanning positions inside b comes from the pass
-        over u, one outside b from u_star's row of that pass, any other from
-        the last tree.
-        """
-        m = self.M
         out = np.zeros((len(blocks), n))
-        carried = ({}, {})  # x, y arguments of the next tree, by (pair j, block)
+        carried = ({}, {})  # x, y arguments of the next tree, by (pair j, overlap)
         for i in range(m - 1):
             prev, carried = carried, ({}, {})
             for j in range(m - 1 - i):
 
-                def arg(side, b):  # x spans positions j..j+i, y spans j+1..j+i+1
-                    a, e = blocks[b]
-                    if a <= j + side and j + i + side <= e:
+                def arg(side, lo, hi):  # x spans positions j..j+i, y spans j+1..j+i+1
+                    if lo <= j + side and j + i + side <= hi:
                         return args[i, j][side][:n]
-                    if j + i + side < a or e < j + side:
+                    if j + i + side < lo or hi < j + side:
                         return np.broadcast_to(args[i, j][side][n], n)
-                    return prev[side][j, b]
+                    return prev[side][j, max(lo, j + side), min(hi, j + i + side)]
 
-                bs = [b for b, (a, e) in enumerate(blocks)
-                      if a <= j + i + 1 and j <= e and not (a <= j and j + i + 1 <= e)]
-                if bs:
-                    x, y = (np.concatenate([arg(side, b) for b in bs]) for side in (0, 1))
-                    pc = self.pairs[i][j]
-                    out[bs] += pc.log_density(x, y).reshape(len(bs), n)
+                groups = {}  # overlap of the straddled block with span j..j+i+1 -> blocks
+                for b, (a, e) in enumerate(blocks):
+                    overlap = max(a, j), min(e, j + i + 1)
+                    if overlap[0] <= overlap[1] and overlap != (j, j + i + 1):
+                        groups.setdefault(overlap, []).append(b)
+                overlaps, pc = list(groups), self.pairs[i][j]
+                for start in range(0, len(overlaps), step):
+                    chunk = overlaps[start:start + step]
+                    x, y = (np.concatenate([arg(side, *o) for o in chunk]) for side in (0, 1))
+                    for o, row in zip(chunk, pc.log_density(x, y).reshape(-1, n)):
+                        for b in groups[o]:
+                            out[b] += row
                     for side, k in ((0, j), (1, j - 1)):  # x of pair (i+1, j), y of (i+1, j-1)
                         if 0 <= k < m - 2 - i:
                             h = pc.hfunc(x, y, ("second", "first")[side]).reshape(-1, n)
-                            carried[side].update(((k, b), row) for b, row in zip(bs, h))
+                            carried[side].update(((k, *o), row) for o, row in zip(chunk, h))
         return out
 
     # ------------------------------------------------------------------

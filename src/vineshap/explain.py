@@ -181,17 +181,22 @@ def shapley(estimator, x_star):
     values = dict.fromkeys([0, full, *range(1, full)])  # fixes the table's order
     values[0] = estimator.v_empty()
     # x* gives v(full); every other coalition's draws follow
+    ess = {}  # mask -> 1/sum(pi^2), for weighted draws
     draws = itertools.chain([(full, x_star[None, :], None)], estimator.sample_all(x_star))
     for batch in _batches(draws, max(1, PREDICT_CELLS // M)):
         g = estimator.predict(np.concatenate([x for _, x, _ in batch]))
         ends = np.cumsum([len(x) for _, x, _ in batch])
         for (mask, _, pi), g_s in zip(batch, np.split(g, ends[:-1])):
             values[mask] = _mean(g_s, pi)
+            if pi is not None:
+                ess[mask] = float(1.0 / np.sum(pi ** 2))
     phi0, phi = shapley_from_values(M, values)
-    return Explanation(phi0=phi0, phi=phi, values=values,
-                       method=estimator.method, K=estimator.K,
-                       diagnostics={"predictor_calls": estimator.predictor_calls - calls,
-                                    "predictor_rows": estimator.predictor_rows - rows})
+    diagnostics = {"predictor_calls": estimator.predictor_calls - calls,
+                   "predictor_rows": estimator.predictor_rows - rows}
+    if ess:
+        diagnostics.update(ess=dict(sorted(ess.items())), ess_min=min(ess.values()))
+    return Explanation(phi0=phi0, phi=phi, values=values, method=estimator.method,
+                       K=estimator.K, diagnostics=diagnostics)
 
 
 # ----------------------------------------------------------------------
@@ -384,9 +389,9 @@ class VineRatioEstimator(_VineEstimator):
 
     def _draws(self, masks, x_star):
         """(mask, x, pi) per coalition, on the shared subsample.  Coalitions
-        are grouped by the order that serves their complement; one vine pass
-        per order serves them all, and its straddling pairs are evaluated for
-        as many as a predictor batch holds at a time."""
+        are grouped by the order that serves their complement; one call per
+        order weights them all, stacking as many block overlaps per kernel
+        call as a predictor batch holds coalitions."""
         if self._sub_idx is None:
             self.begin_explanation(x_star)
         groups = {}
@@ -400,14 +405,13 @@ class VineRatioEstimator(_VineEstimator):
         step = max(1, PREDICT_CELLS // self.M // self.K)
         for order_index, group in groups.items():
             group_masks, blocks = zip(*group)
-            chunks = self.models[order_index].log_density_ratios(u_sub, u_star, blocks, step)
-            for start, log_ratios in zip(range(0, len(group), step), chunks):
-                if not np.all(np.isfinite(log_ratios)):
-                    raise NumericError("a density-ratio log weight is not finite "
-                                       "(a pair copula density overflowed)")
-                for mask, logw in zip(group_masks[start:start + step], log_ratios):
-                    w = np.exp(logw - np.max(logw))  # the largest is 1: sum in [1, K]
-                    yield mask, self._pinned(self._sub_idx, set_of(mask), x_star), w / w.sum()
+            log_ratios = self.models[order_index].log_density_ratios(u_sub, u_star, blocks, step)
+            if not np.all(np.isfinite(log_ratios)):
+                raise NumericError("a density-ratio log weight is not finite "
+                                   "(a pair copula density overflowed)")
+            for mask, logw in zip(group_masks, log_ratios):
+                w = np.exp(logw - np.max(logw))  # the largest is 1: sum in [1, K]
+                yield mask, self._pinned(self._sub_idx, set_of(mask), x_star), w / w.sum()
 
     def sample(self, features, x_star):
         return next(self._draws([sum(1 << j for j in features)], x_star))[1:]

@@ -394,6 +394,27 @@ def test_explain_single_sample(train_csv, test_csv, tmp_path, shap_method):
         assert abs(rec["phi0"] + sum(rec["phi"]) - gx) < 1e-8
 
 
+@pytest.mark.parametrize("shap_method", ["condsim", "ratio"])
+def test_explain_diagnostics_write_the_ratio_ess_min(train_csv, test_csv, tmp_path,
+                                                     shap_method):
+    model = tmp_path / "m.json"
+    assert run_cli("fit", str(train_csv), "--shap-method", shap_method,
+                   "--out", str(model)) == 0
+    docs = []
+    for extra in ([], ["--diagnostics"]):
+        out = tmp_path / f"e{len(extra)}.json"
+        assert run_cli("explain", str(model), str(test_csv), "--predictor", "linear:1,2,3",
+                       "--k", "100", "--seed", "4", "--out", str(out), *extra) == 0
+        docs.append(json.loads(out.read_text())["explanations"])
+    plain, diagnosed = docs
+    assert [r["phi"] for r in plain] == [r["phi"] for r in diagnosed]
+    for rec in diagnosed:
+        if shap_method == "ratio":
+            assert 1.0 <= rec["ess_min"] <= 100
+        else:
+            assert "ess_min" not in rec
+
+
 @pytest.mark.parametrize("method", ["vine-parametric", "gaussian", "gaussian-copula"])
 def test_bundle_stores_train_once(train_csv, tmp_path, method):
     out = tmp_path / "m.json"

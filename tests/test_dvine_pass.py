@@ -16,6 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import vineshap.dvine as dvine
 from helpers import constant_vine
 from vineshap import (ClaytonCopula, CoverageError, DVineModel, EmpiricalMarginal,
                       GaussianCopula, GridCopula, IndependenceCopula,
@@ -236,6 +237,107 @@ def test_stacked_ratio_weights_match_numerator_minus_denominator(m, data, seed):
         if order_index not in checked:
             checked.add(order_index)
             assert np.array_equal(est.sample(features, x_star)[1], pi)
+
+
+def reference_straddling(model, u, u_star, blocks):
+    """The former per-block `DVineModel._straddling`: each straddling pair
+    evaluated once per block, its carried h-values keyed by (pair, block)."""
+    V = np.vstack([u, u_star])[:, model.order]
+    n, m = len(u), model.M
+    args = {(i, j): xy for i, j, *xy in dvine._h_pass(V, model.pairs)}
+    out = np.zeros((len(blocks), n))
+    carried = ({}, {})
+    for i in range(m - 1):
+        prev, carried = carried, ({}, {})
+        for j in range(m - 1 - i):
+
+            def arg(side, b):
+                a, e = blocks[b]
+                if a <= j + side and j + i + side <= e:
+                    return args[i, j][side][:n]
+                if j + i + side < a or e < j + side:
+                    return np.broadcast_to(args[i, j][side][n], n)
+                return prev[side][j, b]
+
+            bs = [b for b, (a, e) in enumerate(blocks)
+                  if a <= j + i + 1 and j <= e and not (a <= j and j + i + 1 <= e)]
+            if bs:
+                x, y = (np.concatenate([arg(side, b) for b in bs]) for side in (0, 1))
+                pc = model.pairs[i][j]
+                out[bs] += pc.log_density(x, y).reshape(len(bs), n)
+                for side, k in ((0, j), (1, j - 1)):
+                    if 0 <= k < m - 2 - i:
+                        h = pc.hfunc(x, y, ("second", "first")[side]).reshape(-1, n)
+                        carried[side].update(((k, b), row) for b, row in zip(bs, h))
+    return out
+
+
+@st.composite
+def block_sets(draw, m):
+    """Every contiguous block of the order, many blocks that share their
+    overlap with most spans (one start or one end, some repeated), or one."""
+    every = [(a, e) for a in range(m) for e in range(a, m)]
+    kind = draw(st.sampled_from(["every", "shared", "single"]))
+    if kind == "every":
+        return every
+    if kind == "single":
+        return [draw(st.sampled_from(every))]
+    a, e = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+    shared = [(a, f) for f in range(a, m)] + [(s, e) for s in range(e + 1)]
+    return draw(st.lists(st.sampled_from(shared), min_size=2, max_size=3 * m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 8), st.data(), st.integers(0, 2 ** 32 - 1))
+def test_straddling_equals_the_per_block_evaluation(m, data, seed):
+    rng = np.random.default_rng(seed)
+    order = data.draw(st.permutations(range(m)))
+    pairs = [[data.draw(ratio_pairs) for _ in range(m - 1 - i)] for i in range(m - 1)]
+    model = DVineModel(order, pairs, [EmpiricalMarginal([0.0, 1.0]) for _ in range(m)])
+    u = np.clip(rng.uniform(size=(30, m)), 1e-10, 1 - 1e-10)
+    u[:2] = np.array([1e-10, 1 - 1e-10])[:, None]
+    u_star = np.clip(rng.uniform(size=m), 1e-10, 1 - 1e-10)
+    blocks = data.draw(block_sets(m))
+    want = reference_straddling(model, u, u_star, blocks)
+    for step in (1, 2, None):
+        assert np.array_equal(model.log_density_ratios(u, u_star, blocks, step), want)
+
+
+def test_each_straddling_pair_is_evaluated_once_per_overlap(monkeypatch):
+    """At M = 8, per serving order: K log-density rows per straddling pair
+    and distinct set of span positions inside a complement block."""
+    m, K = 8, 30
+    train = np.random.default_rng(0).normal(size=(60, m))
+    plan = greedy_cover(m, "ratio", rng=np.random.default_rng(1))
+    models = [constant_vine(train, order, ClaytonCopula(2.0)) for order in plan.orders]
+    rows, current = Counter(), []
+    log_density, ratios = PairCopula.log_density, DVineModel.log_density_ratios
+
+    def counted(self, u, v):
+        rows[current[-1]] += len(u)
+        return log_density(self, u, v)
+
+    def serving(self, *args):
+        current.append(self.order)
+        return ratios(self, *args)
+
+    monkeypatch.setattr(PairCopula, "log_density", counted)
+    monkeypatch.setattr(DVineModel, "log_density_ratios", serving)
+    est = VineRatioEstimator(train, lambda x: x[:, 0], models, plan, K=K,
+                             rng=np.random.default_rng(2))
+    shapley(est, train[0])
+
+    distinct = set()  # (order, pair, span positions inside the block)
+    for sbar, index in plan.assignment.items():
+        order = plan.orders[index]
+        positions = [order.index(f) for f in sbar]
+        block = set(range(min(positions), max(positions) + 1))
+        for i in range(m - 1):
+            for j in range(m - 1 - i):
+                span = set(range(j, j + i + 2))
+                if block & span and not span <= block:
+                    distinct.add((order, i, j, frozenset(block & span)))
+    assert rows == Counter(order for order, *_ in distinct for _ in range(K))
 
 
 # ----------------------------------------------------------------------

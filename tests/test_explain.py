@@ -12,6 +12,7 @@ from vineshap import (ClaytonCopula, CoverageError, CoverPlan, GaussianCopula,
                       VineRatioEstimator, analytic_mean_predictor, burr_sample,
                       explain, fit_dvine, greedy_cover, shapley,
                       shapley_from_values, shapley_weights, study_params)
+from vineshap.structure import set_of
 
 
 def random_v_table(M, rng):
@@ -454,6 +455,14 @@ def test_batches_flush_at_the_cell_budget(monkeypatch):
     assert expl.diagnostics == {"predictor_calls": 5, "predictor_rows": 151}
 
 
+def predictor_counts(expl, method):
+    """The row's predictor counts; the ratio estimator, and only it, also
+    reports the ESS of its weights."""
+    ess = {"ess", "ess_min"} if method == "ratio" else set()
+    assert set(expl.diagnostics) == {"predictor_calls", "predictor_rows"} | ess
+    return expl.diagnostics["predictor_calls"], expl.diagnostics["predictor_rows"]
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_one_predictor_call_per_query_row(method):
     train = np.random.default_rng(45).normal(size=(200, 4))
@@ -461,11 +470,35 @@ def test_one_predictor_call_per_query_row(method):
     est = make_estimator(method, train, pred, 46, K=1000)
     first = shapley(est, train[0])  # also averages g over train for v(empty)
     assert [len(b) for b in pred.batches] == [200, 14 * 1000 + 1]
-    assert first.diagnostics == {"predictor_calls": 2, "predictor_rows": 14201}
+    assert predictor_counts(first, method) == (2, 14201)
     second = shapley(est, train[1])
     assert [len(b) for b in pred.batches[2:]] == [14 * 1000 + 1]
-    assert second.diagnostics == {"predictor_calls": 1, "predictor_rows": 14001}
+    assert predictor_counts(second, method) == (1, 14001)
     assert (est.predictor_calls, est.predictor_rows) == (3, 28202)
+
+
+def test_shapley_reports_the_ess_of_the_weights_it_averaged_with(monkeypatch):
+    """ESS per coalition, 1/sum(pi^2) of the pi `shapley` averaged with: no
+    further vine pass, and equal to `effective_sample_size`'s own pass."""
+    train = np.random.default_rng(53).normal(size=(100, 4))
+    x_star = train[3]
+    passes = []
+    h_pass = dvine._h_pass
+
+    def counted_pass(V, *args):
+        passes.append(len(V))
+        return h_pass(V, *args)
+
+    monkeypatch.setattr(dvine, "_h_pass", counted_pass)
+    est = make_estimator("ratio", train, row_wise, 54)
+    expl = shapley(est, x_star)
+    assert len(passes) == len(set(est.plan.assignment.values()))
+    ess = expl.diagnostics["ess"]
+    assert list(ess) == list(range(1, 15))
+    assert expl.diagnostics["ess_min"] == min(ess.values())
+    for mask, value in ess.items():
+        assert value == est.effective_sample_size(set_of(mask), x_star)
+        assert 1.0 <= value <= est.K
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -101,3 +101,11 @@ def test_cli_workload_cycle_passes_the_gate(workloads, tmp_path):
     cycle.truths, cycle.oracle_s = workloads.run_oracle(inp, ds)
     assert workloads.gate([cycle], inp) == (len(ds.test), 0)
     assert cycle.calls >= 1 and cycle.bundle_bytes > 0
+
+
+@pytest.mark.parametrize("name", ["ratio-par-m8", "cli-cmd-m4"])
+def test_traced_tiny_run_passes_the_gate(workloads, tmp_path, name):
+    # the tracer wraps the package's kernels, spans and predictor in place;
+    # a changed signature it wraps fails the gate here
+    result = workloads.run(name, 1, 0.0, True, "tiny", False, PERFBENCH.parent, tmp_path)
+    assert result["correct"] and result["failed"] == 0
