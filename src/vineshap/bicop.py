@@ -196,9 +196,14 @@ class ClaytonCopula(PairCopula):
                 - (2.0 + 1.0 / theta) * np.log(t))
 
     def _h(self, u, v):
+        # h = (1 + v^theta (u^-theta - 1))^-(1 + 1/theta), with the log of
+        # v^theta (u^-theta - 1) formed from logs: no overflow, and no
+        # cancellation of two large logs where h is near 1.  Past
+        # log_x = 700, h < 1e-300 and hfunc clips it to EPS all the same.
         theta = self.theta
-        t = u ** -theta + v ** -theta - 1.0
-        return np.exp(-(theta + 1.0) * np.log(v) - (1.0 + 1.0 / theta) * np.log(t))
+        log_u = np.log(u)
+        log_x = theta * (np.log(v) - log_u) + np.log(-np.expm1(theta * log_u))
+        return np.exp(-(1.0 + 1.0 / theta) * np.log1p(np.exp(np.minimum(log_x, 700.0))))
 
     def _hinv(self, w, v):
         theta = self.theta

@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -58,6 +59,30 @@ def test_clayton_hfunc_matches_fd_oracle():
     num = (clayton_cdf(u, v + eps, theta) - clayton_cdf(u, v - eps, theta)) / (2 * eps)
     h = ClaytonCopula(theta).hfunc(u, v, "second")
     assert np.max(np.abs(h - num)) < 1e-5
+
+
+def clayton_h_50_digits(theta, u, v):
+    """h(u | v) of the unrotated Clayton copula in 50-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        t, u, v = Decimal(theta), Decimal(u), Decimal(v)
+        return v ** (-t - 1) * (u ** -t + v ** -t - 1) ** (-1 - 1 / t)
+
+
+@pytest.mark.parametrize("theta", [0.5, 2.0, 4.75, 20.0, 50.0])
+def test_clayton_h_keeps_its_digits_in_both_tails(theta):
+    """Where h nears 1 (small v) it is within a few ulps, so the 1 - h that
+    the 90 and 270 degree rotations return keeps its digits: the 1e-14
+    error of a cancelling log let a 2-ulp step of v move the h-values a
+    vine carries on by 1e-7 relative.  Where h nears 0 it neither
+    overflows nor loses its relative precision."""
+    u = np.array([0.125, 0.375, 0.5, 0.625, 0.875, 1e-6, 1e-10])
+    v = np.array([1e-10, 1e-6, 1e-3, 0.0164, 0.1, 0.5, 0.9])
+    uu, vv = (a.ravel() for a in np.meshgrid(u, v))
+    got = ClaytonCopula(theta).hfunc(uu, vv, "second")
+    want = np.array([float(clayton_h_50_digits(theta, a, b)) for a, b in zip(uu, vv)])
+    want = np.clip(want, EPS, 1 - EPS)
+    assert np.all(np.abs(got - want) <= 4e-16 + 1e-12 * np.minimum(want, 1 - want))
 
 
 def test_gaussian_hfunc_closed_form():
