@@ -16,13 +16,15 @@ with the broadcast shape of its inputs (0-d for scalar inputs).
 
 Rotation lives in PairCopula alone and follows the reflection
 identities of Joe (2014) and Czado (2019).  A family supplies only its
-unrotated formulas: _logpdf(u, v), _h(u, v) = F(u | v) and _hinv(w, v),
-the inverse of _h in u.  Rotation by 90 or 180 degrees reflects
-u -> 1 - u, by 180 or 270 degrees reflects v -> 1 - v; the h output, or
-the h-inverse target, is reflected when the argument that is not
-conditioned on was.  Exchangeable families get F(v | u) = _h(v, u); the
-grid family is not exchangeable and adds its own cond_on="first" forms.
-Its h and h-inverse read a cumulative table through one four-cell read.
+unrotated formulas for one conditioning slot: _logpdf(u, v),
+_h(u, v) = F(u | v) and _hinv(w, v), the inverse of _h in u.  Rotation
+by 90 or 180 degrees reflects u -> 1 - u, by 180 or 270 degrees
+reflects v -> 1 - v; the h output, or the h-inverse target, is reflected
+when u was.  F(v | u) is the transposed copula's h given its second slot,
+at (v, u), so cond_on="first" runs the same formulas on the transpose,
+which each copula builds once, on first use, and keeps.  The grid
+family's h and h-inverse read a cumulative table through one four-cell
+read.
 """
 
 import numpy as np
@@ -40,11 +42,11 @@ def _clip(a):
     return np.clip(np.asarray(a, dtype=float), EPS, 1.0 - EPS)
 
 
-def _free_slot(cond_on):
-    """Slot (0 = u, 1 = v) of the argument that is not conditioned on."""
+def _on_first(cond_on):
+    """Whether the conditioning value occupies the first slot."""
     if cond_on not in ("first", "second"):
         raise InvalidInputError(f"cond_on must be 'first' or 'second', got {cond_on!r}")
-    return 1 if cond_on == "first" else 0
+    return cond_on == "first"
 
 
 class PairCopula:
@@ -54,19 +56,20 @@ class PairCopula:
     n_params = 0
     rotation = 0
     degenerate = False  # set by fit_parametric on constant-column data
-
-    def _flips(self):
-        """Whether the u slot and whether the v slot are reflected."""
-        return self.rotation in (90, 180), self.rotation in (180, 270)
+    _transposed = None  # see _swapped
 
     def _args(self, u, v):
         """Clipped (u, v) mapped into the unrotated copula's slots."""
-        flip_u, flip_v = self._flips()
         u, v = _clip(u), _clip(v)  # then 1 - u and 1 - v lie in [EPS, 1 - EPS] too
-        return (1.0 - u if flip_u else u), (1.0 - v if flip_v else v)
+        if self.rotation in (90, 180):
+            u = 1.0 - u
+        if self.rotation in (180, 270):
+            v = 1.0 - v
+        return u, v
 
-    def _unflip(self, out, free):
-        if self._flips()[free]:
+    def _unflip(self, out):
+        """Clipped _h or _hinv output, reflected back if u was (both are u-slot values)."""
+        if self.rotation in (90, 180):
             out = 1.0 - out
         return np.asarray(np.clip(out, EPS, 1.0 - EPS))
 
@@ -77,29 +80,23 @@ class PairCopula:
         return np.exp(self.log_density(u, v))
 
     def hfunc(self, u, v, cond_on="second"):
-        free = _free_slot(cond_on)
-        u, v = self._args(u, v)
-        return self._unflip(self._h_first(u, v) if free else self._h(u, v), free)
+        cop, u, v = (self._swapped(), v, u) if _on_first(cond_on) else (self, u, v)
+        return cop._unflip(cop._h(*cop._args(u, v)))
 
     def hinv(self, w, v, cond_on="second"):
-        free = _free_slot(cond_on)
-        if free:
-            v, w = self._args(v, w)
-            return self._unflip(self._hinv_first(w, v), free)
-        w, v = self._args(w, v)
-        return self._unflip(self._hinv(w, v), free)
-
-    def _h_first(self, u, v):
-        """F(v | u) of the unrotated copula; exchangeable by default."""
-        return self._h(v, u)
-
-    def _hinv_first(self, w, u):
-        """Inverse of _h_first in v."""
-        return self._hinv(w, u)
+        cop = self._swapped() if _on_first(cond_on) else self
+        return cop._unflip(cop._hinv(*cop._args(w, v)))
 
     def transpose(self):
         """Copula of the argument-swapped pair (u, v) -> (v, u)."""
         return self
+
+    def _swapped(self):
+        """transpose(), built on first use and kept; its own is this copula."""
+        if self._transposed is None:
+            self._transposed = self.transpose()
+            self._transposed._transposed = self
+        return self._transposed
 
     def to_dict(self):
         raise NotImplementedError
@@ -225,13 +222,13 @@ class ClaytonCopula(PairCopula):
 class GridCopula(PairCopula):
     """Nonparametric copula density on a G x G equispaced mesh.
 
-    Grid nodes sit at cell centers (i + 0.5)/G.  Cumulative tables over
-    both axes are precomputed.  h reads four cells of a table, bilinearly,
-    as the density reads four grid cells.  hinv reads table rows the same
-    way, binary-searching for the two breaks whose rows bracket its
-    target, and inverts h linearly between them, so hinv(hfunc(u)) is
-    exact up to float precision.  A NaN input gives NaN, as in the
-    parametric families.
+    Grid nodes sit at cell centers (i + 0.5)/G.  One cumulative table,
+    over u for each v node, is precomputed; F(v | u) reads the transpose's
+    table.  h reads four cells of it, bilinearly, as the density reads
+    four grid cells.  hinv reads table rows the same way, binary-searching
+    for the two breaks whose rows bracket its target, and inverts h
+    linearly between them, so hinv(hfunc(u)) is exact up to float
+    precision.  A NaN input gives NaN, as in the parametric families.
     """
 
     family = "grid"
@@ -247,19 +244,14 @@ class GridCopula(PairCopula):
         self.grid_size = g
         self.nodes = (np.arange(g) + 0.5) / g
         self.breaks = np.concatenate(([0.0], self.nodes, [1.0]))
-        # cumulative over u for each v column, normalized to end at 1
-        self._cum_u = self._cumulative(grid)            # (G+2) x G
-        self._cum_v = self._cumulative(grid.T)          # (G+2) x G (over v, per u row)
-
-    def _cumulative(self, dens):
-        # dens indexed [target, cond]; extend to breakpoints with edge values
-        ext = np.vstack([dens[:1], dens, dens[-1:]])    # (G+2) x G
-        dt = np.diff(self.breaks)[:, None]
-        seg = 0.5 * (ext[:-1] + ext[1:]) * dt
-        cum = np.concatenate([np.zeros((1, dens.shape[1])), np.cumsum(seg, axis=0)])
+        # cumulative over u for each v column, extended to the breaks with
+        # edge values and normalized to end at 1: (G+2) x G
+        ext = np.vstack([grid[:1], grid, grid[-1:]])
+        seg = 0.5 * (ext[:-1] + ext[1:]) * np.diff(self.breaks)[:, None]
+        cum = np.concatenate([np.zeros((1, g)), np.cumsum(seg, axis=0)])
         total = cum[-1]
         total = np.where(total <= 0, 1.0, total)
-        return cum / total
+        self._cum_u = cum / total
 
     def integral(self):
         """Trapezoid integral of the density over the unit square."""
@@ -293,43 +285,34 @@ class GridCopula(PairCopula):
              + self.grid[i0 + 1, j0 + 1] * du * dv)
         return z
 
-    @staticmethod
-    def _read(cum, k, j, t):
+    def _read(self, k, j, t):
         """Table row k read between conditioning nodes j and j + 1, weight t."""
-        return cum[k, j] * (1 - t) + cum[k, j + 1] * t
+        return self._cum_u[k, j] * (1 - t) + self._cum_u[k, j + 1] * t
 
-    def _h(self, u, v, cum=None):
-        """F(u | v); _h(v, u, self._cum_v) is F(v | u).  Table rows k - 1 and k
-        bracket u on `breaks`; each is read at v between two nodes."""
-        cum = self._cum_u if cum is None else cum
+    def _h(self, u, v):
+        """F(u | v).  Table rows k - 1 and k bracket u on `breaks`; each is
+        read at v between two nodes."""
         k = np.clip(np.searchsorted(self.breaks, u, side="right"), 1, self.grid_size + 1)
         j, t = self._cell(v)
-        y0, y1 = self._read(cum, k - 1, j, t), self._read(cum, k, j, t)
+        y0, y1 = self._read(k - 1, j, t), self._read(k, j, t)
         x0, x1 = self.breaks[k - 1], self.breaks[k]
         return y0 + (u - x0) / (x1 - x0) * (y1 - y0)
 
-    def _hinv(self, w, v, cum=None):
+    def _hinv(self, w, v):
         """Inverse of _h in its first argument.  Read at v, the table rows are
         non-decreasing in k, so a binary search finds the first row k >= 1
         that reaches w (or k = G + 1), and h is inverted between breaks k - 1
         and k."""
-        cum = self._cum_u if cum is None else cum
         j, t = self._cell(v)
         lo, hi = 0, self.grid_size + 1  # rows 1..lo lie below w; row hi reaches it or is last
         for _ in range((self.grid_size + 2).bit_length()):
             mid = (lo + hi + 1) // 2
-            below = self._read(cum, mid, j, t) < w
+            below = self._read(mid, j, t) < w
             lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-        y0, y1 = self._read(cum, hi - 1, j, t), self._read(cum, hi, j, t)
+        y0, y1 = self._read(hi - 1, j, t), self._read(hi, j, t)
         x0, x1 = self.breaks[hi - 1], self.breaks[hi]
         s = (w - y0) / np.where(y1 > y0, y1 - y0, np.inf)  # 0 on a flat stretch, NaN at NaN
         return x0 + np.clip(s, 0.0, 1.0) * (x1 - x0)
-
-    def _h_first(self, u, v):
-        return self._h(v, u, self._cum_v)
-
-    def _hinv_first(self, w, u):
-        return self._hinv(w, u, self._cum_v)
 
     def transpose(self):
         return GridCopula(self.grid.T)

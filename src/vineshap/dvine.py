@@ -236,11 +236,12 @@ class DVineModel:
     # conditional sampling
 
     def reversed(self):
-        """Same model with the order reversed (pair table mirrored/transposed).
+        """Same model with the order reversed: the pair table mirrored, each
+        pair the transpose its cond_on="first" calls already evaluate.
         Built once, on first use, and never serialised."""
         if self._reversed is None:
             m = self.M
-            pairs = [[self.pairs[i][m - 2 - i - j].transpose()
+            pairs = [[self.pairs[i][m - 2 - i - j]._swapped()
                       for j in range(m - 1 - i)] for i in range(m - 1)]
             self._reversed = DVineModel(self.order[::-1], pairs, self.marginals)
             self._reversed._reversed = self

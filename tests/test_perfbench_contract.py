@@ -14,6 +14,7 @@ through the `cmd:` predictor, the Burr oracle and the gate.
 
 import importlib
 import importlib.util
+import os
 import sys
 import time
 from pathlib import Path
@@ -21,9 +22,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vineshap import shapley
+from vineshap import ClaytonCopula, shapley
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = PERFBENCH.parent / "src"
 TRACER = PERFBENCH / "tracer.py"
 
 
@@ -45,6 +47,19 @@ def patch_targets(tracer):
             owner = getattr(owner, cls[0])
         out.append((owner, attr))
     return out
+
+
+@pytest.mark.parametrize("method", ["hfunc", "hinv"])
+@pytest.mark.parametrize("cond_on", ["first", "second"])
+def test_one_kernel_call_is_traced_once(tracer, method, cond_on):
+    # a rotated Clayton's transpose is another ClaytonCopula, whose public
+    # methods the tracer wraps too: "first" must not go through them
+    u = np.linspace(0.05, 0.95, 7)
+    cop = ClaytonCopula(2.0, rotation=90)
+    with tracer.Tracer() as t:
+        getattr(cop, method)(u, u[::-1], cond_on)
+    calls_and_points = {key: rec[:2] for key, rec in t.kernels.items()}
+    assert calls_and_points == {(None, f"bicop.clayton.{method}"): [1, u.size]}
 
 
 def test_every_traced_path_resolves(tracer):
@@ -104,8 +119,10 @@ def test_cli_workload_cycle_passes_the_gate(workloads, tmp_path):
 
 
 @pytest.mark.parametrize("name", ["ratio-par-m8", "cli-cmd-m4"])
-def test_traced_tiny_run_passes_the_gate(workloads, tmp_path, name):
+def test_traced_tiny_run_passes_the_gate(workloads, tmp_path, monkeypatch, name):
     # the tracer wraps the package's kernels, spans and predictor in place;
-    # a changed signature it wraps fails the gate here
+    # a changed signature it wraps fails the gate here.  The run's child
+    # processes import vineshap from this checkout, installed or not.
+    monkeypatch.setenv("PYTHONPATH", str(SRC), prepend=os.pathsep)
     result = workloads.run(name, 1, 0.0, True, "tiny", False, PERFBENCH.parent, tmp_path)
     assert result["correct"] and result["failed"] == 0
