@@ -18,7 +18,7 @@ from .explain import (ContributionEstimator, Explanation,
                       GaussianCopulaEstimator, GaussianEstimator,
                       IndependenceEstimator, VineCondSimEstimator,
                       VineRatioEstimator, shapley, shapley_from_values,
-                      shapley_weights)
+                      shapley_rows, shapley_weights)
 from .marginals import EmpiricalMarginal
 from .simstudy import (BurrMarginal, BurrParams, ExperimentConfig,
                        ExperimentReport, analytic_mean_predictor,
@@ -46,6 +46,7 @@ __all__ = [
     "fit_nonparametric", "fit_parametric", "generate_response", "greedy_cover",
     "knn_predictor", "mae", "pseudo_observations",
     "required_sets", "response_mean_from_u", "run_experiment",
-    "run_repetition", "shapley", "shapley_from_values", "shapley_weights",
+    "run_repetition", "shapley", "shapley_from_values", "shapley_rows",
+    "shapley_weights",
     "study_params", "true_shapley", "truth_vine",
 ]

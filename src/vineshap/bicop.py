@@ -25,10 +25,13 @@ at (v, u), so cond_on="first" runs the same formulas on the transpose,
 which each copula builds once, on first use, and keeps.  The grid
 family's h and h-inverse read a cumulative table through one four-cell
 read.
+
+`scipy.special` (ndtr, ndtri) loads on first use, through `special()`:
+only the Gaussian pieces need it, so a vine without a Gaussian pair
+never imports scipy.
 """
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import InvalidInputError
 
@@ -36,6 +39,12 @@ EPS = 1e-10
 
 #: below this |tau| the pair is treated as independent
 TAU_INDEPENDENCE_THRESHOLD = 0.02
+
+
+def special():
+    """`scipy.special`, imported on the first call."""
+    import scipy.special
+    return scipy.special
 
 
 def _clip(a):
@@ -144,21 +153,21 @@ class GaussianCopula(PairCopula):
         self.rho = rho
 
     def _logpdf(self, u, v):
-        x = ndtri(u)
-        y = ndtri(v)
+        sp = special()
+        x, y = sp.ndtri(u), sp.ndtri(v)
         r = self.rho
         s2 = 1.0 - r * r
         return -0.5 * np.log(s2) - (r * r * (x * x + y * y) - 2.0 * r * x * y) / (2.0 * s2)
 
     def _h(self, u, v):
-        x = ndtri(u)
-        y = ndtri(v)
-        return ndtr((x - self.rho * y) / np.sqrt(1.0 - self.rho ** 2))
+        sp = special()
+        x, y = sp.ndtri(u), sp.ndtri(v)
+        return sp.ndtr((x - self.rho * y) / np.sqrt(1.0 - self.rho ** 2))
 
     def _hinv(self, w, v):
-        z = ndtri(w)
-        y = ndtri(v)
-        return ndtr(z * np.sqrt(1.0 - self.rho ** 2) + self.rho * y)
+        sp = special()
+        z, y = sp.ndtri(w), sp.ndtri(v)
+        return sp.ndtr(z * np.sqrt(1.0 - self.rho ** 2) + self.rho * y)
 
     def to_dict(self):
         return {"family": "gaussian", "rho": self.rho}
@@ -449,13 +458,13 @@ def fit_nonparametric(data, grid_size=64):
     """
     data = _validate_pseudo_obs(data, 30)
     n = data.shape[0]
-    z = ndtri(data)
+    z = special().ndtri(data)
     h = np.std(z, axis=0, ddof=1) * n ** (-1.0 / 6.0)
     h = np.maximum(h, 1e-3)
 
     g = int(grid_size)
     nodes = (np.arange(g) + 0.5) / g
-    zg = ndtri(nodes)
+    zg = special().ndtri(nodes)
     # product-kernel density on the normal-score scale, via two G x N factors
     k1 = _normal_pdf((zg[:, None] - z[None, :, 0]) / h[0]) / h[0]
     k2 = _normal_pdf((zg[:, None] - z[None, :, 1]) / h[1]) / h[1]

@@ -6,6 +6,7 @@ error, 4 numeric failure.
 
 import argparse
 import csv
+import functools
 import json
 import shlex
 import subprocess
@@ -18,14 +19,16 @@ import numpy as np
 from . import simstudy
 from .dvine import MIN_FIT_ROWS, DVineModel, NonparametricMode, ParametricMode, fit_dvine
 from .errors import DataError, InvalidInputError, NumericError, VineShapError
-from .explain import (GaussianCopulaEstimator, GaussianEstimator,
-                      VineCondSimEstimator, VineRatioEstimator, shapley)
+from .explain import (PREDICT_CELLS, GaussianCopulaEstimator, GaussianEstimator,
+                      VineCondSimEstimator, VineRatioEstimator, shapley_rows)
 from .marginals import EmpiricalMarginal
 from .structure import MAX_FEATURES, CoverPlan, greedy_cover
 
 BUNDLE_FORMAT = "vineshap-bundle"
 BUNDLE_VERSION = 3
 FIT_METHODS = ("vine-parametric", "vine-nonparametric", "gaussian", "gaussian-copula")
+PREDICTOR_TIMEOUT_S = 600.0  # default seconds a `cmd:` call may take
+CMD_PREDICT_CELLS = 1 << 20  # matrix cells per `cmd:` call in `explain`: each call is a process
 
 
 def read_csv(path):
@@ -118,23 +121,35 @@ def make_predictor(spec, columns):
 
 
 def _subprocess_predictor(argv, columns):
-    def g(x):
-        x = np.atleast_2d(x)
-        # the rows go through a file, not a pipe, so no call holds them all as text
+    """g(x, timeout): one child run per call; a child still running after
+    `timeout` seconds is killed and the call raises NumericError."""
+    def g(x, timeout=PREDICTOR_TIMEOUT_S):
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        m, step = x.shape[1], max(1, PREDICT_CELLS // x.shape[1])
+        # the rows go through a file, not a pipe, written one chunk at a
+        # time, so no call holds them all as text
         with tempfile.TemporaryFile("w+", encoding="utf-8") as stdin:
             stdin.write(",".join(columns) + "\n")
-            for row in x:
-                stdin.write(",".join(repr(float(v)) for v in row) + "\n")
+            for start in range(0, len(x), step):
+                cells = map(repr, x[start:start + step].ravel().tolist())
+                stdin.write("\n".join(map(",".join, zip(*[cells] * m))) + "\n")
             stdin.seek(0)
             try:
-                proc = subprocess.run(argv, stdin=stdin, capture_output=True, text=True)
+                proc = subprocess.run(argv, stdin=stdin, capture_output=True, timeout=timeout)
             except OSError as exc:
                 raise NumericError(f"cannot run predictor command {argv[0]!r}: {exc}")
+            except subprocess.TimeoutExpired:  # run() has killed the child
+                raise NumericError(
+                    f"predictor command {argv[0]!r} timed out after {timeout:g} s")
         if proc.returncode != 0:
+            stderr = proc.stderr.decode("utf-8", "replace")
             raise NumericError(
-                f"predictor command failed (exit {proc.returncode}): "
-                f"{proc.stderr.strip()[:500]}")
-        out = [ln for ln in proc.stdout.splitlines() if ln.strip()]
+                f"predictor command failed (exit {proc.returncode}): {stderr.strip()[:500]}")
+        try:
+            stdout = proc.stdout.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"predictor protocol violation: output is not UTF-8 ({exc})")
+        out = [ln for ln in stdout.splitlines() if ln.strip()]
         if len(out) != x.shape[0]:
             raise DataError(
                 f"predictor protocol violation: sent {x.shape[0]} rows, "
@@ -223,6 +238,10 @@ def cmd_explain(args):
     bundle = load_bundle(args.model)
     columns, test = read_csv(args.test_csv)
     predictor = make_predictor(args.predictor, columns)
+    cells = None  # shapley_rows' default, explain.PREDICT_CELLS
+    if parse_predictor(args.predictor)[0] == "cmd":
+        predictor = functools.partial(predictor, timeout=args.predictor_timeout)
+        cells = CMD_PREDICT_CELLS
     rng = np.random.default_rng(args.seed)
     try:
         manifest = bundle["manifest"]
@@ -235,8 +254,7 @@ def cmd_explain(args):
         raise DataError(
             f"{args.test_csv}: columns {columns} do not match model columns {want}")
     records = []
-    for i, x in enumerate(test):
-        expl = shapley(est, x)
+    for i, expl in enumerate(shapley_rows(est, test, cells)):
         records.append({
             "row_id": i,
             "phi0": expl.phi0,
@@ -370,6 +388,14 @@ def int_at_least(low):
     return integer
 
 
+def positive_seconds(text):
+    """A finite number of seconds above 0."""
+    value = float(text)  # argparse reports a ValueError as an invalid value
+    if not 0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive number of seconds, got {text}")
+    return value
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="vineshap",
@@ -395,6 +421,10 @@ def build_parser():
                    help="const:<c> | linear:<a1,..> | cmd:<command>")
     e.add_argument("--k", type=int_at_least(1), default=1000)
     e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--predictor-timeout", dest="predictor_timeout", metavar="SECONDS",
+                   type=positive_seconds, default=PREDICTOR_TIMEOUT_S,
+                   help="kill a cmd: predictor call that runs longer (exit 4); "
+                        f"default {PREDICTOR_TIMEOUT_S:g}")
     e.add_argument("--diagnostics", action="store_true",
                    help="also write each row's v(S) table and, for vine-ratio, its ess_min")
     e.add_argument("--out", required=True)

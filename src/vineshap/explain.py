@@ -4,25 +4,27 @@ The Shapley combination itself is exact: all 2^M coalitions are
 enumerated and each v(S) is obtained once.  Estimators differ only in
 how they approximate the conditional expectation v(S) = E[g(x) | x_S]:
 each draws the rows at which to evaluate g (and their weights).
-`shapley` stacks the draws `sample_all` yields and calls the predictor
-once per `PREDICT_CELLS` matrix cells, so g must be row-wise: each
-output may depend only on its own row.
+`shapley_rows` explains many query rows through one predictor stream:
+it stacks v(empty)'s training rows (until cached), then each row's x*
+and the draws its `sample_all` yields, and calls the predictor once per
+`PREDICT_CELLS` matrix cells (or a caller's budget), so one call may
+serve several rows and g must be row-wise: each output may depend only on its own row.  `shapley`
+is its one-row case.  The Gaussian pieces load `scipy.special` on first
+use (`bicop.special`).
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
-from .bicop import EPS
+from .bicop import EPS, special
 from .dvine import pseudo_observations
 from .errors import CoverageError, InvalidInputError, NumericError
 from .marginals import EmpiricalMarginal
 from .structure import MAX_FEATURES, set_of
 
-PREDICT_CELLS = 1 << 16     # matrix cells per predictor call in `shapley`
+PREDICT_CELLS = 1 << 16     # default matrix cells per predictor call in `shapley_rows`
 
 
 @dataclass
@@ -164,39 +166,71 @@ def _assignment(plan, features):
 
 
 def shapley(estimator, x_star):
-    """Exact Shapley values of the estimator's contribution game at x_star."""
+    """Exact Shapley values of the estimator's contribution game at x_star;
+    the one-row case of `shapley_rows`."""
     x_star = np.asarray(x_star, dtype=float)
+    if x_star.shape != (estimator.M,):
+        raise InvalidInputError(
+            f"query point must have shape ({estimator.M},), got {x_star.shape}")
+    return shapley_rows(estimator, x_star[None, :])[0]
+
+
+def shapley_rows(estimator, X_star, cells=None):
+    """One Explanation per row of the (R, M) array X_star, from one stream
+    of predictor calls of up to `cells` matrix cells (default
+    `PREDICT_CELLS`): a call may hold the draws of several rows, and
+    v(empty)'s training rows join the first call until v(empty) is cached.
+    Each row calls `begin_explanation`, in row order, before its first
+    draw, so its draws are those of `shapley` on that row alone.  A row's
+    diagnostics count the calls that carried any of its rows, and the rows
+    it sent (v(empty)'s with the first row's)."""
+    X_star = np.asarray(X_star, dtype=float)
     M = estimator.M
-    if x_star.shape != (M,):
-        raise InvalidInputError(f"query point must have shape ({M},), got {x_star.shape}")
-    if not np.all(np.isfinite(x_star)):
+    if X_star.ndim != 2 or X_star.shape[1] != M:
+        raise InvalidInputError(f"query points must have shape (R, {M}), got {X_star.shape}")
+    if not np.all(np.isfinite(X_star)):
         raise InvalidInputError("query point must be finite")
     if M > MAX_FEATURES:
         raise InvalidInputError(
             f"exact enumeration over 2^{M} coalitions refused; reduce to "
             f"<= {MAX_FEATURES} features")
-    estimator.begin_explanation(x_star)
-    calls, rows = estimator.predictor_calls, estimator.predictor_rows
     full = (1 << M) - 1
-    values = dict.fromkeys([0, full, *range(1, full)])  # fixes the table's order
-    values[0] = estimator.v_empty()
-    # x* gives v(full); every other coalition's draws follow
-    ess = {}  # mask -> 1/sum(pi^2), for weighted draws
-    draws = itertools.chain([(full, x_star[None, :], None)], estimator.sample_all(x_star))
-    for batch in _batches(draws, max(1, PREDICT_CELLS // M)):
+    # one v table per row, in the order v(empty), v(full), then mask order
+    tables = [dict.fromkeys([0, full, *range(1, full)]) for _ in X_star]
+    ess = [{} for _ in X_star]      # mask -> 1/sum(pi^2), for weighted draws
+    counts = [[0, 0] for _ in X_star]  # predictor calls and rows per row
+
+    def draws():  # ((row, mask), x, pi); uncached v(empty) is row 0's mask 0
+        if estimator._v_empty is None and len(X_star):
+            yield (0, 0), estimator.train_x, None
+        for i, x_star in enumerate(X_star):
+            estimator.begin_explanation(x_star)
+            yield (i, full), x_star[None, :], None
+            for mask, x, pi in estimator.sample_all(x_star):
+                yield (i, mask), x, pi
+
+    for batch in _batches(draws(), max(1, (cells or PREDICT_CELLS) // M)):
         g = estimator.predict(np.concatenate([x for _, x, _ in batch]))
         ends = np.cumsum([len(x) for _, x, _ in batch])
-        for (mask, _, pi), g_s in zip(batch, np.split(g, ends[:-1])):
-            values[mask] = _mean(g_s, pi)
+        for i in {i for (i, _), _, _ in batch}:
+            counts[i][0] += 1
+        for ((i, mask), x, pi), g_s in zip(batch, np.split(g, ends[:-1])):
+            counts[i][1] += len(x)
+            tables[i][mask] = _mean(g_s, pi)
             if pi is not None:
-                ess[mask] = float(1.0 / np.sum(pi ** 2))
-    phi0, phi = shapley_from_values(M, values)
-    diagnostics = {"predictor_calls": estimator.predictor_calls - calls,
-                   "predictor_rows": estimator.predictor_rows - rows}
-    if ess:
-        diagnostics.update(ess=dict(sorted(ess.items())), ess_min=min(ess.values()))
-    return Explanation(phi0=phi0, phi=phi, values=values, method=estimator.method,
-                       K=estimator.K, diagnostics=diagnostics)
+                ess[i][mask] = float(1.0 / np.sum(pi ** 2))
+    if tables and estimator._v_empty is None:
+        estimator._v_empty = tables[0][0]
+    out = []
+    for values, row_ess, (calls, rows) in zip(tables, ess, counts):
+        values[0] = estimator.v_empty()  # cached
+        phi0, phi = shapley_from_values(M, values)
+        diagnostics = {"predictor_calls": calls, "predictor_rows": rows}
+        if row_ess:
+            diagnostics.update(ess=dict(sorted(row_ess.items())), ess_min=min(row_ess.values()))
+        out.append(Explanation(phi0=phi0, phi=phi, values=values, method=estimator.method,
+                               K=estimator.K, diagnostics=diagnostics))
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -252,15 +286,15 @@ class GaussianCopulaEstimator(ContributionEstimator):
     def fit_normal(self):
         """(mu, sigma) of the normal-scale model; fits the marginals."""
         self.marginals = [EmpiricalMarginal(self.train_x[:, j]) for j in range(self.M)]
-        scores = ndtri(pseudo_observations(self.train_x, self.marginals))
+        scores = special().ndtri(pseudo_observations(self.train_x, self.marginals))
         return np.zeros(self.M), np.corrcoef(scores, rowvar=False)
 
     def to_normal(self, cols, x):
-        return ndtri([self.marginals[j].cdf(x[i]) for i, j in enumerate(cols)])
+        return special().ndtri([self.marginals[j].cdf(x[i]) for i, j in enumerate(cols)])
 
     def from_normal(self, cols, z):
         return np.column_stack([
-            self.marginals[j].quantile(np.clip(ndtr(z[:, i]), EPS, 1 - EPS))
+            self.marginals[j].quantile(np.clip(special().ndtr(z[:, i]), EPS, 1 - EPS))
             for i, j in enumerate(cols)])
 
     def sample(self, features, x_star):
@@ -333,7 +367,7 @@ class VineCondSimEstimator(_VineEstimator):
     def _draws(self, masks, x_star):
         """(mask, x, None) per coalition.  Coalitions are grouped by their
         serving order and whether they are its prefix or suffix; one inverse
-        pass samples as many of a group as a predictor batch holds."""
+        pass samples as many of a group as `PREDICT_CELLS` holds."""
         if self._key is None:
             self.begin_explanation(x_star)
         groups = {}
@@ -391,7 +425,7 @@ class VineRatioEstimator(_VineEstimator):
         """(mask, x, pi) per coalition, on the shared subsample.  Coalitions
         are grouped by the order that serves their complement; one call per
         order weights them all, stacking as many block overlaps per kernel
-        call as a predictor batch holds coalitions."""
+        call as `PREDICT_CELLS` holds coalitions."""
         if self._sub_idx is None:
             self.begin_explanation(x_star)
         groups = {}

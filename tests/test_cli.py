@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import vineshap
+import vineshap.cli
 from vineshap import burr_sample, study_params
 from vineshap.cli import FIT_METHODS, main, make_predictor, read_csv
 
@@ -65,14 +67,70 @@ def test_read_csv_rejects_duplicate_columns(tmp_path):
 # predictors
 
 def test_cli_import_loads_no_scipy_stats():
-    """`scipy.stats` and `scipy.spatial` load where they are used (vine
-    fits, the kNN predictor); they took most of the CLI's start-up."""
+    """No scipy module loads with the CLI: `scipy.stats` and `scipy.spatial`
+    load where they are used (vine fits, the kNN predictor), and
+    `scipy.special` with the first Gaussian piece."""
     src = Path(vineshap.__file__).resolve().parents[1]
     code = ("import sys, vineshap.cli; "
-            "print(sorted({'scipy.stats', 'scipy.spatial'} & set(sys.modules)))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert out.stdout.strip() == "[]"
+
+
+def explain_in_a_new_process(model, test_csv, out, predictor):
+    """`vineshap explain` in a fresh interpreter: its exit code and whether
+    it loaded `scipy.special`."""
+    src = Path(vineshap.__file__).resolve().parents[1]
+    argv = ["explain", str(model), str(test_csv), "--predictor", predictor,
+            "--k", "100", "--seed", "6", "--diagnostics", "--out", str(out)]
+    code = ("import sys; from vineshap.cli import main; "
+            f"print(main({argv!r}), 'scipy.special' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    code, loaded = proc.stdout.split()
+    return int(code), loaded == "True"
+
+
+def set_pairs(bundle, pair):
+    for model in bundle["models"]:
+        model["pairs"] = [[dict(pair) for _ in row] for row in model["pairs"]]
+
+
+@pytest.mark.parametrize("shap_method", ["condsim", "ratio"])
+def test_explain_without_a_gaussian_pair_loads_no_scipy_special(train_csv, test_csv,
+                                                                tmp_path, shap_method):
+    model, out = tmp_path / "m.json", tmp_path / "e.json"
+    assert run_cli("fit", str(train_csv), "--shap-method", shap_method,
+                   "--out", str(model)) == 0
+    bundle = json.loads(model.read_text())
+    set_pairs(bundle, {"family": "clayton", "theta": 1.5, "rotation": 180})
+    model.write_text(json.dumps(bundle))
+    assert explain_in_a_new_process(model, test_csv, out, "const:1.5") == (0, False)
+    assert all(rec["phi0"] == 1.5 for rec in json.loads(out.read_text())["explanations"])
+
+
+@pytest.mark.parametrize("method,shap_method", [("gaussian-copula", "ratio"),
+                                                ("vine-parametric", "condsim"),
+                                                ("vine-parametric", "ratio")])
+def test_gaussian_pieces_load_scipy_special_on_use(train_csv, test_csv, tmp_path,
+                                                    method, shap_method):
+    """A Gaussian baseline, or a vine with a Gaussian pair, loads
+    `scipy.special` when it first evaluates one, and writes the bytes that
+    an explain in a process which had loaded it already writes."""
+    model = tmp_path / "m.json"
+    assert run_cli("fit", str(train_csv), "--method", method, "--shap-method", shap_method,
+                   "--out", str(model)) == 0
+    if method == "vine-parametric":
+        bundle = json.loads(model.read_text())
+        set_pairs(bundle, {"family": "clayton", "theta": 1.5, "rotation": 180})
+        bundle["models"][-1]["pairs"][-1][0] = {"family": "gaussian", "rho": 0.4}
+        model.write_text(json.dumps(bundle))
+    fresh, loaded = tmp_path / "fresh.json", tmp_path / "loaded.json"
+    assert explain_in_a_new_process(model, test_csv, fresh, "linear:1,2,3") == (0, True)
+    assert run_cli("explain", str(model), str(test_csv), "--predictor", "linear:1,2,3",
+                   "--k", "100", "--seed", "6", "--diagnostics", "--out", str(loaded)) == 0
+    assert fresh.read_bytes() == loaded.read_bytes()
 
 
 def test_fit_loads_no_scipy_stats(train_csv, tmp_path):
@@ -127,7 +185,8 @@ def test_cmd_predictor_roundtrip(tmp_path):
     assert np.allclose(out, [3.0, 7.0])
 
 
-def test_cmd_predictor_child_reads_the_csv_protocol(tmp_path):
+def test_cmd_predictor_child_reads_the_csv_protocol(tmp_path, monkeypatch):
+    """The stdin bytes, also when the rows are written in chunks of two."""
     script = tmp_path / "save.py"
     saved = tmp_path / "stdin.csv"
     script.write_text(
@@ -136,9 +195,11 @@ def test_cmd_predictor_child_reads_the_csv_protocol(tmp_path):
         "open(sys.argv[1], 'wb').write(data)\n"
         "print('0.0\\n' * (data.count(b'\\n') - 1), end='')\n")
     g = make_predictor(f"cmd:{sys.executable} {script} {saved}", ["a", "b"])
-    out = g(np.array([[0.1, -2.5], [1e-300, 3.0], [12345678.9, -0.0]]))
-    assert np.array_equal(out, np.zeros(3))
-    assert saved.read_bytes() == b"a,b\n0.1,-2.5\n1e-300,3.0\n12345678.9,-0.0\n"
+    for cells in (vineshap.cli.PREDICT_CELLS, 4):
+        monkeypatch.setattr(vineshap.cli, "PREDICT_CELLS", cells)
+        out = g(np.array([[0.1, -2.5], [1e-300, 3.0], [12345678.9, -0.0]]))
+        assert np.array_equal(out, np.zeros(3))
+        assert saved.read_bytes() == b"a,b\n0.1,-2.5\n1e-300,3.0\n12345678.9,-0.0\n"
 
 
 def test_cmd_predictor_protocol_violation(tmp_path):
@@ -148,6 +209,73 @@ def test_cmd_predictor_protocol_violation(tmp_path):
     g = make_predictor(f"cmd:{sys.executable} {script}", ["a"])
     with pytest.raises(DataError, match="protocol"):
         g(np.zeros((3, 1)))
+
+
+def child_script(tmp_path, body):
+    script = tmp_path / "child.py"
+    script.write_text("import sys, time\n" + body)
+    return f"cmd:{sys.executable} {script}"
+
+
+def test_cmd_predictor_output_that_is_not_utf8_is_a_protocol_violation(
+        train_csv, test_csv, tmp_path, capsys):
+    # it ended in a UnicodeDecodeError traceback
+    spec = child_script(tmp_path, "n = len(sys.stdin.read().splitlines()) - 1\n"
+                                  "sys.stdout.buffer.write(b'\\377\\n' * n)\n")
+    model, out = tmp_path / "m.json", tmp_path / "e.json"
+    assert run_cli("fit", str(train_csv), "--out", str(model)) == 0
+    capsys.readouterr()
+    assert run_cli("explain", str(model), str(test_csv), "--k", "20",
+                   "--predictor", spec, "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "protocol violation" in err and "UTF-8" in err
+    assert not out.exists()
+
+
+def test_cmd_predictor_stderr_that_is_not_utf8_is_replaced():
+    from vineshap.errors import NumericError
+    g = make_predictor(f"cmd:{sys.executable} -c \"import sys; "
+                       "sys.stderr.buffer.write(b'bad \\377 byte'); sys.exit(5)\"", ["a"])
+    with pytest.raises(NumericError, match="exit 5.*bad \ufffd byte"):
+        g(np.zeros((2, 1)))
+
+
+def test_hung_cmd_predictor_is_killed_at_the_timeout(train_csv, test_csv, tmp_path, capsys):
+    pid_file = tmp_path / "pid"
+    spec = child_script(tmp_path, f"open({str(pid_file)!r}, 'w').write(str(__import__('os')"
+                                  ".getpid()))\ntime.sleep(60)\n")
+    model, out = tmp_path / "m.json", tmp_path / "e.json"
+    assert run_cli("fit", str(train_csv), "--out", str(model)) == 0
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert run_cli("explain", str(model), str(test_csv), "--k", "20", "--predictor", spec,
+                   "--predictor-timeout", "1", "--out", str(out)) == 4
+    assert time.perf_counter() - start < 30
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "timed out after 1 s" in err
+    assert not out.exists()
+    with pytest.raises(ProcessLookupError):  # killed and reaped
+        os.kill(int(pid_file.read_text()), 0)
+
+
+def test_explain_sends_every_row_through_one_cmd_call(train_csv, test_csv, tmp_path):
+    counts = tmp_path / "counts"
+    spec = child_script(tmp_path, f"rows = sys.stdin.read().splitlines()[1:]\n"
+                                  f"open({str(counts)!r}, 'a').write(f'{{len(rows)}}\\n')\n"
+                                  "for r in rows:\n"
+                                  "    print(sum(float(t) * c for t, c in zip(r.split(','), "
+                                  "(1, 2, 3))))\n")
+    model = tmp_path / "m.json"
+    assert run_cli("fit", str(train_csv), "--out", str(model)) == 0
+    for name, predictor in (("cmd", spec), ("linear", "linear:1,2,3")):
+        assert run_cli("explain", str(model), str(test_csv), "--k", "100", "--seed", "7",
+                       "--predictor", predictor, "--out", str(tmp_path / f"{name}.json")) == 0
+    # v(empty)'s 200 training rows, then x* and 6 coalitions of 100 rows per test row
+    assert counts.read_text().split() == [str(200 + 3 * 601)]
+    cmd, linear = (json.loads((tmp_path / f"{n}.json").read_text())["explanations"]
+                   for n in ("cmd", "linear"))
+    for a, b in zip(cmd, linear):
+        assert a["phi0"] == pytest.approx(b["phi0"]) and np.allclose(a["phi"], b["phi"])
 
 
 # ----------------------------------------------------------------------
@@ -350,12 +478,17 @@ def test_usage_error_exit_code():
     ("--k", "0"),
     ("--k", "-3"),
     ("--k", "ten"),
+    ("--predictor-timeout", "0"),
+    ("--predictor-timeout", "-1"),
+    ("--predictor-timeout", "abc"),
+    ("--predictor-timeout", "nan"),
+    ("--predictor-timeout", "inf"),
 ])
 def test_malformed_explain_arguments_are_usage_errors(tmp_path, capsys, flag, value):
     args = {"--predictor": "const:0", "--k": "10", flag: value}
     with pytest.raises(SystemExit) as exc:
         run_cli("explain", str(tmp_path / "m.json"), str(tmp_path / "t.csv"),
-                "--predictor", args["--predictor"], "--k", args["--k"],
+                *[token for item in args.items() for token in item],
                 "--out", str(tmp_path / "e.json"))
     assert exc.value.code == 2
     err = capsys.readouterr().err

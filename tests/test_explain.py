@@ -11,7 +11,8 @@ from vineshap import (ClaytonCopula, CoverageError, CoverPlan, GaussianCopula,
                       VineCondSimEstimator,
                       VineRatioEstimator, analytic_mean_predictor, burr_sample,
                       explain, fit_dvine, greedy_cover, shapley,
-                      shapley_from_values, shapley_weights, study_params)
+                      shapley_from_values, shapley_rows, shapley_weights,
+                      study_params)
 from vineshap.structure import set_of
 
 
@@ -468,13 +469,14 @@ def test_one_predictor_call_per_query_row(method):
     train = np.random.default_rng(45).normal(size=(200, 4))
     pred = CountingPredictor(row_wise)
     est = make_estimator(method, train, pred, 46, K=1000)
-    first = shapley(est, train[0])  # also averages g over train for v(empty)
-    assert [len(b) for b in pred.batches] == [200, 14 * 1000 + 1]
-    assert predictor_counts(first, method) == (2, 14201)
+    first = shapley(est, train[0])  # v(empty)'s training rows join the first call
+    assert [len(b) for b in pred.batches] == [200 + 14 * 1000 + 1]
+    assert np.array_equal(pred.batches[0][:200], train)
+    assert predictor_counts(first, method) == (1, 14201)
     second = shapley(est, train[1])
-    assert [len(b) for b in pred.batches[2:]] == [14 * 1000 + 1]
+    assert [len(b) for b in pred.batches[1:]] == [14 * 1000 + 1]
     assert predictor_counts(second, method) == (1, 14001)
-    assert (est.predictor_calls, est.predictor_rows) == (3, 28202)
+    assert (est.predictor_calls, est.predictor_rows) == (2, 28202)
 
 
 def test_shapley_reports_the_ess_of_the_weights_it_averaged_with(monkeypatch):
@@ -517,6 +519,50 @@ def test_bad_prediction_inside_a_batch_raises(method):
         est.predictor = bad
         with pytest.raises(NumericError):
             shapley(est, x_star)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("M", [2, 3, 5])
+def test_shapley_rows_equal_the_per_row_loop(monkeypatch, method, M):
+    """One predictor stream for all rows gives each row the per-row loop's
+    draws, so phi, every v(S) and the ESS agree bit for bit, and each row
+    sends the same rows; a batch of 70 rows holds the draws of two rows."""
+    monkeypatch.setattr(explain, "PREDICT_CELLS", M * 70)
+    train = np.random.default_rng(57).normal(size=(60, M))
+    X_star = np.vstack([train[:3], [train[:, 0].max() + 1.0, *train[0, 1:]]])
+    loop_est = make_estimator(method, train, row_wise, 58, K=20)
+    loop = [shapley(loop_est, x_star) for x_star in X_star]
+    est = make_estimator(method, train, row_wise, 58, K=20)
+    rows = shapley_rows(est, X_star)
+    assert len(rows) == len(X_star)
+    for a, b in zip(rows, loop):
+        assert a.phi0 == b.phi0 and np.array_equal(a.phi, b.phi)
+        assert list(a.values.items()) == list(b.values.items())
+        assert a.diagnostics.get("ess") == b.diagnostics.get("ess")
+        assert a.diagnostics.get("ess_min") == b.diagnostics.get("ess_min")
+        assert a.diagnostics["predictor_rows"] == b.diagnostics["predictor_rows"]
+    assert est.predictor_rows == loop_est.predictor_rows
+    assert est.predictor_calls <= loop_est.predictor_calls
+    # some call carried the draws of two rows, so it counts for both
+    assert sum(e.diagnostics["predictor_calls"] for e in rows) > est.predictor_calls
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_shapley_rows_of_no_rows_make_no_predictor_call(method):
+    train = np.random.default_rng(59).normal(size=(50, 3))
+    est = make_estimator(method, train, row_wise, 60)
+    assert shapley_rows(est, np.empty((0, 3))) == []
+    assert est.predictor_calls == 0 and est._v_empty is None
+
+
+@pytest.mark.parametrize("bad", [np.zeros(3), np.zeros((2, 4)), np.zeros((1, 2)),
+                                 np.array([[0.0, 1.0, 2.0], [0.0, np.nan, 1.0]])])
+def test_shapley_rows_reject_bad_query_rows_before_any_call(bad):
+    train = np.random.default_rng(61).normal(size=(50, 3))
+    est = make_estimator("independence", train, row_wise, 62)
+    with pytest.raises(InvalidInputError, match="query point"):
+        shapley_rows(est, bad)
+    assert est.predictor_calls == 0
 
 
 # ----------------------------------------------------------------------
