@@ -264,10 +264,7 @@ class GridCopula(PairCopula):
 
     def integral(self):
         """Trapezoid integral of the density over the unit square."""
-        ext = np.vstack([self.grid[:1], self.grid, self.grid[-1:]])
-        ext = np.hstack([ext[:, :1], ext, ext[:, -1:]])
-        return float(np.trapezoid(np.trapezoid(ext, self.breaks, axis=0),
-                                  self.breaks))
+        return _grid_integral(self.grid, self.breaks)
 
     def density(self, u, v):
         return np.asarray(self._bilinear(_clip(u), _clip(v)))
@@ -331,6 +328,13 @@ class GridCopula(PairCopula):
 
     def __repr__(self):
         return f"GridCopula(grid_size={self.grid_size})"
+
+
+def _grid_integral(grid, breaks):
+    """Trapezoid integral over the unit square of a density on the grid
+    nodes, extended to the breaks with its edge values."""
+    ext = np.pad(grid, 1, mode="edge")
+    return float(np.trapezoid(np.trapezoid(ext, breaks, axis=0), breaks))
 
 
 def _normal_pdf(x):
@@ -473,6 +477,4 @@ def fit_nonparametric(data, grid_size=64):
     c = f / (phi[:, None] * phi[None, :])
     c = np.maximum(c, 1e-4)
 
-    cop = GridCopula(c)
-    c = c / cop.integral()
-    return GridCopula(c)
+    return GridCopula(c / _grid_integral(c, np.concatenate(([0.0], nodes, [1.0]))))

@@ -338,12 +338,12 @@ def parse_bench_config(path):
         config.validate()
     except InvalidInputError as exc:
         raise DataError(f"{path}: {exc}")
-    return config, kv
+    return config
 
 
 def cmd_bench(args):
     import os
-    config, kv = parse_bench_config(args.config)
+    config = parse_bench_config(args.config)
     os.makedirs(args.out_dir, exist_ok=True)
     report = simstudy.run_experiment(config, workers=args.threads)
     write_csv(os.path.join(args.out_dir, "results.csv"),
@@ -455,7 +455,7 @@ def main(argv=None):
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InvalidInputError, VineShapError) as exc:
+    except VineShapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except np.linalg.LinAlgError as exc:

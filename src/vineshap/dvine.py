@@ -17,8 +17,8 @@ order itself a D-vine, so the ratio of the joint density to a block's
 own density reduces to the pairs that straddle the block's ends
 (`log_density_ratios`).  All the blocks one order serves get their
 ratios in one (len(blocks), n) array, len(blocks)·n floats: each
-straddling pair runs once per distinct overlap of a block with its span,
-at most `step` overlaps per kernel call.
+straddling pair runs one kernel call over all its distinct overlaps of a
+block with its span.
 
 Fitting, both densities, the Rosenblatt transform and its inverse all
 walk one h-function recursion, `_h_pass`, left to right over the order
@@ -148,7 +148,7 @@ class DVineModel:
             raise InvalidInputError("u_block width must match the block length")
         return self._log_density(u_block, s)
 
-    def log_density_ratios(self, u, u_star, blocks, step=None):
+    def log_density_ratios(self, u, u_star, blocks):
         """log c(u_b, u*_S) - log c(u_b) per block b = (a, e) of order positions
         and row of u, up to a constant per block: one (len(blocks), n) array.
 
@@ -156,18 +156,18 @@ class DVineModel:
         with u_star as one more row, runs first.  Only the pairs whose span
         straddles a block are then evaluated (the others cancel or are
         constant).  Their arguments depend only on the block's overlap with
-        the span: each runs once per distinct overlap, up to `step` overlaps
-        per kernel call (all by default), and adds its row to every block
-        with that overlap.  An argument inside the block comes from the pass
-        over u, one outside it from u_star's row, any other from the h-values
-        the last tree carried for its own overlap.
+        the span: each pair runs one log-density call, and at most two
+        h-function calls, over all its distinct overlaps, and adds each
+        overlap's row to every block with that overlap.  An argument inside
+        the block comes from the pass over u, one outside it from u_star's
+        row, any other from the h-values the last tree carried for its own
+        overlap.
         """
         V = np.vstack([self._columns(u), self._columns(u_star)])[:, self.order]
         n, m = V.shape[0] - 1, V.shape[1]
         if any(not 0 <= a <= e < m for a, e in blocks):
             raise InvalidInputError(f"invalid block in {blocks} for M={m}")
         args = {(i, j): xy for i, j, *xy in _h_pass(V, self.pairs)}
-        step = step or max(1, len(blocks))
         out = np.zeros((len(blocks), n))
         carried = ({}, {})  # x, y arguments of the next tree, by (pair j, overlap)
         for i in range(m - 1):
@@ -186,17 +186,17 @@ class DVineModel:
                     overlap = max(a, j), min(e, j + i + 1)
                     if overlap[0] <= overlap[1] and overlap != (j, j + i + 1):
                         groups.setdefault(overlap, []).append(b)
-                overlaps, pc = list(groups), self.pairs[i][j]
-                for start in range(0, len(overlaps), step):
-                    chunk = overlaps[start:start + step]
-                    x, y = (np.concatenate([arg(side, *o) for o in chunk]) for side in (0, 1))
-                    for o, row in zip(chunk, pc.log_density(x, y).reshape(-1, n)):
-                        for b in groups[o]:
-                            out[b] += row
-                    for side, k in ((0, j), (1, j - 1)):  # x of pair (i+1, j), y of (i+1, j-1)
-                        if 0 <= k < m - 2 - i:
-                            h = pc.hfunc(x, y, ("second", "first")[side]).reshape(-1, n)
-                            carried[side].update(((k, *o), row) for o, row in zip(chunk, h))
+                if not groups:
+                    continue
+                pc = self.pairs[i][j]
+                x, y = (np.concatenate([arg(side, *o) for o in groups]) for side in (0, 1))
+                for o, row in zip(groups, pc.log_density(x, y).reshape(-1, n)):
+                    for b in groups[o]:
+                        out[b] += row
+                for side, k in ((0, j), (1, j - 1)):  # x of pair (i+1, j), y of (i+1, j-1)
+                    if 0 <= k < m - 2 - i:
+                        h = pc.hfunc(x, y, ("second", "first")[side]).reshape(-1, n)
+                        carried[side].update(((k, *o), row) for o, row in zip(groups, h))
         return out
 
     # ------------------------------------------------------------------

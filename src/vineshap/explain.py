@@ -332,7 +332,9 @@ class GaussianEstimator(GaussianCopulaEstimator):
 
 class _VineEstimator(ContributionEstimator):
     """Base of the vine estimators: checks their cover plan once, when built.
-    A subclass sets `plan_method`, the `CoverPlan.method` it serves."""
+    A subclass sets `plan_method`, the `CoverPlan.method` it serves, and
+    yields (mask, x, pi) per coalition from `_draws(masks, x_star)`, one
+    vine call per group of coalitions; `sample` is its one-coalition case."""
 
     def __init__(self, train_x, predictor, models, plan, K=1000, rng=None):
         super().__init__(train_x, predictor, K, rng)
@@ -345,6 +347,12 @@ class _VineEstimator(ContributionEstimator):
         if len(plan.assignment) != (1 << self.M) - 2:  # it holds only required sets
             raise CoverageError("the plan leaves a coalition unserved")
 
+    def sample(self, features, x_star):
+        return next(self._draws([sum(1 << j for j in features)], x_star))[1:]
+
+    def sample_all(self, x_star):
+        return self._draws(range(1, (1 << self.M) - 1), x_star)
+
 
 class VineCondSimEstimator(_VineEstimator):
     """Conditional simulation through the cover plan's D-vine models.
@@ -356,10 +364,7 @@ class VineCondSimEstimator(_VineEstimator):
 
     method = "vine-condsim"
     plan_method = "condsim"
-
-    def __init__(self, train_x, predictor, models, plan, K=1000, rng=None):
-        super().__init__(train_x, predictor, models, plan, K, rng)
-        self._key = None
+    _key = None
 
     def begin_explanation(self, x_star):
         self._key = int(self.rng.integers(1 << 63))
@@ -367,7 +372,7 @@ class VineCondSimEstimator(_VineEstimator):
     def _draws(self, masks, x_star):
         """(mask, x, None) per coalition.  Coalitions are grouped by their
         serving order and whether they are its prefix or suffix; one inverse
-        pass samples as many of a group as `PREDICT_CELLS` holds."""
+        pass samples each group."""
         if self._key is None:
             self.begin_explanation(x_star)
         groups = {}
@@ -376,23 +381,13 @@ class VineCondSimEstimator(_VineEstimator):
             index = _assignment(self.plan, features)
             role = self.models[index].coalition_role(features)
             groups.setdefault((index, role), []).append(mask)
-        step = max(1, PREDICT_CELLS // self.M // self.K)
         for (index, _), group in groups.items():
-            for start in range(0, len(group), step):
-                chunk = group[start:start + step]
-                coalitions = [set_of(mask) for mask in chunk]
-                draws = [np.random.default_rng([self._key, mask]).uniform(
-                    size=(self.K, self.M - len(features)))
-                    for mask, features in zip(chunk, coalitions)]
-                tables = self.models[index].conditional_sample(coalitions, x_star, draws)
-                for mask, x in zip(chunk, tables):
-                    yield mask, x, None
-
-    def sample(self, features, x_star):
-        return next(self._draws([sum(1 << j for j in features)], x_star))[1:]
-
-    def sample_all(self, x_star):
-        return self._draws(range(1, (1 << self.M) - 1), x_star)
+            coalitions = [set_of(mask) for mask in group]
+            draws = [np.random.default_rng([self._key, mask]).uniform(
+                size=(self.K, self.M - len(features)))
+                for mask, features in zip(group, coalitions)]
+            tables = self.models[index].conditional_sample(coalitions, x_star, draws)
+            yield from ((mask, x, None) for mask, x in zip(group, tables))
 
 
 class VineRatioEstimator(_VineEstimator):
@@ -406,12 +401,12 @@ class VineRatioEstimator(_VineEstimator):
 
     method = "vine-ratio"
     plan_method = "ratio"
+    _sub_idx = None
 
     def __init__(self, train_x, predictor, models, plan, K=1000, rng=None):
         super().__init__(train_x, predictor, models, plan, K, rng)
         self.marginals = self.models[0].marginals  # the vines' copula scale
         self.train_u = pseudo_observations(self.train_x, self.marginals)
-        self._sub_idx = None
 
     def begin_explanation(self, x_star):
         n = self.train_x.shape[0]
@@ -424,8 +419,7 @@ class VineRatioEstimator(_VineEstimator):
     def _draws(self, masks, x_star):
         """(mask, x, pi) per coalition, on the shared subsample.  Coalitions
         are grouped by the order that serves their complement; one call per
-        order weights them all, stacking as many block overlaps per kernel
-        call as `PREDICT_CELLS` holds coalitions."""
+        order weights them all."""
         if self._sub_idx is None:
             self.begin_explanation(x_star)
         groups = {}
@@ -436,22 +430,15 @@ class VineRatioEstimator(_VineEstimator):
             groups.setdefault(index, []).append((mask, (min(positions), max(positions))))
         u_sub = self.train_u[self._sub_idx]
         u_star = [f.cdf(x) for f, x in zip(self.marginals, x_star)]
-        step = max(1, PREDICT_CELLS // self.M // self.K)
         for order_index, group in groups.items():
             group_masks, blocks = zip(*group)
-            log_ratios = self.models[order_index].log_density_ratios(u_sub, u_star, blocks, step)
+            log_ratios = self.models[order_index].log_density_ratios(u_sub, u_star, blocks)
             if not np.all(np.isfinite(log_ratios)):
                 raise NumericError("a density-ratio log weight is not finite "
                                    "(a pair copula density overflowed)")
             for mask, logw in zip(group_masks, log_ratios):
                 w = np.exp(logw - np.max(logw))  # the largest is 1: sum in [1, K]
                 yield mask, self._pinned(self._sub_idx, set_of(mask), x_star), w / w.sum()
-
-    def sample(self, features, x_star):
-        return next(self._draws([sum(1 << j for j in features)], x_star))[1:]
-
-    def sample_all(self, x_star):
-        return self._draws(range(1, (1 << self.M) - 1), x_star)
 
     def effective_sample_size(self, features, x_star):
         pi = self.sample(features, x_star)[1]

@@ -18,7 +18,7 @@ from .dvine import (DVineModel, NonparametricMode, ParametricMode, fit_dvine,
 from .errors import InvalidInputError
 from .explain import (Explanation, GaussianCopulaEstimator, GaussianEstimator,
                       IndependenceEstimator, VineCondSimEstimator,
-                      VineRatioEstimator, shapley, shapley_from_values)
+                      VineRatioEstimator, shapley_from_values, shapley_rows)
 from .marginals import EmpiricalMarginal
 from .structure import greedy_cover
 
@@ -363,7 +363,7 @@ def run_repetition(config, rep):
         t0 = time.perf_counter()
         est = _build_estimator(tag, train_x, g, config.K, rng_fit)
         est.rng = rng_explain
-        phis = np.array([shapley(est, x).phi for x in test_x])
+        phis = np.array([e.phi for e in shapley_rows(est, test_x)])
         seconds = time.perf_counter() - t0
         rows.append((tag, rep, mae(phis, truths)))
         timings.append((tag, rep, seconds))

@@ -338,6 +338,23 @@ def test_grid_integral_normalized():
     assert 0.99 <= cop.integral() <= 1.01
 
 
+def test_fit_nonparametric_builds_one_grid_copula(monkeypatch):
+    """The fit normalises its density by the grid's trapezoid integral
+    without building a copula for it first."""
+    built = []
+    init = GridCopula.__init__
+
+    def counted(self, grid):
+        built.append(np.shape(grid))
+        init(self, grid)
+
+    monkeypatch.setattr(GridCopula, "__init__", counted)
+    data = np.random.default_rng(10).uniform(0.01, 0.99, size=(200, 2))
+    cop = fit_nonparametric(data, grid_size=16)
+    assert built == [(16, 16)]
+    assert abs(cop.integral() - 1.0) <= 1e-12
+
+
 def test_grid_survival_clayton_bulk_accuracy():
     # the kernel estimate has unavoidable smoothing bias at the corner
     # spike, so accuracy is asserted on bulk statistics of the interior

@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import vineshap.dvine as dvine
-from helpers import constant_vine
+from helpers import constant_vine, straddled_overlaps
 from vineshap import (ClaytonCopula, CoverageError, DVineModel, EmpiricalMarginal,
                       GaussianCopula, GridCopula, IndependenceCopula,
                       InvalidInputError, NonparametricMode, PairCopula, ParametricMode,
@@ -299,8 +299,7 @@ def test_straddling_equals_the_per_block_evaluation(m, data, seed):
     u_star = np.clip(rng.uniform(size=m), 1e-10, 1 - 1e-10)
     blocks = data.draw(block_sets(m))
     want = reference_straddling(model, u, u_star, blocks)
-    for step in (1, 2, None):
-        assert np.array_equal(model.log_density_ratios(u, u_star, blocks, step), want)
+    assert np.array_equal(model.log_density_ratios(u, u_star, blocks), want)
 
 
 def test_each_straddling_pair_is_evaluated_once_per_overlap(monkeypatch):
@@ -326,18 +325,10 @@ def test_each_straddling_pair_is_evaluated_once_per_overlap(monkeypatch):
     est = VineRatioEstimator(train, lambda x: x[:, 0], models, plan, K=K,
                              rng=np.random.default_rng(2))
     shapley(est, train[0])
-
-    distinct = set()  # (order, pair, span positions inside the block)
-    for sbar, index in plan.assignment.items():
-        order = plan.orders[index]
-        positions = [order.index(f) for f in sbar]
-        block = set(range(min(positions), max(positions) + 1))
-        for i in range(m - 1):
-            for j in range(m - 1 - i):
-                span = set(range(j, j + i + 2))
-                if block & span and not span <= block:
-                    distinct.add((order, i, j, frozenset(block & span)))
-    assert rows == Counter(order for order, *_ in distinct for _ in range(K))
+    want = Counter()
+    for (order, *_), overlaps in straddled_overlaps(plan).items():
+        want[order] += K * len(overlaps)
+    assert rows == want
 
 
 # ----------------------------------------------------------------------
@@ -365,7 +356,7 @@ def reference_conditional_sample(model, features, x_star, K, rng):
     return X, moved
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.integers(2, 8), st.data(), st.integers(0, 2 ** 32 - 1))
 def test_pinned_pass_matches_the_round_trip_where_that_is_exact(m, data, seed):
     rng = np.random.default_rng(seed)
@@ -436,32 +427,85 @@ def test_conditional_sample_rejects_a_mixed_or_malformed_group():
         model.conditional_sample([{0}], np.zeros(4), draws)
 
 
+def condsim_groups(plan, models):
+    """The coalition masks of each (serving order, prefix or suffix) group
+    of a condsim plan, as a Counter of (order, role, masks)."""
+    groups = {}
+    for features, index in plan.assignment.items():
+        role = models[index].coalition_role(features)
+        groups.setdefault((plan.orders[index], role), set()).add(
+            sum(1 << f for f in features))
+    return Counter((order, role, frozenset(masks)) for (order, role), masks in groups.items())
+
+
+def counted_groups(monkeypatch):
+    """A Counter of `conditional_sample` calls by (order, role, coalition masks)."""
+    calls = Counter()
+    sample = DVineModel.conditional_sample
+
+    def counted(self, coalitions, x_star, draws):
+        calls[self.order, self.coalition_role(coalitions[0]),
+              frozenset(sum(1 << f for f in c) for c in coalitions)] += 1
+        return sample(self, coalitions, x_star, draws)
+
+    monkeypatch.setattr(DVineModel, "conditional_sample", counted)
+    return calls
+
+
 @pytest.mark.parametrize("mode", sorted(MODES))
 @pytest.mark.parametrize("m", [3, 5])
 def test_condsim_estimator_chunks_groups_to_the_predictor_batch(monkeypatch, m, mode):
-    """With room for two coalitions per chunk, groups split into chunks of
-    at most max(K, PREDICT_CELLS // M) rows, and every draw is still the
-    one-coalition sample's: the draws are keyed by the coalition alone."""
+    """With `PREDICT_CELLS` at two coalitions' cells, each group is still
+    sampled by one inverse pass, and every draw is the one-coalition
+    sample's: the draws are keyed by the coalition alone."""
     params, train, plan, models = burr_vines(m, mode)
     g = analytic_mean_predictor(params)
     K = 7
     monkeypatch.setattr(explain, "PREDICT_CELLS", 2 * K * m)
-    rows = []
-    sample = DVineModel.conditional_sample
-
-    def counted(self, coalitions, x_star, draws):
-        rows.append(sum(len(d) for d in draws))
-        return sample(self, coalitions, x_star, draws)
-
-    monkeypatch.setattr(DVineModel, "conditional_sample", counted)
+    calls = counted_groups(monkeypatch)
     est = VineCondSimEstimator(train, g, models, plan, K=K, rng=np.random.default_rng(5))
     x_star = train[1]
     est.begin_explanation(x_star)
     drawn = {mask: x for mask, x, _ in est.sample_all(x_star)}
     assert sorted(drawn) == list(range(1, (1 << m) - 1))
-    assert max(rows) <= 2 * K and len(rows) < len(drawn)
+    assert calls == condsim_groups(plan, models)
     for mask, x in drawn.items():
         assert np.array_equal(est.sample(set_of(mask), x_star)[0], x)
+
+
+def test_vine_calls_are_one_per_group_at_any_predictor_budget(monkeypatch):
+    """With `PREDICT_CELLS` at one coalition's cells (M·K), condsim samples
+    each (serving order, role) group with one `conditional_sample` call,
+    and ratio evaluates each straddled (order, pair) with one log-density
+    call of K points per distinct overlap."""
+    m, K = 5, 30
+    monkeypatch.setattr(explain, "PREDICT_CELLS", m * K)
+    train = np.random.default_rng(0).normal(size=(60, m))
+    sampled, current, points = counted_groups(monkeypatch), [], Counter()
+    log_density, ratios = PairCopula.log_density, DVineModel.log_density_ratios
+
+    def counted_density(self, u, v):
+        points[current[-1], len(u)] += 1
+        return log_density(self, u, v)
+
+    def serving(self, *args):
+        current.append(self.order)
+        return ratios(self, *args)
+
+    monkeypatch.setattr(PairCopula, "log_density", counted_density)
+    monkeypatch.setattr(DVineModel, "log_density_ratios", serving)
+
+    def explained(method, cls):
+        plan = greedy_cover(m, method, rng=np.random.default_rng(1))
+        models = [constant_vine(train, order, ClaytonCopula(2.0)) for order in plan.orders]
+        shapley(cls(train, lambda x: x[:, 0], models, plan, K=K, rng=np.random.default_rng(2)),
+                train[0])
+        return plan, models
+
+    assert sampled == condsim_groups(*explained("condsim", VineCondSimEstimator))
+    plan, _ = explained("ratio", VineRatioEstimator)
+    assert points == Counter((order, K * len(overlaps))
+                             for (order, *_), overlaps in straddled_overlaps(plan).items())
 
 
 def test_each_models_pairs_are_transposed_at_most_once(monkeypatch):

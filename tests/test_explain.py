@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 import vineshap.dvine as dvine
-from helpers import constant_vine
+from helpers import constant_vine, straddled_overlaps
 from vineshap import (ClaytonCopula, CoverageError, CoverPlan, GaussianCopula,
                       GaussianCopulaEstimator, GaussianEstimator,
                       IndependenceCopula, IndependenceEstimator,
@@ -574,15 +574,13 @@ def test_ratio_pass_stacks_coalitions_within_the_row_budget(monkeypatch):
     x_star = train[7]
     expected = shapley(make_estimator("ratio", train, row_wise, 50, K), x_star)
     rows = []
-    for name in ("log_density", "hfunc"):
-        kernel = getattr(PairCopula, name)
+    log_density = PairCopula.log_density
 
-        def counted(self, u, v, *args, kernel=kernel):
-            out = kernel(self, u, v, *args)
-            rows.append(out.size)
-            return out
+    def counted(self, u, v):
+        rows.append(len(u))
+        return log_density(self, u, v)
 
-        monkeypatch.setattr(PairCopula, name, counted)
+    monkeypatch.setattr(PairCopula, "log_density", counted)
     passes = []
     h_pass = dvine._h_pass
 
@@ -594,9 +592,12 @@ def test_ratio_pass_stacks_coalitions_within_the_row_budget(monkeypatch):
     monkeypatch.setattr(explain, "PREDICT_CELLS", M * 50)  # 50 rows: two coalitions
     est = make_estimator("ratio", train, row_wise, 50, K)
     expl = shapley(est, x_star)
-    assert max(rows) == 2 * K <= max(K, explain.PREDICT_CELLS // M)
+    # one log-density call per straddled pair of a serving order, of K
+    # points per distinct overlap, though the budget holds two coalitions
+    assert sorted(rows) == sorted(K * len(overlaps)
+                                  for overlaps in straddled_overlaps(est.plan).values())
     # one subsample pass per serving order, though some order serves three
-    # or more coalitions and so more than one chunk
+    # or more coalitions
     served = list(est.plan.assignment.values())
     assert passes == [K + 1] * len(set(served))
     assert max(map(served.count, served)) > 2

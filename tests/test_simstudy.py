@@ -8,7 +8,9 @@ from vineshap import (BurrParams, ExperimentConfig, InvalidInputError,
                       burr_sample, generate_response, knn_predictor, mae,
                       response_mean_from_u, run_experiment, run_repetition,
                       study_params, true_shapley, truth_vine)
-from vineshap.simstudy import marginal
+from vineshap import shapley, simstudy
+from vineshap.explain import ContributionEstimator
+from vineshap.simstudy import METHOD_TAGS, marginal
 
 
 # ----------------------------------------------------------------------
@@ -278,6 +280,27 @@ def test_run_repetition_deterministic():
     a = run_repetition(config, 0)
     b = run_repetition(config, 0)
     assert a[0] == b[0]          # identical (method, rep, mae) rows
+
+
+def test_run_repetition_explains_the_test_rows_in_one_stream(monkeypatch):
+    """Each method's test rows go through one `shapley_rows` call: the MAE
+    rows of a per-row `shapley` loop, bit for bit, from the same predictor
+    rows in fewer calls."""
+    config = tiny_config(n_test=3, methods=METHOD_TAGS)
+    batches = []
+    predict = ContributionEstimator.predict
+
+    def counted(self, x):
+        batches.append(len(x))
+        return predict(self, x)
+
+    monkeypatch.setattr(ContributionEstimator, "predict", counted)
+    rows, _ = run_repetition(config, 0)
+    stream, batches[:] = list(batches), []
+    monkeypatch.setattr(simstudy, "shapley_rows", lambda est, X: [shapley(est, x) for x in X])
+    assert run_repetition(config, 0)[0] == rows
+    assert sum(stream) == sum(batches)
+    assert len(stream) < len(batches)
 
 
 def test_run_experiment_shapes_and_summary():
