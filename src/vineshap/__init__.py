@@ -11,7 +11,7 @@ from .bicop import (ClaytonCopula, GaussianCopula, GridCopula,
                     IndependenceCopula, PairCopula, fit_nonparametric,
                     fit_parametric)
 from .dvine import (DVineModel, NonparametricMode, ParametricMode, fit_dvine,
-                    pseudo_observations)
+                    fit_vines, pseudo_observations)
 from .errors import (CoverageError, DataError, InvalidInputError, NumericError,
                      VineShapError)
 from .explain import (ContributionEstimator, Explanation,
@@ -22,8 +22,7 @@ from .explain import (ContributionEstimator, Explanation,
 from .marginals import EmpiricalMarginal
 from .simstudy import (BurrMarginal, BurrParams, ExperimentConfig,
                        ExperimentReport, analytic_mean_predictor,
-                       burr_conditional_params, burr_conditional_sample,
-                       burr_log_density, burr_sample,
+                       burr_conditional_params, burr_log_density, burr_sample,
                        generate_response, knn_predictor, mae,
                        response_mean_from_u, run_experiment, run_repetition,
                        study_params, true_shapley, truth_vine)
@@ -41,9 +40,9 @@ __all__ = [
     "NumericError", "PairCopula", "ParametricMode", "VineCondSimEstimator",
     "VineRatioEstimator",
     "VineShapError", "analytic_mean_predictor", "burr_conditional_params",
-    "burr_conditional_sample", "burr_log_density",
-    "burr_sample", "covered_sets", "fit_dvine",
-    "fit_nonparametric", "fit_parametric", "generate_response", "greedy_cover",
+    "burr_log_density", "burr_sample", "covered_sets", "fit_dvine",
+    "fit_nonparametric", "fit_parametric", "fit_vines", "generate_response",
+    "greedy_cover",
     "knn_predictor", "mae", "pseudo_observations",
     "required_sets", "response_mean_from_u", "run_experiment",
     "run_repetition", "shapley", "shapley_from_values", "shapley_rows",

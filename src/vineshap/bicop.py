@@ -40,6 +40,10 @@ EPS = 1e-10
 #: below this |tau| the pair is treated as independent
 TAU_INDEPENDENCE_THRESHOLD = 0.02
 
+#: below this theta (about 29.8) EPS ** -(theta + 1) is finite, so Clayton's direct
+#: density and h-inverse are too; above it a log form serves where they overflow
+CLAYTON_DIRECT_MAX = np.log(np.finfo(float).max) / -np.log(EPS) - 1.0
+
 
 def special():
     """`scipy.special`, imported on the first call."""
@@ -197,9 +201,15 @@ class ClaytonCopula(PairCopula):
 
     def _logpdf(self, u, v):
         theta = self.theta
-        t = u ** -theta + v ** -theta - 1.0
+        if theta < CLAYTON_DIRECT_MAX:
+            log_t = np.log(u ** -theta + v ** -theta - 1.0)
+        else:  # where t overflows, the -1 is far below its precision
+            with np.errstate(over="ignore"):
+                t = u ** -theta + v ** -theta - 1.0
+            log_t = np.where(np.isfinite(t), np.log(t),
+                             np.logaddexp(-theta * np.log(u), -theta * np.log(v)))
         return (np.log1p(theta) - (theta + 1.0) * (np.log(u) + np.log(v))
-                - (2.0 + 1.0 / theta) * np.log(t))
+                - (2.0 + 1.0 / theta) * log_t)
 
     def _h(self, u, v):
         # h = (1 + v^theta (u^-theta - 1))^-(1 + 1/theta), with the log of
@@ -213,8 +223,12 @@ class ClaytonCopula(PairCopula):
 
     def _hinv(self, w, v):
         theta = self.theta
-        a = (w ** (-theta / (1.0 + theta)) - 1.0) * v ** -theta + 1.0
-        return a ** (-1.0 / theta)
+        c = w ** (-theta / (1.0 + theta)) - 1.0
+        if theta < CLAYTON_DIRECT_MAX:
+            return (c * v ** -theta + 1.0) ** (-1.0 / theta)
+        with np.errstate(over="ignore"):  # where a overflows, the +1 is far below its precision
+            a = c * v ** -theta + 1.0
+        return np.where(np.isfinite(a), a ** (-1.0 / theta), c ** (-1.0 / theta) * v)
 
     def transpose(self):
         if self.rotation in (0, 180):

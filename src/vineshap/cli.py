@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from . import simstudy
-from .dvine import MIN_FIT_ROWS, DVineModel, NonparametricMode, ParametricMode, fit_dvine
+from .dvine import MIN_FIT_ROWS, DVineModel, NonparametricMode, ParametricMode, fit_vines
 from .errors import DataError, InvalidInputError, NumericError, VineShapError
 from .explain import (PREDICT_CELLS, GaussianCopulaEstimator, GaussianEstimator,
                       VineCondSimEstimator, VineRatioEstimator, shapley_rows)
@@ -187,10 +187,7 @@ def cmd_fit(args):
         mode = (ParametricMode() if args.method == "vine-parametric"
                 else NonparametricMode(grid_size=args.grid_size))
         plan = greedy_cover(m, args.shap_method, B=args.cover_batch, rng=rng)
-        marginals = [EmpiricalMarginal(data[:, j]) for j in range(m)]
-        models = [fit_dvine(data, order, mode, marginals=marginals)
-                  for order in plan.orders]
-        bundle["models"] = [mod.to_dict() for mod in models]
+        bundle["models"] = [mod.to_dict() for mod in fit_vines(data, plan.orders, mode)]
     seconds = time.perf_counter() - t0
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(bundle, fh, sort_keys=True)

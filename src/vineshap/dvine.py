@@ -11,6 +11,7 @@ input row.
 Serialization covers the order and the pair copulas only.  The
 marginals are rebuilt by the caller, so that the several vines of one
 cover plan share a single copy of them: `from_dict(d, marginals)`.
+`fit_vines` fits the vines of a plan on one such copy.
 
 The simplified-vine assumption makes every contiguous sub-block of the
 order itself a D-vine, so the ratio of the joint density to a block's
@@ -107,7 +108,7 @@ class DVineModel:
             raise InvalidInputError("need one marginal per feature")
         self.order = order
         self.pairs = [list(row) for row in pairs]
-        self.marginals = list(marginals)
+        self.marginals = marginals  # kept, not copied: the vines of a plan share one list
         self._reversed = None
 
     @property
@@ -360,3 +361,13 @@ def fit_dvine(data, order, mode=None, marginals=None):
     for i, j, x, y in _h_pass(V, pairs):
         pairs[i][j] = mode.fit_edge(np.column_stack([x, y]))
     return DVineModel(order, pairs, marginals)
+
+
+def fit_vines(data, orders, mode=None):
+    """One fitted D-vine per order, all on the first model's marginals: the
+    first fit validates the table and builds them."""
+    if not orders:
+        raise InvalidInputError("need at least one order to fit")
+    first = fit_dvine(data, orders[0], mode)
+    return [first] + [fit_dvine(data, order, mode, marginals=first.marginals)
+                      for order in orders[1:]]

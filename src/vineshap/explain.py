@@ -76,7 +76,7 @@ class ContributionEstimator:
         self.rng = rng if rng is not None else np.random.default_rng()
         if self.train_x.size == 0:
             raise InvalidInputError("empty training set")
-        self._v_empty = None
+        self._v_empty = None  # v(empty), cached by the first `shapley_rows` call
         self.predictor_calls = 0
         self.predictor_rows = 0
 
@@ -94,11 +94,6 @@ class ContributionEstimator:
         if not np.all(np.isfinite(g)):
             raise NumericError("predictor returned a non-finite value")
         return g.ravel()
-
-    def v_empty(self):
-        if self._v_empty is None:
-            self._v_empty = float(np.mean(self.predict(self.train_x)))
-        return self._v_empty
 
     def begin_explanation(self, x_star):
         """Hook called once per query point (e.g. to fix a shared subsample)."""
@@ -223,7 +218,7 @@ def shapley_rows(estimator, X_star, cells=None):
         estimator._v_empty = tables[0][0]
     out = []
     for values, row_ess, (calls, rows) in zip(tables, ess, counts):
-        values[0] = estimator.v_empty()  # cached
+        values[0] = estimator._v_empty
         phi0, phi = shapley_from_values(M, values)
         diagnostics = {"predictor_calls": calls, "predictor_rows": rows}
         if row_ess:

@@ -7,19 +7,19 @@ distribution for scoring Shapley estimators against a Monte Carlo
 oracle.
 """
 
+import itertools
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bicop import ClaytonCopula
-from .dvine import (DVineModel, NonparametricMode, ParametricMode, fit_dvine,
+from .dvine import (DVineModel, NonparametricMode, ParametricMode, fit_vines,
                     pseudo_observations)
 from .errors import InvalidInputError
 from .explain import (Explanation, GaussianCopulaEstimator, GaussianEstimator,
                       IndependenceEstimator, VineCondSimEstimator,
                       VineRatioEstimator, shapley_from_values, shapley_rows)
-from .marginals import EmpiricalMarginal
 from .structure import greedy_cover
 
 #: feature parameters of the full-scale study, truncated to M when M < 10
@@ -135,12 +135,6 @@ def burr_conditional_params(params, features, x_star):
     cond = BurrParams(p=params.p + len(s_cols),
                       b=tuple(b[sbar]), r=tuple(r[sbar] / denom))
     return cond, sbar
-
-
-def burr_conditional_sample(params, features, x_star, K, rng):
-    """K x |Sbar| table of conditional Burr draws (columns in sbar order)."""
-    cond, _sbar = burr_conditional_params(params, features, x_star)
-    return burr_sample(cond, K, rng)
 
 
 # ----------------------------------------------------------------------
@@ -306,12 +300,8 @@ class ExperimentReport:
 
     @staticmethod
     def summarize(rows):
-        methods = []
-        for method, _rep, _v in rows:
-            if method not in methods:
-                methods.append(method)
         summary = []
-        for method in methods:
+        for method in dict.fromkeys(m for m, _r, _v in rows):  # in first-seen order
             vals = np.array([v for m0, _r, v in rows if m0 == method])
             se = float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
             summary.append((method, float(np.mean(vals)), se))
@@ -326,16 +316,11 @@ def _build_estimator(tag, train_x, g, K, rng):
     if tag == "gaussian-copula":
         return GaussianCopulaEstimator(train_x, g, K=K, rng=rng)
 
-    m = train_x.shape[1]
-    shap_method = "condsim" if "condsim" in tag else "ratio"
+    estimator = VineCondSimEstimator if "condsim" in tag else VineRatioEstimator
     mode = ParametricMode() if tag.endswith("-par") else NonparametricMode()
-    plan = greedy_cover(m, shap_method, rng=rng)
-    marginals = [EmpiricalMarginal(train_x[:, j]) for j in range(m)]
-    models = [fit_dvine(train_x, order, mode, marginals=marginals)
-              for order in plan.orders]
-    if shap_method == "condsim":
-        return VineCondSimEstimator(train_x, g, models, plan, K=K, rng=rng)
-    return VineRatioEstimator(train_x, g, models, plan, K=K, rng=rng)
+    plan = greedy_cover(train_x.shape[1], estimator.plan_method, rng=rng)
+    models = fit_vines(train_x, plan.orders, mode)
+    return estimator(train_x, g, models, plan, K=K, rng=rng)
 
 
 def run_repetition(config, rep):
@@ -373,19 +358,14 @@ def run_repetition(config, rep):
 def run_experiment(config, workers=1):
     """Full protocol: repeat, score MAE per method, aggregate."""
     config.validate()
-    reps = range(config.repetitions)
+    args = itertools.repeat(config), range(config.repetitions)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_rep_worker, [(config, r) for r in reps]))
+            results = list(pool.map(run_repetition, *args))
     else:
-        results = [run_repetition(config, r) for r in reps]
+        results = list(map(run_repetition, *args))
     rows = [row for rep_rows, _t in results for row in rep_rows]
     timings = [t for _r, rep_t in results for t in rep_t]
     return ExperimentReport(rows=rows, timings=timings,
                             summary=ExperimentReport.summarize(rows))
-
-
-def _rep_worker(args):
-    config, rep = args
-    return run_repetition(config, rep)

@@ -85,6 +85,75 @@ def test_clayton_h_keeps_its_digits_in_both_tails(theta):
     assert np.all(np.abs(got - want) <= 4e-16 + 1e-12 * np.minimum(want, 1 - want))
 
 
+def clayton_log_density_50_digits(theta, u, v):
+    """log c(u, v) of the unrotated Clayton copula in 50-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        t, u, v = Decimal(theta), Decimal(u), Decimal(v)
+        return ((1 + t).ln() - (t + 1) * (u.ln() + v.ln())
+                - (2 + 1 / t) * (u ** -t + v ** -t - 1).ln())
+
+
+def clayton_hinv_50_digits(theta, w, v):
+    """The u with h(u | v) = w, unrotated Clayton, in 50-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        t, w, v = Decimal(theta), Decimal(w), Decimal(v)
+        return ((w ** (-t / (1 + t)) - 1) * v ** -t + 1) ** (-1 / t)
+
+
+TAIL = np.array([1e-10, 1e-9, 1e-6, 0.3])
+
+
+@pytest.mark.parametrize("theta", [31.0, 35.0, 48.0, 50.0])
+@pytest.mark.parametrize("rotation", [0, 180])
+def test_clayton_log_density_stays_finite_past_theta_30(theta, rotation):
+    """u ** -theta overflows at the clip past theta = 30.8; the log density
+    of the lower tail (the upper one at 180 degrees) is about +23 there."""
+    uu, vv = (a.ravel() for a in np.meshgrid(TAIL, TAIL))
+    if rotation == 180:
+        uu, vv = 1.0 - uu, 1.0 - vv
+    got = ClaytonCopula(theta, rotation).log_density(uu, vv)
+    if rotation == 180:  # the arguments the unrotated formula sees
+        uu, vv = 1.0 - uu, 1.0 - vv
+    want = np.array([float(clayton_log_density_50_digits(theta, a, b))
+                     for a, b in zip(uu, vv)])
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+@pytest.mark.parametrize("theta", [31.0, 48.0, 50.0])
+def test_clayton_hinv_stays_finite_past_theta_30(theta):
+    """v ** -theta overflows at small v past theta = 29.8; h-inverse then
+    returned the clip EPS, not a value near v."""
+    w = np.array([1e-10, 0.5, 1 - 1e-6])
+    ww, vv = (a.ravel() for a in np.meshgrid(w, TAIL))
+    got = ClaytonCopula(theta).hinv(ww, vv)
+    want = np.array([float(clayton_hinv_50_digits(theta, a, b)) for a, b in zip(ww, vv)])
+    want = np.clip(want, EPS, 1 - EPS)
+    # w ** (-theta / (1 + theta)) - 1 cancels at w = 1 - 1e-6: 1e-10 relative, / theta
+    assert np.all(np.abs(got - want) <= 1e-11 * want)
+    assert ClaytonCopula(48.0).hinv(0.5, 1e-9) == pytest.approx(1.0006e-9, rel=1e-4)
+
+
+@pytest.mark.parametrize("theta", [0.05, 2.0, 29.0, 30.0, 35.0, 50.0])
+def test_clayton_direct_forms_are_kept_where_they_are_finite(theta):
+    """The log forms replace the direct density and h-inverse only where
+    those overflow; everywhere else the outputs are the direct ones, bit for bit."""
+    grid = np.concatenate([[EPS, 1e-9, 1e-6, 1e-3], np.linspace(0.01, 0.99, 25), [1 - EPS]])
+    u, v = (a.ravel() for a in np.meshgrid(grid, grid))
+    cop = ClaytonCopula(theta)
+    with np.errstate(over="ignore"):
+        t = u ** -theta + v ** -theta - 1.0
+        a = (u ** (-theta / (1.0 + theta)) - 1.0) * v ** -theta + 1.0
+    logpdf = (np.log1p(theta) - (theta + 1.0) * (np.log(u) + np.log(v))
+              - (2.0 + 1.0 / theta) * np.log(t))
+    ok = np.isfinite(t)
+    assert np.array_equal(cop._logpdf(u, v)[ok], logpdf[ok])
+    ok = np.isfinite(a)
+    assert np.array_equal(cop._hinv(u, v)[ok], a[ok] ** (-1.0 / theta))
+    assert np.all(np.isfinite(cop._logpdf(u, v))) and np.all(cop._hinv(u, v) > 0)
+
+
 def test_gaussian_hfunc_closed_form():
     rho = 0.6
     u, v = lattice()

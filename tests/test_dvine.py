@@ -5,8 +5,9 @@ from scipy import stats
 from helpers import constant_vine
 from vineshap import (BurrMarginal, ClaytonCopula, CoverageError,
                       DVineModel, EmpiricalMarginal, GaussianCopula,
-                      IndependenceCopula, InvalidInputError, ParametricMode,
-                      fit_dvine, pseudo_observations)
+                      IndependenceCopula, InvalidInputError, NonparametricMode,
+                      ParametricMode, fit_dvine, fit_vines, greedy_cover,
+                      pseudo_observations)
 
 
 def gaussian_vine(rhos, m=3, n_marg=100, seed=0):
@@ -127,6 +128,25 @@ def test_fit_requires_30_rows():
     rng = np.random.default_rng(7)
     with pytest.raises(InvalidInputError):
         fit_dvine(rng.normal(size=(20, 3)), (0, 1, 2), ParametricMode())
+
+
+@pytest.mark.parametrize("mode", [ParametricMode(), NonparametricMode(grid_size=16)])
+def test_fit_vines_fits_every_order_on_one_set_of_marginals(mode):
+    data = np.random.default_rng(9).normal(size=(80, 4)) @ np.triu(np.ones((4, 4)))
+    orders = greedy_cover(4, "condsim", rng=np.random.default_rng(10)).orders
+    models = fit_vines(data, orders, mode)
+    shared = models[0].marginals
+    assert [m.order for m in models] == orders
+    for model, order in zip(models, orders):
+        assert model.marginals is shared
+        assert model.to_dict() == fit_dvine(data, order, mode, marginals=shared).to_dict()
+
+
+@pytest.mark.parametrize("data", [np.arange(40.0), np.full((40, 3), np.nan),
+                                  np.ones((29, 3))])
+def test_fit_vines_rejects_a_bad_table(data):
+    with pytest.raises(InvalidInputError):
+        fit_vines(data, [(0, 1, 2), (2, 0, 1)])
 
 
 def test_fit_recovers_partial_correlation():

@@ -271,16 +271,27 @@ def test_ratio_weights_normalized_and_ess():
     assert 1.0 <= ess < 200
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TailOverflowClayton(ClaytonCopula):
+    """A Clayton pair whose log density overflows to -inf in its lower tail."""
+
+    def _logpdf(self, u, v):
+        return np.where(np.minimum(u, v) < 0.05, -np.inf, super()._logpdf(u, v))
+
+
 def test_ratio_non_finite_log_weight_raises_numeric_error():
-    # Clayton at the fit cap theta = 50 overflows at the training minimum;
-    # the rows whose log weight is not finite must not silently get weight 0
+    # the rows whose log weight is not finite must not silently get weight 0;
+    # Clayton at the fit cap theta = 50 itself stays finite at the training minimum
     train = np.random.default_rng(49).normal(size=(100, 3))
-    plan, models = build_vine_models(train, "ratio", ClaytonCopula(50.0))
-    est = VineRatioEstimator(train, lambda x: x[:, 0], models, plan, K=50,
-                             rng=np.random.default_rng(50))
+    x_star = train.min(axis=0)
+
+    def estimator(copula):
+        plan, models = build_vine_models(train, "ratio", copula)
+        return VineRatioEstimator(train, lambda x: x[:, 0], models, plan, K=50,
+                                  rng=np.random.default_rng(50))
+
+    assert np.all(np.isfinite(shapley(estimator(ClaytonCopula(50.0)), x_star).phi))
     with pytest.raises(NumericError, match="not finite"):
-        shapley(est, train.min(axis=0))
+        shapley(estimator(TailOverflowClayton(50.0)), x_star)
 
 
 def test_shared_subsample_across_coalitions():
@@ -401,7 +412,8 @@ def per_coalition_values(est, x_star):
     """The v table of one predictor call per coalition, in mask order."""
     est.begin_explanation(x_star)
     full = (1 << est.M) - 1
-    values = {0: est.v_empty(), full: float(est.predict(x_star[None, :])[0])}
+    values = {0: float(np.mean(est.predict(est.train_x))),
+              full: float(est.predict(x_star[None, :])[0])}
     for mask in range(1, full):
         features = frozenset(j for j in range(est.M) if mask >> j & 1)
         values[mask] = est.contribution(features, x_star)
@@ -515,7 +527,7 @@ def test_bad_prediction_inside_a_batch_raises(method):
 
     for bad in (nan_in_middle, lambda x: row_wise(x)[:-1]):
         est = make_estimator(method, train, row_wise, 48)
-        est.v_empty()  # cached from the good predictor; the batch alone is bad
+        shapley(est, x_star)  # caches v(empty) from the good predictor; the batch alone is bad
         est.predictor = bad
         with pytest.raises(NumericError):
             shapley(est, x_star)

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from vineshap import (BurrParams, ExperimentConfig, InvalidInputError,
                       analytic_mean_predictor, burr_conditional_params,
-                      burr_conditional_sample, burr_log_density,
-                      burr_sample, generate_response, knn_predictor, mae,
-                      response_mean_from_u, run_experiment, run_repetition,
-                      study_params, true_shapley, truth_vine)
+                      burr_log_density, burr_sample, generate_response,
+                      knn_predictor, mae, response_mean_from_u, run_experiment,
+                      run_repetition, study_params, true_shapley, truth_vine)
 from vineshap import shapley, simstudy
 from vineshap.explain import ContributionEstimator
 from vineshap.simstudy import METHOD_TAGS, marginal
@@ -134,9 +135,8 @@ def test_conditional_density_bayes_consistency():
 def test_conditional_sample_ks_against_analytic():
     params = study_params(1.0, M=3)
     x_star = np.array([0.8, 0.0, 0.0])
-    samp = burr_conditional_sample(params, {0}, x_star, 10000,
-                                   np.random.default_rng(3))
     cond, sbar = burr_conditional_params(params, {0}, x_star)
+    samp = burr_sample(cond, 10000, np.random.default_rng(3))
     assert samp.shape == (10000, 2)
     m0 = BurrParams(p=cond.p, b=[cond.b[0]], r=[cond.r[0]])
     from vineshap.simstudy import BurrMarginal
@@ -147,16 +147,16 @@ def test_conditional_sample_ks_against_analytic():
 
 def test_conditional_sample_univariate_when_all_but_one():
     params = study_params(1.0, M=3)
-    samp = burr_conditional_sample(params, {0, 2}, np.array([1.0, 0.0, 1.0]),
-                                   50, np.random.default_rng(4))
+    cond, _ = burr_conditional_params(params, {0, 2}, np.array([1.0, 0.0, 1.0]))
+    samp = burr_sample(cond, 50, np.random.default_rng(4))
     assert samp.shape == (50, 1)
 
 
 def test_conditional_tau_reflects_shifted_p():
     params = study_params(0.5, M=4)
     x_star = np.full(4, 0.5)
-    samp = burr_conditional_sample(params, {0, 1}, x_star, 10000,
-                                   np.random.default_rng(5))
+    cond, _ = burr_conditional_params(params, {0, 1}, x_star)
+    samp = burr_sample(cond, 10000, np.random.default_rng(5))
     t = stats.kendalltau(samp[:, 0], samp[:, 1]).statistic
     want = 1.0 / (1.0 + 2.0 * (params.p + 2))
     assert abs(t - want) < 0.03
@@ -317,6 +317,34 @@ def test_run_experiment_workers_match_serial():
     serial = run_experiment(config, workers=1)
     par = run_experiment(config, workers=2)
     assert serial.rows == par.rows
+
+
+def edge_predictor(x):
+    """Row-wise and nonlinear in every feature."""
+    return np.tanh(x[:, 0]) * x[:, -1] + np.sqrt(np.abs(x).sum(axis=1))
+
+
+@pytest.mark.parametrize("tag", METHOD_TAGS)
+@settings(max_examples=25, deadline=None)
+@given(M=st.sampled_from([2, 3, 5]), N=st.sampled_from([30, 200]), K=st.sampled_from([1, 50]),
+       tied=st.booleans(), constant=st.booleans(), beyond=st.floats(0.0, 10.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_every_method_gives_finite_efficient_phi_at_the_edges(
+        tag, M, N, K, tied, constant, beyond, seed):
+    """N at the fit floor, K = 1, a tied and a constant column, and x* past
+    the training range: phi stays finite and sums to g(x*) - phi0."""
+    rng = np.random.default_rng(seed)
+    train = burr_sample(study_params(0.5, M=M), N, rng)
+    if tied:
+        train[:, 0] = np.round(train[:, 0])
+    if constant:
+        train[:, -1] = 1.0
+    x_star = train[0].copy()
+    x_star[M // 2] = train[:, M // 2].max() + beyond
+    expl = shapley(simstudy._build_estimator(tag, train, edge_predictor, K, rng), x_star)
+    g_star = edge_predictor(x_star[None, :])[0]
+    assert np.all(np.isfinite(expl.phi)) and np.isfinite(expl.phi0)
+    assert abs(expl.phi0 + expl.phi.sum() - g_star) <= 1e-8 * max(1.0, abs(g_star))
 
 
 def test_config_validation():
