@@ -2,8 +2,8 @@
 
 Families: Independence, Gaussian, Clayton (with 0/90/180/270 degree
 rotations) and a nonparametric transformation-kernel grid estimator.
-Each copula exposes a density, the two h-functions (conditional cdfs)
-and their inverses, which is everything the D-vine machinery needs.
+Each copula exposes a log density, the two h-functions (conditional
+cdfs) and their inverses, which is everything the D-vine machinery needs.
 
 Conventions:
     hfunc(u, v, cond_on="second") = dC(u, v)/dv = F(u | v)
@@ -26,6 +26,14 @@ which each copula builds once, on first use, and keeps.  The grid
 family's h and h-inverse read a cumulative table through one four-cell
 read.
 
+One formula per kernel at every parameter: Clayton's start from log u
+and log v (log w) and never form u ** -theta, so they stay finite and
+keep their digits on the clipped square at every theta up to the fit cap.
+Round trip: hinv(w, v, cond_on) is non-decreasing in w and gives back u
+from w = hfunc(u, v, cond_on) (within 1e-11 for the parametric families)
+wherever w lies in [1e-6, 1 - 1e-6].  Where h saturates at the clip, u is
+lost: at theta = 5, Clayton's hinv(hfunc(0.3, 1e-4), 1e-4) is 0.0104.
+
 `scipy.special` (ndtr, ndtri) loads on first use, through `special()`:
 only the Gaussian pieces need it, so a vine without a Gaussian pair
 never imports scipy.
@@ -39,10 +47,6 @@ EPS = 1e-10
 
 #: below this |tau| the pair is treated as independent
 TAU_INDEPENDENCE_THRESHOLD = 0.02
-
-#: below this theta (about 29.8) EPS ** -(theta + 1) is finite, so Clayton's direct
-#: density and h-inverse are too; above it a log form serves where they overflow
-CLAYTON_DIRECT_MAX = np.log(np.finfo(float).max) / -np.log(EPS) - 1.0
 
 
 def special():
@@ -88,9 +92,6 @@ class PairCopula:
 
     def log_density(self, u, v):
         return np.asarray(self._logpdf(*self._args(u, v)))
-
-    def density(self, u, v):
-        return np.exp(self.log_density(u, v))
 
     def hfunc(self, u, v, cond_on="second"):
         cop, u, v = (self._swapped(), v, u) if _on_first(cond_on) else (self, u, v)
@@ -200,16 +201,13 @@ class ClaytonCopula(PairCopula):
         self.rotation = int(rotation)
 
     def _logpdf(self, u, v):
+        # log(u^-theta + v^-theta - 1) = hi + log1p(e^(lo - hi) - e^-hi), and
+        # e^(lo - hi) - e^-hi = e^(lo - hi) (1 - e^-lo) in (0, 1]: no overflow
         theta = self.theta
-        if theta < CLAYTON_DIRECT_MAX:
-            log_t = np.log(u ** -theta + v ** -theta - 1.0)
-        else:  # where t overflows, the -1 is far below its precision
-            with np.errstate(over="ignore"):
-                t = u ** -theta + v ** -theta - 1.0
-            log_t = np.where(np.isfinite(t), np.log(t),
-                             np.logaddexp(-theta * np.log(u), -theta * np.log(v)))
-        return (np.log1p(theta) - (theta + 1.0) * (np.log(u) + np.log(v))
-                - (2.0 + 1.0 / theta) * log_t)
+        log_u, log_v = np.log(u), np.log(v)
+        hi, lo = -theta * np.minimum(log_u, log_v), -theta * np.maximum(log_u, log_v)
+        log_t = hi + np.log1p(np.exp(lo - hi) * -np.expm1(-lo))
+        return np.log1p(theta) - (theta + 1.0) * (log_u + log_v) - (2.0 + 1.0 / theta) * log_t
 
     def _h(self, u, v):
         # h = (1 + v^theta (u^-theta - 1))^-(1 + 1/theta), with the log of
@@ -222,13 +220,11 @@ class ClaytonCopula(PairCopula):
         return np.exp(-(1.0 + 1.0 / theta) * np.log1p(np.exp(np.minimum(log_x, 700.0))))
 
     def _hinv(self, w, v):
+        # u = (c v^-theta + 1)^(-1/theta), c = w^(-theta/(1+theta)) - 1, as
+        # v (c + v^theta)^(-1/theta): no overflow, and no cancellation near w = 1
         theta = self.theta
-        c = w ** (-theta / (1.0 + theta)) - 1.0
-        if theta < CLAYTON_DIRECT_MAX:
-            return (c * v ** -theta + 1.0) ** (-1.0 / theta)
-        with np.errstate(over="ignore"):  # where a overflows, the +1 is far below its precision
-            a = c * v ** -theta + 1.0
-        return np.where(np.isfinite(a), a ** (-1.0 / theta), c ** (-1.0 / theta) * v)
+        c = np.expm1(-theta / (1.0 + theta) * np.log(w))
+        return v * (c + v ** theta) ** (-1.0 / theta)
 
     def transpose(self):
         if self.rotation in (0, 180):
@@ -258,8 +254,8 @@ class GridCopula(PairCopula):
 
     def __init__(self, grid):
         grid = np.asarray(grid, dtype=float)
-        if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
-            raise InvalidInputError("grid must be a square matrix")
+        if grid.ndim != 2 or grid.shape[0] != grid.shape[1] or len(grid) < 2:
+            raise InvalidInputError("grid must be a square matrix, at least 2 x 2")
         if np.any(grid < 0) or not np.all(np.isfinite(grid)):
             raise InvalidInputError("grid density values must be finite and >= 0")
         self.grid = grid
@@ -279,9 +275,6 @@ class GridCopula(PairCopula):
     def integral(self):
         """Trapezoid integral of the density over the unit square."""
         return _grid_integral(self.grid, self.breaks)
-
-    def density(self, u, v):
-        return np.asarray(self._bilinear(_clip(u), _clip(v)))
 
     def _logpdf(self, u, v):
         return np.log(np.maximum(self._bilinear(u, v), 1e-300))
@@ -474,13 +467,15 @@ def fit_nonparametric(data, grid_size=64):
     and the implied copula density is evaluated on the mesh and
     renormalized to integrate to one.
     """
+    g = int(grid_size)
+    if g < 2:
+        raise InvalidInputError(f"grid_size must be at least 2, got {grid_size}")
     data = _validate_pseudo_obs(data, 30)
     n = data.shape[0]
     z = special().ndtri(data)
     h = np.std(z, axis=0, ddof=1) * n ** (-1.0 / 6.0)
     h = np.maximum(h, 1e-3)
 
-    g = int(grid_size)
     nodes = (np.arange(g) + 0.5) / g
     zg = special().ndtri(nodes)
     # product-kernel density on the normal-score scale, via two G x N factors

@@ -74,8 +74,8 @@ class ContributionEstimator:
         if self.K < 1:
             raise InvalidInputError(f"K must be >= 1, got {K}")
         self.rng = rng if rng is not None else np.random.default_rng()
-        if self.train_x.size == 0:
-            raise InvalidInputError("empty training set")
+        if self.train_x.ndim != 2 or not self.train_x.size or not np.isfinite(self.train_x).all():
+            raise InvalidInputError("training set must be a nonempty, finite N x M table")
         self._v_empty = None  # v(empty), cached by the first `shapley_rows` call
         self.predictor_calls = 0
         self.predictor_rows = 0

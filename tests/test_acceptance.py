@@ -115,7 +115,7 @@ def test_criterion_03_copula_oracles_and_roundtrips():
            - clayton_cdf(u - eps, v + eps, 2.0)
            + clayton_cdf(u - eps, v - eps, 2.0)) / (4 * eps * eps)
     worst_fd = max(worst_fd, float(np.max(
-        np.abs(cl.density(u, v) - num) / np.maximum(np.abs(num), 1.0))))
+        np.abs(np.exp(cl.log_density(u, v)) - num) / np.maximum(np.abs(num), 1.0))))
     hnum = (clayton_cdf(u, v + eps, 2.0) - clayton_cdf(u, v - eps, 2.0)) / (2 * eps)
     worst_fd = max(worst_fd, float(np.max(np.abs(cl.hfunc(u, v, "second") - hnum))))
     ga = GaussianCopula(0.6)

@@ -29,14 +29,14 @@ def lattice(n=20, lo=0.05, hi=0.95):
 
 def test_independence_trivials():
     c = IndependenceCopula()
-    assert c.density(0.3, 0.8) == 1.0
+    assert np.exp(c.log_density(0.3, 0.8)) == 1.0
     assert c.hfunc(0.4, 0.9, "second") == pytest.approx(0.4)
     assert c.hinv(0.4, 0.9, "second") == pytest.approx(0.4)
 
 
 def test_gaussian_rho_zero_is_independence():
     c = GaussianCopula(0.0)
-    assert c.density(0.3, 0.7) == pytest.approx(1.0)
+    assert np.exp(c.log_density(0.3, 0.7)) == pytest.approx(1.0)
     assert c.hfunc(0.3, 0.6, "second") == pytest.approx(0.3)
 
 
@@ -49,7 +49,7 @@ def test_clayton_density_matches_fd_oracle():
     num = (clayton_cdf(u + eps, v + eps, theta) - clayton_cdf(u + eps, v - eps, theta)
            - clayton_cdf(u - eps, v + eps, theta) + clayton_cdf(u - eps, v - eps, theta)
            ) / (4 * eps * eps)
-    c = ClaytonCopula(theta).density(u, v)
+    c = np.exp(ClaytonCopula(theta).log_density(u, v))
     assert np.max(np.abs(c - num)) < 1e-5 * np.maximum(1.0, np.max(num))
 
 
@@ -130,27 +130,28 @@ def test_clayton_hinv_stays_finite_past_theta_30(theta):
     got = ClaytonCopula(theta).hinv(ww, vv)
     want = np.array([float(clayton_hinv_50_digits(theta, a, b)) for a, b in zip(ww, vv)])
     want = np.clip(want, EPS, 1 - EPS)
-    # w ** (-theta / (1 + theta)) - 1 cancels at w = 1 - 1e-6: 1e-10 relative, / theta
-    assert np.all(np.abs(got - want) <= 1e-11 * want)
+    assert np.all(np.abs(got - want) <= 1e-15 * want)
     assert ClaytonCopula(48.0).hinv(0.5, 1e-9) == pytest.approx(1.0006e-9, rel=1e-4)
 
 
-@pytest.mark.parametrize("theta", [0.05, 2.0, 29.0, 30.0, 35.0, 50.0])
-def test_clayton_direct_forms_are_kept_where_they_are_finite(theta):
-    """The log forms replace the direct density and h-inverse only where
-    those overflow; everywhere else the outputs are the direct ones, bit for bit."""
-    grid = np.concatenate([[EPS, 1e-9, 1e-6, 1e-3], np.linspace(0.01, 0.99, 25), [1 - EPS]])
-    u, v = (a.ravel() for a in np.meshgrid(grid, grid))
+REFERENCE_GRID = np.concatenate([[EPS, 1e-9, 1e-6, 1e-3], np.linspace(0.01, 0.99, 25),
+                                 [1 - 1e-6, 1 - 1e-9, 1 - EPS]])
+
+
+@pytest.mark.parametrize("theta", [1e-4, 0.05, 2.0, 14.0, 29.0, 30.0, 31.0, 35.0, 50.0])
+def test_clayton_log_density_and_hinv_match_50_digits(theta):
+    """One form per kernel, finite and within a few ulps over the clipped
+    square at every theta up to the fit cap.  h-inverse's power -1/theta
+    magnifies one rounding by 1/theta, so small theta gets a looser bound."""
+    u, v = (a.ravel() for a in np.meshgrid(REFERENCE_GRID, REFERENCE_GRID))
     cop = ClaytonCopula(theta)
-    with np.errstate(over="ignore"):
-        t = u ** -theta + v ** -theta - 1.0
-        a = (u ** (-theta / (1.0 + theta)) - 1.0) * v ** -theta + 1.0
-    logpdf = (np.log1p(theta) - (theta + 1.0) * (np.log(u) + np.log(v))
-              - (2.0 + 1.0 / theta) * np.log(t))
-    ok = np.isfinite(t)
-    assert np.array_equal(cop._logpdf(u, v)[ok], logpdf[ok])
-    ok = np.isfinite(a)
-    assert np.array_equal(cop._hinv(u, v)[ok], a[ok] ** (-1.0 / theta))
+    got = cop.log_density(u, v)
+    want = np.array([float(clayton_log_density_50_digits(theta, a, b)) for a, b in zip(u, v)])
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+    got = cop.hinv(u, v)
+    want = np.clip([float(clayton_hinv_50_digits(theta, a, b)) for a, b in zip(u, v)],
+                   EPS, 1 - EPS)
+    assert np.all(np.abs(got - want) <= 1e-15 / min(theta, 1.0) * want)
     assert np.all(np.isfinite(cop._logpdf(u, v))) and np.all(cop._hinv(u, v) > 0)
 
 
@@ -199,7 +200,7 @@ def test_gaussian_density_matches_fd_oracle():
 
     num = (cdf(u + eps, v + eps) - cdf(u + eps, v - eps)
            - cdf(u - eps, v + eps) + cdf(u - eps, v - eps)) / (4 * eps * eps)
-    c = GaussianCopula(rho).density(u, v)
+    c = np.exp(GaussianCopula(rho).log_density(u, v))
     assert np.max(np.abs(c - num)) < 2e-4   # mvn cdf itself is ~1e-7 accurate
 
 
@@ -232,18 +233,26 @@ def test_clayton_hinv_closed_form_example():
     ClaytonCopula(2.0, rotation=180),
     ClaytonCopula(2.0, rotation=270),
     ClaytonCopula(0.5, rotation=180),
-])
+] + [ClaytonCopula(theta, rotation=r) for theta in (14.0, 50.0) for r in (0, 90, 180, 270)])
 @pytest.mark.parametrize("cond_on", ["first", "second"])
 def test_parametric_hinv_roundtrip(cop, cond_on):
+    """The bicop contract: h-inverse is non-decreasing in w, and undoes h
+    wherever h is not saturated.  Where h is clipped to EPS or 1 - EPS it
+    has lost u: at theta = 5, hinv(hfunc(0.3, 1e-4), 1e-4) is about 0.0104."""
     rng = np.random.default_rng(5)
-    u = rng.uniform(0.01, 0.99, 100)
-    v = rng.uniform(0.01, 0.99, 100)
+    edges = [1e-6, 1e-4, 1e-2, 1 - 1e-2, 1 - 1e-4, 1 - 1e-6]
+    values = np.concatenate([rng.uniform(0.01, 0.99, 100), edges])
+    u, v = (a.ravel() for a in np.meshgrid(values, values))
     w = cop.hfunc(u, v, cond_on)
     if cond_on == "second":
         back, target = cop.hinv(w, v, "second"), u   # recovers u given v
     else:
         back, target = cop.hinv(w, u, "first"), v    # recovers v given u
-    assert np.max(np.abs(back - target)) < 1e-9
+    exact = (w >= 1e-6) & (w <= 1 - 1e-6)
+    assert np.max(np.abs(back - target)[exact]) < 1e-11
+    ws = np.sort(np.concatenate([np.linspace(0.0, 1.0, 201),
+                                 [EPS, 1e-9, 1e-6, 1 - 1e-6, 1 - 1e-9, 1 - EPS]]))
+    assert np.all(np.diff(cop.hinv(ws[:, None], values, cond_on), axis=0) >= 0)
 
 
 @pytest.mark.parametrize("cop", [GaussianCopula(0.5), ClaytonCopula(1.5),
@@ -260,7 +269,7 @@ def test_hfunc_is_a_cdf_in_first_argument(cop):
                                  ClaytonCopula(2.0), ClaytonCopula(2.0, rotation=180)])
 def test_exchangeable_density_symmetry(cop):
     u, v = lattice(10)
-    assert np.allclose(cop.density(u, v), cop.density(v, u), atol=1e-12)
+    assert np.allclose(np.exp(cop.log_density(u, v)), np.exp(cop.log_density(v, u)), atol=1e-12)
 
 
 @pytest.mark.parametrize("cop,tol", [
@@ -273,7 +282,7 @@ def test_density_integrates_to_one(cop, tol):
     u = 0.5 * (x + 1)
     wq = 0.5 * w
     uu, vv = np.meshgrid(u, u)
-    total = np.sum(cop.density(uu.ravel(), vv.ravel())
+    total = np.sum(np.exp(cop.log_density(uu.ravel(), vv.ravel()))
                    * np.outer(wq, wq).ravel())
     assert abs(total - 1.0) < tol
 
@@ -283,7 +292,7 @@ def test_clayton_transpose_swaps_rotations():
     t = c90.transpose()
     assert t.rotation == 270
     u, v = lattice(8)
-    assert np.allclose(c90.density(u, v), t.density(v, u), atol=1e-12)
+    assert np.allclose(np.exp(c90.log_density(u, v)), np.exp(t.log_density(v, u)), atol=1e-12)
 
 
 def test_simulated_clayton_tau():
@@ -436,9 +445,8 @@ def test_grid_survival_clayton_bulk_accuracy():
     nodes = (np.arange(g) + 0.5) / g
     interior = (nodes >= 0.1) & (nodes <= 0.9)
     uu, vv = np.meshgrid(nodes[interior], nodes[interior])
-    truth = cs.density(uu.ravel(), vv.ravel())
-    est = cop.grid[np.ix_(interior, interior)].T.ravel() \
-        if False else cop.density(uu.ravel(), vv.ravel())
+    truth = np.exp(cs.log_density(uu.ravel(), vv.ravel()))
+    est = np.exp(cop.log_density(uu.ravel(), vv.ravel()))
     rel = np.abs(est - truth) / np.maximum(truth, 1e-3)
     assert np.median(rel) < 0.2
     assert np.mean(np.abs(est - truth)) < 0.25
@@ -572,7 +580,7 @@ def test_grid_gives_nan_at_a_nan_input(cond_on):
         for a, b in ((0.3, np.nan), (np.nan, 0.3), (np.nan, np.nan)):
             assert np.isnan(cop.hfunc(a, b, cond_on))
             assert np.isnan(cop.hinv(a, b, cond_on))
-            assert np.isnan(cop.density(a, b)) and np.isnan(cop.log_density(a, b))
+            assert np.isnan(cop.log_density(a, b))
         out = cop.hinv([0.3, np.nan, 0.7], [0.5, 0.5, np.nan], cond_on)
         assert np.isnan(out).tolist() == [False, True, True]
     assert np.isnan(GaussianCopula(0.5).hinv(0.3, np.nan, cond_on))
@@ -586,7 +594,8 @@ def test_grid_transpose_identity():
     cop = fit_nonparametric(np.column_stack([u0, v0]))
     t = cop.transpose()
     u, v = lattice(8)
-    assert np.allclose(cop.density(u, v), t.density(v, u), atol=1e-12)
+    assert np.allclose(np.exp(cop.log_density(u, v)), np.exp(t.log_density(v, u)),
+                       atol=1e-12)
     assert np.allclose(cop.hfunc(u, v, "second"), t.hfunc(v, u, "first"),
                        atol=1e-12)
 
@@ -594,6 +603,21 @@ def test_grid_transpose_identity():
 def test_fit_nonparametric_rejects_small_samples():
     with pytest.raises(InvalidInputError):
         fit_nonparametric(np.random.default_rng(0).uniform(0.1, 0.9, (20, 2)))
+
+
+@pytest.mark.parametrize("g", [0, 1])
+def test_grid_copula_needs_at_least_two_nodes(g):
+    # an empty grid built, and its hfunc then raised IndexError
+    with pytest.raises(InvalidInputError, match="at least 2 x 2"):
+        GridCopula(np.ones((g, g)))
+
+
+@pytest.mark.parametrize("grid_size", [-3, 0, 1])
+def test_fit_nonparametric_needs_a_grid_size_of_at_least_two(grid_size):
+    # 0 and -3 ended in np.pad's ValueError, 1 gave a 1 x 1 grid: independence
+    data = np.random.default_rng(15).uniform(0.1, 0.9, (100, 2))
+    with pytest.raises(InvalidInputError, match="grid_size"):
+        fit_nonparametric(data, grid_size=grid_size)
 
 
 def test_tau_independence_threshold_constant():
@@ -609,7 +633,7 @@ def test_parametric_serialization_bit_exact(cop):
     from vineshap import PairCopula
     c2 = PairCopula.from_dict(cop.to_dict())
     u, v = lattice(5)
-    assert np.array_equal(cop.density(u, v), c2.density(u, v))
+    assert np.array_equal(cop.log_density(u, v), c2.log_density(u, v))
 
 
 def test_grid_serialization_roundtrip():
@@ -620,7 +644,7 @@ def test_grid_serialization_roundtrip():
     c2 = PairCopula.from_dict(cop.to_dict())
     assert isinstance(c2, GridCopula)
     u, v = lattice(5)
-    assert np.array_equal(cop.density(u, v), c2.density(u, v))
+    assert np.array_equal(cop.log_density(u, v), c2.log_density(u, v))
 
 
 # ----------------------------------------------------------------------

@@ -142,6 +142,12 @@ def test_fit_vines_fits_every_order_on_one_set_of_marginals(mode):
         assert model.to_dict() == fit_dvine(data, order, mode, marginals=shared).to_dict()
 
 
+def test_a_grid_of_one_node_fails_at_fit():
+    with pytest.raises(InvalidInputError, match="grid_size"):
+        fit_dvine(np.random.default_rng(8).normal(size=(40, 3)), (0, 1, 2),
+                  NonparametricMode(1))
+
+
 @pytest.mark.parametrize("data", [np.arange(40.0), np.full((40, 3), np.nan),
                                   np.ones((29, 3))])
 def test_fit_vines_rejects_a_bad_table(data):

@@ -567,6 +567,29 @@ def test_shapley_rows_of_no_rows_make_no_predictor_call(method):
     assert est.predictor_calls == 0 and est._v_empty is None
 
 
+def never_called(x):
+    raise AssertionError("the predictor was called")
+
+
+def with_nan(train):
+    train = train.copy()
+    train[5, 1] = np.nan
+    return train
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("bad", [lambda t: t[:, 0], lambda t: t[None], with_nan,
+                                 lambda t: t[:0]], ids=["1-d", "3-d", "nan", "empty"])
+def test_estimators_reject_a_training_table_that_is_not_finite_and_2d(method, bad):
+    # the 1-D table ended in IndexError, the 3-D one in np.concatenate's
+    # ValueError, and the NaN one in NumericError blaming the predictor
+    train = np.random.default_rng(63).normal(size=(100, 3))
+    est = make_estimator(method, train, never_called, 64)
+    args = (est.models, est.plan) if method in ("condsim", "ratio") else ()
+    with pytest.raises(InvalidInputError, match="training set"):
+        type(est)(bad(train), never_called, *args, K=50)
+
+
 @pytest.mark.parametrize("bad", [np.zeros(3), np.zeros((2, 4)), np.zeros((1, 2)),
                                  np.array([[0.0, 1.0, 2.0], [0.0, np.nan, 1.0]])])
 def test_shapley_rows_reject_bad_query_rows_before_any_call(bad):
