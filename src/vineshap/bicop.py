@@ -459,6 +459,13 @@ def fit_parametric(data):
     return best
 
 
+def valid_grid_size(grid_size):
+    """grid_size as an int, if it is an integer of at least 2."""
+    if not isinstance(grid_size, (int, np.integer)) or grid_size < 2:
+        raise InvalidInputError(f"grid_size must be an integer of at least 2, got {grid_size!r}")
+    return int(grid_size)
+
+
 def fit_nonparametric(data, grid_size=64):
     """Transformation-kernel copula density estimate on a grid.
 
@@ -467,9 +474,7 @@ def fit_nonparametric(data, grid_size=64):
     and the implied copula density is evaluated on the mesh and
     renormalized to integrate to one.
     """
-    g = int(grid_size)
-    if g < 2:
-        raise InvalidInputError(f"grid_size must be at least 2, got {grid_size}")
+    g = valid_grid_size(grid_size)
     data = _validate_pseudo_obs(data, 30)
     n = data.shape[0]
     z = special().ndtri(data)

@@ -23,7 +23,9 @@ block with its span.
 
 Fitting, both densities, the Rosenblatt transform and its inverse all
 walk one h-function recursion, `_h_pass`, left to right over the order
-positions.  Conditional sampling is that inverse pass with x*_S given:
+positions.  The inverse reads each position's h-values off the h-inverse
+chain that solved it: its only h-functions are those carried onward.
+Conditional sampling is that inverse pass with x*_S given:
 its marginal u-values fill the coalition's positions as they are, and
 only the other positions are solved from the caller's uniform draws.
 All prefixes of one order share x*'s u-values, so one call samples a
@@ -36,7 +38,7 @@ serialised.
 
 import numpy as np
 
-from .bicop import EPS, PairCopula, fit_nonparametric, fit_parametric
+from .bicop import EPS, PairCopula, fit_nonparametric, fit_parametric, valid_grid_size
 from .errors import CoverageError, InvalidInputError
 from .marginals import EmpiricalMarginal
 
@@ -51,7 +53,7 @@ class ParametricMode:
 
 class NonparametricMode:
     def __init__(self, grid_size=64):
-        self.grid_size = int(grid_size)
+        self.grid_size = valid_grid_size(grid_size)
 
     def fit_edge(self, u):
         return fit_nonparametric(u, grid_size=self.grid_size)
@@ -64,9 +66,10 @@ def _h_pass(V, pairs, solve=None, joins=None):
     x_i = F(v_{k-1-i} | v_{k-i..k-1}), carried over from position k-1, with
     y_i = F(v_k | v_{k-i..k-1}) = h(y_{i-1} | x_{i-1}), y_0 = v_k.  Yields
     (i, j, x_i, y_i) before reading pairs[i][j], so a caller may fit that
-    pair in its loop body.  `solve(k, x)`, if given, first sets column k
-    (the inverse Rosenblatt step).  Only h-values a later step reads are
-    computed.
+    pair in its loop body.  `solve(k, x)`, if given, first sets column k to
+    y_0 (the inverse Rosenblatt step) and returns the chain y_0..y_{k-1} it
+    went down, from which each y_{i+1} is read rather than recomputed.  Only
+    h-values a later step reads are computed.
 
     `joins` stacks V's rows in blocks that enter at different positions:
     (k, n, x), in ascending k, lets the next n rows take part from
@@ -81,8 +84,7 @@ def _h_pass(V, pairs, solve=None, joins=None):
         while joins and joins[0][0] == k:
             _, n, enter = joins.pop(0)
             x = [np.concatenate([a, np.broadcast_to(b, n)]) for a, b in zip(x, enter)]
-        if solve is not None:
-            V[:len(x[0]), k] = solve(k, x)
+        chain = solve(k, x) if solve else None
         y = V[:len(x[0]), k]
         carry = [y]
         for i in range(k):
@@ -91,7 +93,7 @@ def _h_pass(V, pairs, solve=None, joins=None):
             if k < m - 1:
                 carry.append(pc.hfunc(x[i], y, "second"))
             if i < k - 1:
-                y = pc.hfunc(x[i], y, "first")
+                y = chain[i + 1] if chain else pc.hfunc(x[i], y, "first")
         x = carry
 
 
@@ -118,11 +120,14 @@ class DVineModel:
     # ------------------------------------------------------------------
     # densities
 
-    def _columns(self, a):
-        """a as an (n, M) float array; InvalidInputError for another width."""
+    def _columns(self, a, width=None):
+        """a as a finite (n, width) float array (width M by default), or InvalidInputError."""
         a = np.atleast_2d(np.asarray(a, dtype=float))
-        if a.shape[1] != self.M:
-            raise InvalidInputError(f"expected {self.M} columns, got {a.shape[1]}")
+        width = self.M if width is None else width
+        if a.shape[1] != width:
+            raise InvalidInputError(f"expected {width} columns, got {a.shape[1]}")
+        if not np.all(np.isfinite(a)):
+            raise InvalidInputError("copula-scale input must be finite")
         return a
 
     def _log_density(self, V, start=0):
@@ -144,10 +149,7 @@ class DVineModel:
         s, e = block
         if not (0 <= s <= e < self.M):
             raise InvalidInputError(f"invalid block [{s}, {e}] for M={self.M}")
-        u_block = np.atleast_2d(np.asarray(u_block, dtype=float))
-        if u_block.shape[1] != e - s + 1:
-            raise InvalidInputError("u_block width must match the block length")
-        return self._log_density(u_block, s)
+        return self._log_density(self._columns(u_block, e - s + 1), s)
 
     def log_density_ratios(self, u, u_star, blocks):
         """log c(u_b, u*_S) - log c(u_b) per block b = (a, e) of order positions
@@ -223,11 +225,12 @@ class DVineModel:
         at (see `_h_pass`) on, from the w-values it holds there."""
 
         def solve(k, x):
-            z = V[:len(x[0]), k]
+            chain = [V[:len(x[0]), k]]
             # invert w_k = y_k down the chain y_{i+1} = h(y_i | x_i) to y_0 = v_k
             for i in range(k - 1, -1, -1):
-                z = self.pairs[i][k - 1 - i].hinv(z, x[i], "first")
-            return z
+                chain.insert(0, self.pairs[i][k - 1 - i].hinv(chain[0], x[i], "first"))
+            V[:len(x[0]), k] = chain[0]
+            return chain[:-1]  # y_0..y_{k-1}: y_k's column now holds y_0
 
         for i, j, _, _ in _h_pass(V, self.pairs, solve, joins):
             if i + j == self.M - 2:  # v_{M-1} is solved; no h-value of its pairs is read

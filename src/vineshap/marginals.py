@@ -1,8 +1,8 @@
 """Univariate empirical marginal models.
 
 Maps between data scale and copula (uniform) scale using rank-based
-plotting positions k/(n+1), which keep pseudo-observations strictly
-inside (0, 1).
+plotting positions k/(n+1), which keep pseudo-observations strictly inside
+(0, 1) and, being evenly spaced, let the quantile find its interval by index.
 """
 
 import functools
@@ -53,8 +53,15 @@ class EmpiricalMarginal:
         return np.asarray(np.clip(u, lo, hi))
 
     def quantile(self, u):
-        """Linear interpolation between order statistics; inverse of cdf."""
+        """Inverse of cdf: np.interp(u, positions, sorted_sample) bit for bit, its
+        interval found without search as floor(u(n+1)) - 1, up to one rounding step."""
         u = np.asarray(u, dtype=float)
         if np.any(u <= 0.0) or np.any(u >= 1.0) or not np.all(np.isfinite(u)):
             raise InvalidInputError("quantile input must lie in (0, 1)")
-        return np.asarray(np.interp(u, self._positions, self.sorted_sample))
+        xp, fp, last = self._positions, self.sorted_sample, self.n - 2
+        j = np.clip((u * (self.n + 1)).astype(np.intp) - 1, 0, last)
+        j = np.clip(j - (u < xp[j]) + (u >= xp[j + 1]), 0, last)
+        lo, y = xp[j], fp[j]
+        with np.errstate(over="ignore", invalid="ignore"):  # np.interp's inf, unflagged
+            out = (fp[j + 1] - y) / (xp[j + 1] - lo) * (u - lo) + y
+        return np.where(u >= xp[-1], fp[-1], np.where(u <= lo, y, out))

@@ -621,9 +621,10 @@ def test_grid_copula_needs_at_least_two_nodes(g):
         GridCopula(np.ones((g, g)))
 
 
-@pytest.mark.parametrize("grid_size", [-3, 0, 1])
+@pytest.mark.parametrize("grid_size", [-3, 0, 1, 2.5, 64.0, "abc", None])
 def test_fit_nonparametric_needs_a_grid_size_of_at_least_two(grid_size):
-    # 0 and -3 ended in np.pad's ValueError, 1 gave a 1 x 1 grid: independence
+    # 0 and -3 ended in np.pad's ValueError, 1 gave a 1 x 1 grid: independence;
+    # 2.5 was truncated to a 2 x 2 grid
     data = np.random.default_rng(15).uniform(0.1, 0.9, (100, 2))
     with pytest.raises(InvalidInputError, match="grid_size"):
         fit_nonparametric(data, grid_size=grid_size)

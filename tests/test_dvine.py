@@ -148,6 +148,13 @@ def test_a_grid_of_one_node_fails_at_fit():
                   NonparametricMode(1))
 
 
+@pytest.mark.parametrize("grid_size", [2.5, "abc", "64"])
+def test_nonparametric_mode_needs_an_integer_grid_size(grid_size):
+    # "abc" raised a bare ValueError, 2.5 and "64" were truncated or parsed
+    with pytest.raises(InvalidInputError, match="grid_size"):
+        NonparametricMode(grid_size)
+
+
 @pytest.mark.parametrize("data", [np.arange(40.0), np.full((40, 3), np.nan),
                                   np.ones((29, 3))])
 def test_fit_vines_rejects_a_bad_table(data):
@@ -196,6 +203,33 @@ def test_rosenblatt_rejects_wrong_column_count(width):
     for transform in (model.rosenblatt, model.inverse_rosenblatt):
         with pytest.raises(InvalidInputError, match=f"expected 3 columns, got {width}"):
             transform(u)
+
+
+def nonfinite_rows():
+    """A 3-column u table: one good row, then a NaN, an inf and a -inf."""
+    u = np.full((4, 3), 0.5)
+    u[1:, 1] = [np.nan, np.inf, -np.inf]
+    return u
+
+
+@pytest.mark.parametrize("method", ["rosenblatt", "inverse_rosenblatt",
+                                    "copula_log_density"])
+def test_vine_methods_reject_a_nonfinite_input(method):
+    # NaN used to pass through the clip and the h-pass into NaN outputs
+    model = gaussian_vine([0.6, 0.5, 0.4])
+    for row in nonfinite_rows()[1:]:
+        with pytest.raises(InvalidInputError, match="finite"):
+            getattr(model, method)(row)
+
+
+def test_marginal_copula_log_density_rejects_a_nonfinite_input():
+    model = gaussian_vine([0.6, 0.5, 0.4])
+    for block, cols in (((0, 2), slice(None)), ((1, 2), slice(1, None))):
+        for row in nonfinite_rows()[1:]:
+            with pytest.raises(InvalidInputError, match="finite"):
+                model.marginal_copula_log_density(block, row[cols])
+    with pytest.raises(InvalidInputError, match="expected 2 columns, got 3"):
+        model.marginal_copula_log_density((1, 2), nonfinite_rows()[0])
 
 
 @pytest.mark.parametrize("m", [2, 3, 5])

@@ -86,3 +86,33 @@ def test_quantile_monotone(sample, us):
     u = np.sort(np.asarray(us))
     x = np.atleast_1d(m.quantile(u))
     assert np.all(np.diff(x) >= -1e-12)
+
+
+def generated_sample(n, tied, seed):
+    """n normal draws; with `tied`, rounded to integers, so most values repeat."""
+    x = np.random.default_rng(seed).normal(scale=3.0, size=n)
+    return np.round(x) if tied else x
+
+
+samples = st.one_of(
+    # any finite floats: -0.0, subnormals, spans that overflow a slope, ties
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=40),
+    st.builds(generated_sample, st.sampled_from([2, 3, 30, 200, 1000]), st.booleans(),
+              st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(samples, st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                         max_size=20))
+def test_quantile_is_np_interp_bit_for_bit(sample, us):
+    """The interval found by index is np.interp's binary search's: on every
+    position, both its float neighbours, the clip ends and drawn points."""
+    m = EmpiricalMarginal(sample)
+    positions = np.arange(1, m.n + 1) / (m.n + 1)
+    u = np.concatenate([positions, np.nextafter(positions, 0.0), np.nextafter(positions, 1.0),
+                        [1e-10, 1 - 1e-10], us])
+    assert m.quantile(u).tobytes() == np.interp(u, positions, m.sorted_sample).tobytes()
+    for point in u[[0, m.n, -1]]:
+        got = m.quantile(point)
+        assert isinstance(got, np.ndarray) and got.shape == ()
+        assert got.tobytes() == np.interp(point, positions, m.sorted_sample).tobytes()
