@@ -31,21 +31,19 @@ from .structure import CoverPlan, covered_sets, greedy_cover, required_sets
 __version__ = "0.1.0"
 
 __all__ = [
-    "BurrMarginal", "BurrParams", "ClaytonCopula",
-    "ContributionEstimator", "CoverPlan", "CoverageError", "DVineModel",
-    "DataError", "EmpiricalMarginal", "ExperimentConfig", "ExperimentReport",
+    "BurrMarginal", "BurrParams", "ClaytonCopula", "ContributionEstimator",
+    "CoverPlan", "CoverageError", "DVineModel", "DataError",
+    "EmpiricalMarginal", "ExperimentConfig", "ExperimentReport",
     "Explanation", "GaussianCopula", "GaussianCopulaEstimator",
     "GaussianEstimator", "GridCopula", "IndependenceCopula",
     "IndependenceEstimator", "InvalidInputError", "NonparametricMode",
     "NumericError", "PairCopula", "ParametricMode", "VineCondSimEstimator",
-    "VineRatioEstimator",
-    "VineShapError", "analytic_mean_predictor", "burr_conditional_params",
-    "burr_log_density", "burr_sample", "covered_sets", "fit_dvine",
-    "fit_nonparametric", "fit_parametric", "fit_vines", "generate_response",
-    "greedy_cover",
-    "knn_predictor", "mae", "pseudo_observations",
-    "required_sets", "response_mean_from_u", "run_experiment",
-    "run_repetition", "shapley", "shapley_from_values", "shapley_rows",
-    "shapley_weights",
-    "study_params", "true_shapley", "truth_vine",
+    "VineRatioEstimator", "VineShapError", "analytic_mean_predictor",
+    "burr_conditional_params", "burr_log_density", "burr_sample",
+    "covered_sets", "fit_dvine", "fit_nonparametric", "fit_parametric",
+    "fit_vines", "generate_response", "greedy_cover", "knn_predictor", "mae",
+    "pseudo_observations", "required_sets", "response_mean_from_u",
+    "run_experiment", "run_repetition", "shapley", "shapley_from_values",
+    "shapley_rows", "shapley_weights", "study_params", "true_shapley",
+    "truth_vine",
 ]

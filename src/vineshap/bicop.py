@@ -2,43 +2,41 @@
 
 Families: Independence, Gaussian, Clayton (with 0/90/180/270 degree
 rotations) and a nonparametric transformation-kernel grid estimator.
-Each copula exposes a log density, the two h-functions (conditional
-cdfs) and their inverses, which is everything the D-vine machinery needs.
-
-Conventions:
+Each exposes a log density, the two h-functions (conditional cdfs) and
+their inverses, which is everything the D-vine machinery needs:
     hfunc(u, v, cond_on="second") = dC(u, v)/dv = F(u | v)
     hfunc(u, v, cond_on="first")  = dC(u, v)/du = F(v | u)
-    hinv(w, v, cond_on) solves for the non-conditioning argument: v is
-    always the conditioning value, cond_on says which copula slot it
-    occupies.
-Inputs are clipped to [EPS, 1 - EPS]; every method returns an ndarray
-with the broadcast shape of its inputs (0-d for scalar inputs).
+    hinv(w, v, cond_on) solves for the non-conditioning argument: v is the
+    conditioning value, in the copula slot that cond_on names.
+These clip their inputs to [EPS, 1 - EPS], and h and h-inverse their
+outputs too; each returns an ndarray of its inputs' broadcast shape (0-d
+for scalars).  A vine pass calls `step` instead, once per pair, on (x, y)
+already in range (u is clipped where it enters a vine, and every h-value
+it carries is a clipped output), and step clips only its outputs.  hfunc
+and log_density are step behind the input clip.
 
-Rotation lives in PairCopula alone and follows the reflection
-identities of Joe (2014) and Czado (2019).  A family supplies only its
-unrotated formulas for one conditioning slot: _logpdf(u, v),
-_h(u, v) = F(u | v) and _hinv(w, v), the inverse of _h in u.  Rotation
-by 90 or 180 degrees reflects u -> 1 - u, by 180 or 270 degrees
-reflects v -> 1 - v; the h output, or the h-inverse target, is reflected
-when u was.  F(v | u) is the transposed copula's h given its second slot,
-at (v, u), so cond_on="first" runs the same formulas on the transpose,
-which each copula builds once, on first use, and keeps.  The grid
-family's h and h-inverse read a cumulative table through one four-cell
-read.
+Rotation lives in PairCopula alone (`_args`, `_unflip`) and follows the
+reflection identities of Joe (2014) and Czado (2019).  A family supplies
+only unrotated formulas for one conditioning slot: _logpdf(u, v),
+_h(u, v) = F(u | v) and _hinv(w, v), the inverse of _h in u; Gaussian and
+Clayton fold the first two into a step of their own, whose slots share
+normal scores or logs, each value by the same float operations.  Rotation
+by 90 or 180 degrees reflects u -> 1 - u, by 180 or 270 degrees v -> 1 - v;
+the h output, or the h-inverse target, is reflected when u was.  F(v | u)
+is the h of the transpose at (v, u); each copula builds its transpose
+once, on first use, and keeps it.  The grid's h and h-inverse read one
+cumulative table, four cells at a time.
 
-One formula per kernel at every parameter: Clayton's start from log u
-and log v (log w) and never form u ** -theta, so they stay finite and
-keep their digits on the clipped square at every theta up to the fit cap.
-Round trip: hinv(w, v, cond_on) is non-decreasing in w and gives back u
-from w = hfunc(u, v, cond_on) (within 1e-11 for the parametric families)
-wherever w lies in [1e-6, 1 - 1e-6].  Where h saturates at the clip, u is
-lost: at theta = 5, Clayton's hinv(hfunc(0.3, 1e-4), 1e-4) is 0.0104.
-
-`scipy.special` (ndtr, ndtri) loads on first use, through `special()`:
-only the Gaussian pieces need it, so a vine without a Gaussian pair
-never imports scipy.
+One formula per kernel at every parameter: Clayton's start from log u and
+log v (log w) and never form u ** -theta, so they stay finite and keep
+their digits on the clipped square up to the fit cap.  hinv(w, v, cond_on)
+is non-decreasing in w and gives back u from w = hfunc(u, v, cond_on)
+(within 1e-11 for the parametric families) wherever w lies in
+[1e-6, 1 - 1e-6].  Where h saturates at the clip, u is lost: at theta = 5,
+Clayton's hinv(hfunc(0.3, 1e-4), 1e-4) is 0.0104.  `scipy.special` loads
+on first use, through `special()`: a vine without a Gaussian pair never
+imports scipy.
 """
-
 import numpy as np
 
 from .errors import InvalidInputError
@@ -76,8 +74,7 @@ class PairCopula:
     _transposed = None  # see _swapped
 
     def _args(self, u, v):
-        """Clipped (u, v) mapped into the unrotated copula's slots."""
-        u, v = _clip(u), _clip(v)  # then 1 - u and 1 - v lie in [EPS, 1 - EPS] too
+        """(u, v) in the unrotated copula's slots; the transpose's at (v, u) swapped."""
         if self.rotation in (90, 180):
             u = 1.0 - u
         if self.rotation in (180, 270):
@@ -90,16 +87,23 @@ class PairCopula:
             out = 1.0 - out
         return np.asarray(np.clip(out, EPS, 1.0 - EPS))
 
+    def step(self, x, y, second=False, first=False, log_density=False):
+        """(F(x | y), F(y | x), log c(x, y)) at (x, y) in range; None for a slot not asked."""
+        a, b = self._args(x, y)
+        return (self._unflip(self._h(a, b)) if second else None,
+                self._swapped()._unflip(self._swapped()._h(b, a)) if first else None,
+                np.asarray(self._logpdf(a, b)) if log_density else None)
+
     def log_density(self, u, v):
-        return np.asarray(self._logpdf(*self._args(u, v)))
+        return self.step(_clip(u), _clip(v), log_density=True)[2]
 
     def hfunc(self, u, v, cond_on="second"):
-        cop, u, v = (self._swapped(), v, u) if _on_first(cond_on) else (self, u, v)
-        return cop._unflip(cop._h(*cop._args(u, v)))
+        on_first = _on_first(cond_on)
+        return self.step(_clip(u), _clip(v), not on_first, on_first)[on_first]
 
     def hinv(self, w, v, cond_on="second"):
         cop = self._swapped() if _on_first(cond_on) else self
-        return cop._unflip(cop._hinv(*cop._args(w, v)))
+        return cop._unflip(cop._hinv(*cop._args(_clip(w), _clip(v))))
 
     def transpose(self):
         """Copula of the argument-swapped pair (u, v) -> (v, u)."""
@@ -157,17 +161,14 @@ class GaussianCopula(PairCopula):
             raise InvalidInputError(f"gaussian copula needs -1 < rho < 1, got {rho}")
         self.rho = rho
 
-    def _logpdf(self, u, v):
-        sp = special()
-        x, y = sp.ndtri(u), sp.ndtri(v)
-        r = self.rho
-        s2 = 1.0 - r * r
-        return -0.5 * np.log(s2) - (r * r * (x * x + y * y) - 2.0 * r * x * y) / (2.0 * s2)
-
-    def _h(self, u, v):
-        sp = special()
-        x, y = sp.ndtri(u), sp.ndtri(v)
-        return sp.ndtr((x - self.rho * y) / np.sqrt(1.0 - self.rho ** 2))
+    def step(self, x, y, second=False, first=False, log_density=False):
+        sp, r = special(), self.rho
+        zx, zy = sp.ndtri(x), sp.ndtri(y)  # unrotated and exchangeable: shared by the slots
+        s, s2 = np.sqrt(1.0 - r ** 2), 1.0 - r * r
+        return (self._unflip(sp.ndtr((zx - r * zy) / s)) if second else None,
+                self._unflip(sp.ndtr((zy - r * zx) / s)) if first else None,
+                np.asarray(-0.5 * np.log(s2) - (r * r * (zx * zx + zy * zy) - 2.0 * r * zx * zy)
+                           / (2.0 * s2)) if log_density else None)
 
     def _hinv(self, w, v):
         sp = special()
@@ -200,24 +201,30 @@ class ClaytonCopula(PairCopula):
         self.theta = theta
         self.rotation = int(rotation)
 
-    def _logpdf(self, u, v):
-        # log(u^-theta + v^-theta - 1) = hi + log1p(e^(lo - hi) - e^-hi), and
-        # e^(lo - hi) - e^-hi = e^(lo - hi) (1 - e^-lo) in (0, 1]: no overflow
+    def step(self, x, y, second=False, first=False, log_density=False):
+        # The slots share log a, log b and theta times each, at the rotated (a, b).
+        # h = (1 + b^theta (a^-theta - 1))^-(1 + 1/theta) is formed from log_x, the
+        # log of b^theta (a^-theta - 1): no overflow, no cancellation near h = 1;
+        # past log_x = 700, h < 1e-300 is clipped all the same.  With hi, lo =
+        # -min(t_a, t_b), -max(t_a, t_b), log(a^-theta + b^-theta - 1) is
+        # hi + log1p(e^(lo - hi) (1 - e^-lo)), where e^(lo - hi) <= 1: no overflow.
+        a, b = self._args(x, y)
         theta = self.theta
-        log_u, log_v = np.log(u), np.log(v)
-        hi, lo = -theta * np.minimum(log_u, log_v), -theta * np.maximum(log_u, log_v)
-        log_t = hi + np.log1p(np.exp(lo - hi) * -np.expm1(-lo))
-        return np.log1p(theta) - (theta + 1.0) * (log_u + log_v) - (2.0 + 1.0 / theta) * log_t
+        log_a, log_b = np.log(a), np.log(b)
+        t_a, t_b = theta * log_a, theta * log_b
+        d = theta * (log_b - log_a) if second or first else None  # -d is theta (log a - log b)
 
-    def _h(self, u, v):
-        # h = (1 + v^theta (u^-theta - 1))^-(1 + 1/theta), with the log of
-        # v^theta (u^-theta - 1) formed from logs: no overflow, and no
-        # cancellation of two large logs where h is near 1.  Past
-        # log_x = 700, h < 1e-300 and hfunc clips it to EPS all the same.
-        theta = self.theta
-        log_u = np.log(u)
-        log_x = theta * (np.log(v) - log_u) + np.log(-np.expm1(theta * log_u))
-        return np.exp(-(1.0 + 1.0 / theta) * np.log1p(np.exp(np.minimum(log_x, 700.0))))
+        def h(log_x):
+            return np.exp(-(1.0 + 1.0 / theta) * np.log1p(np.exp(np.minimum(log_x, 700.0))))
+        log_c = None
+        if log_density:
+            small, large = np.minimum(t_a, t_b), np.maximum(t_a, t_b)
+            log_t = np.log1p(np.exp(small - large) * -np.expm1(large)) - small
+            log_c = np.asarray(np.log1p(theta) - (theta + 1.0) * (log_a + log_b)
+                               - (2.0 + 1.0 / theta) * log_t)
+        return (self._unflip(h(d + np.log(-np.expm1(t_a)))) if second else None,
+                self._swapped()._unflip(h(np.log(-np.expm1(t_b)) - d)) if first else None,
+                log_c)
 
     def _hinv(self, w, v):
         # u = (c v^-theta + 1)^(-1/theta), c = w^(-theta/(1+theta)) - 1, as
@@ -241,13 +248,12 @@ class ClaytonCopula(PairCopula):
 class GridCopula(PairCopula):
     """Nonparametric copula density on a G x G equispaced mesh.
 
-    Grid nodes sit at cell centers (i + 0.5)/G.  One cumulative table,
-    over u for each v node, is precomputed; F(v | u) reads the transpose's
-    table.  h reads four cells of it, bilinearly, as the density reads
-    four grid cells.  hinv reads table rows the same way, binary-searching
-    for the two breaks whose rows bracket its target, and inverts h
-    linearly between them, so hinv(hfunc(u)) is exact up to float
-    precision.  A NaN input gives NaN, as in the parametric families.
+    Grid nodes sit at cell centers (i + 0.5)/G.  One cumulative table, over
+    u for each v node, is precomputed; F(v | u) reads the transpose's.  h
+    reads four cells of it, bilinearly, as the density reads four grid
+    cells.  hinv reads rows the same way, binary-searching for the two
+    breaks whose rows bracket its target, and inverts h linearly between
+    them: hinv(hfunc(u)) is exact up to float precision.  NaN gives NaN.
     """
 
     family = "grid"
@@ -268,9 +274,7 @@ class GridCopula(PairCopula):
         ext = np.vstack([grid[:1], grid, grid[-1:]])
         seg = 0.5 * (ext[:-1] + ext[1:]) * np.diff(self.breaks)[:, None]
         cum = np.concatenate([np.zeros((1, g)), np.cumsum(seg, axis=0)])
-        total = cum[-1]
-        total = np.where(total <= 0, 1.0, total)
-        self._cum_u = cum / total
+        self._cum_u = cum / np.where(cum[-1] <= 0, 1.0, cum[-1])
 
     def integral(self):
         """Trapezoid integral of the density over the unit square."""
@@ -292,11 +296,10 @@ class GridCopula(PairCopula):
     def _bilinear(self, u, v):
         i0, du = self._cell(u)
         j0, dv = self._cell(v)
-        z = (self.grid[i0, j0] * (1 - du) * (1 - dv)
-             + self.grid[i0 + 1, j0] * du * (1 - dv)
-             + self.grid[i0, j0 + 1] * (1 - du) * dv
-             + self.grid[i0 + 1, j0 + 1] * du * dv)
-        return z
+        return (self.grid[i0, j0] * (1 - du) * (1 - dv)
+                + self.grid[i0 + 1, j0] * du * (1 - dv)
+                + self.grid[i0, j0 + 1] * (1 - du) * dv
+                + self.grid[i0 + 1, j0 + 1] * du * dv)
 
     def _read(self, k, j, t):
         """Table row k read between conditioning nodes j and j + 1, weight t."""
@@ -451,8 +454,9 @@ def fit_parametric(data):
     candidates += [ClaytonCopula(theta, rotation=rot) for rot in rotations]
 
     best, best_aic = None, np.inf
+    u, v = _clip(data[:, 0]), _clip(data[:, 1])
     for cop in candidates:
-        loglik = float(np.sum(cop.log_density(data[:, 0], data[:, 1])))
+        loglik = float(np.sum(cop.step(u, v, log_density=True)[2]))
         aic = -2.0 * loglik + 2.0 * cop.n_params
         if aic < best_aic:
             best, best_aic = cop, aic

@@ -6,36 +6,28 @@ between, 0-based) and one marginal model per original feature.  All
 evaluations run on copula scale; marginals only enter at the data-scale
 boundary (conditional sampling).  Every method takes an N x M table (a
 single M-vector counts as one row) and returns one entry or row per
-input row.
+input row.  Serialization covers the order and the pair copulas only:
+the vines of one cover plan share one copy of the marginals, which
+`fit_vines` builds and `from_dict(d, marginals)` takes.
 
-Serialization covers the order and the pair copulas only.  The
-marginals are rebuilt by the caller, so that the several vines of one
-cover plan share a single copy of them: `from_dict(d, marginals)`.
-`fit_vines` fits the vines of a plan on one such copy.
-
-The simplified-vine assumption makes every contiguous sub-block of the
-order itself a D-vine, so the ratio of the joint density to a block's
-own density reduces to the pairs that straddle the block's ends
-(`log_density_ratios`).  All the blocks one order serves get their
-ratios in one (len(blocks), n) array, len(blocks)·n floats: each
-straddling pair runs one kernel call over all its distinct overlaps of a
-block with its span.
+Under the simplified-vine assumption every contiguous block of the order
+is itself a D-vine, so the ratio of the joint density to a block's own
+density reduces to the pairs that straddle the block's ends
+(`log_density_ratios`): one (len(blocks), n) array per order, from one
+`step` call per straddling pair over its distinct overlaps with a block.
 
 Fitting, both densities, the Rosenblatt transform and its inverse all
 walk one h-function recursion, `_h_pass`, left to right over the order
 positions.  The inverse reads each position's h-values off the h-inverse
 chain that solved it: its only h-functions are those carried onward.
-Conditional sampling is that inverse pass with x*_S given:
-its marginal u-values fill the coalition's positions as they are, and
-only the other positions are solved from the caller's uniform draws.
-All prefixes of one order share x*'s u-values, so one call samples a
-whole group of them: the pass over the pinned positions runs once, on
-one row, and each coalition's rows are stacked below the others' and
-join the inverse pass at their first free position.  A suffix is a
-prefix of the reversed model, which is built once per model and not
-serialised.
+Conditional sampling is that inverse pass with x*_S given on the
+coalition's positions; only the other positions are solved, from the
+caller's uniform draws.  The prefixes of one order share x*'s u-values,
+so one call samples a group of them: the pinned positions are passed
+once, on one row, and each coalition's rows join the inverse pass at
+their first free position.  A suffix is a prefix of the reversed model,
+built once per model and not serialised.
 """
-
 import numpy as np
 
 from .bicop import EPS, PairCopula, fit_nonparametric, fit_parametric, valid_grid_size
@@ -66,16 +58,17 @@ def _h_pass(V, pairs, solve=None, joins=None):
     x_i = F(v_{k-1-i} | v_{k-i..k-1}), carried over from position k-1, with
     y_i = F(v_k | v_{k-i..k-1}) = h(y_{i-1} | x_{i-1}), y_0 = v_k.  Yields
     (i, j, x_i, y_i) before reading pairs[i][j], so a caller may fit that
-    pair in its loop body.  `solve(k, x)`, if given, first sets column k to
-    y_0 (the inverse Rosenblatt step) and returns the chain y_0..y_{k-1} it
-    went down, from which each y_{i+1} is read rather than recomputed.  Only
-    h-values a later step reads are computed.
+    pair in its loop body.  `solve(k, x)`, if given, is first called with
+    the values carried to position k; it may set column k to y_0 (the
+    inverse Rosenblatt step) and return the chain y_0..y_{k-1} it went
+    down, from which each y_{i+1} is read rather than recomputed.  Only the
+    h-values a later step reads are computed, by one `step` call per pair,
+    which does not clip its inputs: V must lie in [EPS, 1 - EPS].
 
     `joins` stacks V's rows in blocks that enter at different positions:
-    (k, n, x), in ascending k, lets the next n rows take part from
-    position k on, entering with the carried values x (k arrays that
-    broadcast to n rows).  By default every row enters at position 1 with
-    x = [V[:, 0]].
+    (k, n, x), in ascending k, lets the next n rows take part from position
+    k on with the carried values x (k arrays that broadcast to n rows).  By
+    default every row enters at position 1 with x = [V[:, 0]].
     """
     m = V.shape[1]
     joins = list(joins or [(1, len(V), [V[:, 0]])])
@@ -89,11 +82,12 @@ def _h_pass(V, pairs, solve=None, joins=None):
         carry = [y]
         for i in range(k):
             yield i, k - 1 - i, x[i], y
-            pc = pairs[i][k - 1 - i]
-            if k < m - 1:
-                carry.append(pc.hfunc(x[i], y, "second"))
+            second, first = k < m - 1, i < k - 1 and not chain
+            if second or first:  # a carry gets None only at the last position: never read
+                h_second, h_first, _ = pairs[i][k - 1 - i].step(x[i], y, second, first)
+                carry.append(h_second)
             if i < k - 1:
-                y = chain[i + 1] if chain else pc.hfunc(x[i], y, "first")
+                y = chain[i + 1] if chain else h_first
         x = carry
 
 
@@ -121,19 +115,22 @@ class DVineModel:
     # densities
 
     def _columns(self, a, width=None):
-        """a as a finite (n, width) float array (width M by default), or InvalidInputError."""
+        """a as an (n, width) float array (width M by default) clipped to
+        [EPS, 1 - EPS], the one clip on its way to the pair copulas;
+        InvalidInputError if it is not finite."""
         a = np.atleast_2d(np.asarray(a, dtype=float))
         width = self.M if width is None else width
         if a.shape[1] != width:
             raise InvalidInputError(f"expected {width} columns, got {a.shape[1]}")
         if not np.all(np.isfinite(a)):
             raise InvalidInputError("copula-scale input must be finite")
-        return a
+        return np.clip(a, EPS, 1 - EPS)
 
     def _log_density(self, V, start=0):
         """Log density of the sub-vine on positions start.., added tree by tree."""
         pairs = [row[start:] for row in self.pairs]
-        logs = {(i, j): pairs[i][j].log_density(x, y) for i, j, x, y in _h_pass(V, pairs)}
+        logs = {(i, j): pairs[i][j].step(x, y, log_density=True)[2]
+                for i, j, x, y in _h_pass(V, pairs)}
         return sum((logs[key] for key in sorted(logs)), np.zeros(V.shape[0]))
 
     def copula_log_density(self, u):
@@ -159,12 +156,11 @@ class DVineModel:
         with u_star as one more row, runs first.  Only the pairs whose span
         straddles a block are then evaluated (the others cancel or are
         constant).  Their arguments depend only on the block's overlap with
-        the span: each pair runs one log-density call, and at most two
-        h-function calls, over all its distinct overlaps, and adds each
-        overlap's row to every block with that overlap.  An argument inside
-        the block comes from the pass over u, one outside it from u_star's
-        row, any other from the h-values the last tree carried for its own
-        overlap.
+        the span: one `step` call per pair gives its log density, and the
+        h-values the next tree reads, at all its distinct overlaps; each
+        overlap's row is added to every block with that overlap.  An argument
+        inside the block comes from the pass over u, one outside it from
+        u_star's row, any other from the h-values the last tree carried.
         """
         V = np.vstack([self._columns(u), self._columns(u_star)])[:, self.order]
         n, m = V.shape[0] - 1, V.shape[1]
@@ -191,15 +187,16 @@ class DVineModel:
                         groups.setdefault(overlap, []).append(b)
                 if not groups:
                     continue
-                pc = self.pairs[i][j]
                 x, y = (np.concatenate([arg(side, *o) for o in groups]) for side in (0, 1))
-                for o, row in zip(groups, pc.log_density(x, y).reshape(-1, n)):
+                wanted = [0 <= j - side < m - 2 - i for side in (0, 1)]  # read by (i+1, j-side)
+                *hs, log_c = self.pairs[i][j].step(x, y, *wanted, log_density=True)
+                for o, row in zip(groups, log_c.reshape(-1, n)):
                     for b in groups[o]:
                         out[b] += row
-                for side, k in ((0, j), (1, j - 1)):  # x of pair (i+1, j), y of (i+1, j-1)
-                    if 0 <= k < m - 2 - i:
-                        h = pc.hfunc(x, y, ("second", "first")[side]).reshape(-1, n)
-                        carried[side].update(((k, *o), row) for o, row in zip(groups, h))
+                for side, h in enumerate(hs):
+                    if h is not None:
+                        h = h.reshape(-1, n)
+                        carried[side].update(((j - side, *o), row) for o, row in zip(groups, h))
         return out
 
     # ------------------------------------------------------------------
@@ -207,16 +204,16 @@ class DVineModel:
 
     def rosenblatt(self, u):
         """w_k = F(u_{pi_k} | u_{pi_1..pi_{k-1}}); output in position indexing."""
-        V = np.clip(self._columns(u)[:, self.order], EPS, 1 - EPS)
+        V = self._columns(u)[:, self.order]
         W = V.copy()
         for i, j, x, y in _h_pass(V, self.pairs):
             if j == 0:  # the last pair at position i+1 conditions it on 0..i
-                W[:, i + 1] = self.pairs[i][0].hfunc(x, y, "first")
+                W[:, i + 1] = self.pairs[i][0].step(x, y, first=True)[1]
         return W
 
     def inverse_rosenblatt(self, w):
         """Inverse of :meth:`rosenblatt`; returns u in original indexing."""
-        V = np.clip(self._columns(w), EPS, 1 - EPS)
+        V = self._columns(w)
         self._solve(V)
         return V[:, np.argsort(self.order)]
 
@@ -274,10 +271,9 @@ class DVineModel:
         their x_star values.
 
         The blocks are stacked by ascending |S|, and the block of |S| = s
-        joins the pass at position s, entering with the h-values that x*'s
-        pinned prefix carries there: one pass on one row computes those
-        for every block.  Each pair's h-inverse then runs once per position
-        on the rows of every block that has joined.
+        joins the pass at position s with the h-values x*'s pinned prefix
+        carries there, from one pass on one row for every block.  Each
+        pair's h-inverse runs once per position on every joined block's rows.
         """
         roles = {self.coalition_role(f) for f in coalitions}
         if len(roles) != 1 or None in roles:
@@ -293,10 +289,12 @@ class DVineModel:
         rank = sorted(range(len(coalitions)), key=sizes.__getitem__)
         starts = [sizes[c] for c in rank]
 
-        u_star = [[model.marginals[f].cdf(x_star[f]) for f in model.order[:starts[-1] + 1]]]
+        u_star = np.clip([[model.marginals[f].cdf(x_star[f])
+                           for f in model.order[:starts[-1] + 1]]], EPS, 1 - EPS)
         carried = {}  # position -> the pinned prefix's carried values there
-        for i, j, x, _ in _h_pass(np.clip(u_star, EPS, 1 - EPS), model.pairs):
-            carried.setdefault(i + j + 1, []).append(x)
+        for i, j, _, _ in _h_pass(u_star, model.pairs, carried.__setitem__):
+            if i + j + 1 == starts[-1]:  # every carry is in; no h-value here is read
+                break
 
         ends = np.cumsum([len(draws[c]) for c in rank])
         V = np.empty((ends[-1], m))
@@ -359,7 +357,7 @@ def fit_dvine(data, order, mode=None, marginals=None):
 
     if marginals is None:
         marginals = [EmpiricalMarginal(data[:, j]) for j in range(m)]
-    V = pseudo_observations(data, marginals)[:, order]
+    V = np.clip(pseudo_observations(data, marginals)[:, order], EPS, 1 - EPS)
     pairs = [[None] * (m - 1 - i) for i in range(m - 1)]
     for i, j, x, y in _h_pass(V, pairs):
         pairs[i][j] = mode.fit_edge(np.column_stack([x, y]))

@@ -1,6 +1,12 @@
 """Shared test helpers."""
 
-from vineshap import DVineModel, EmpiricalMarginal
+from collections import Counter
+
+import numpy as np
+
+from vineshap import DVineModel, EmpiricalMarginal, GridCopula, PairCopula
+
+STEP_SLOTS = ("second", "first", "log_density")
 
 
 def constant_vine(data, order, copula):
@@ -9,6 +15,11 @@ def constant_vine(data, order, copula):
     pairs = [[copula] * (m - 1 - i) for i in range(m - 1)]
     marginals = [EmpiricalMarginal(data[:, j]) for j in range(m)]
     return DVineModel(order, pairs, marginals)
+
+
+def seeded_grid(seed):
+    """An 8 x 8 grid copula of uniform random density values."""
+    return GridCopula(np.random.default_rng(seed).uniform(0.2, 3.0, size=(8, 8)))
 
 
 def straddled_overlaps(plan):
@@ -26,3 +37,36 @@ def straddled_overlaps(plan):
                 if block & span and not span <= block:
                     overlaps.setdefault((order, i, j), set()).add(frozenset(block & span))
     return overlaps
+
+
+def count_steps(monkeypatch, record):
+    """Patch `step` on every package pair-copula class that defines its own,
+    so that each call first runs record(copula, x, y, slots), slots being
+    the names of the slots it asks for (see STEP_SLOTS)."""
+    classes = [PairCopula]
+    while classes:
+        cls = classes.pop()
+        classes += cls.__subclasses__()
+        if "step" not in vars(cls) or cls.__module__ != PairCopula.__module__:
+            continue
+
+        def counted(self, x, y, second=False, first=False, log_density=False,
+                    _step=vars(cls)["step"]):
+            asked = (second, first, log_density)
+            record(self, x, y, [slot for slot, on in zip(STEP_SLOTS, asked) if on])
+            return _step(self, x, y, second, first, log_density)
+
+        monkeypatch.setattr(cls, "step", counted)
+
+
+def counted_step_points(monkeypatch):
+    """A Counter of `step` points by slot: one per broadcast (x, y) point and
+    slot asked for."""
+    points = Counter()
+
+    def record(copula, x, y, slots):
+        for slot in slots:
+            points[slot] += np.broadcast(x, y).size
+
+    count_steps(monkeypatch, record)
+    return points

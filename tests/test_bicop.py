@@ -1,3 +1,4 @@
+import itertools
 import time
 import tracemalloc
 from decimal import Decimal, localcontext
@@ -8,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from helpers import seeded_grid
 from vineshap import (ClaytonCopula, GaussianCopula, GridCopula,
                       IndependenceCopula, InvalidInputError, fit_nonparametric,
                       fit_parametric)
-from vineshap.bicop import EPS, TAU_INDEPENDENCE_THRESHOLD, _kendall_tau, _normal_pdf
+from vineshap.bicop import (EPS, TAU_INDEPENDENCE_THRESHOLD, _kendall_tau, _normal_pdf,
+                            special)
 
 
 def clayton_cdf(u, v, theta):
@@ -152,7 +155,8 @@ def test_clayton_log_density_and_hinv_match_50_digits(theta):
     want = np.clip([float(clayton_hinv_50_digits(theta, a, b)) for a, b in zip(u, v)],
                    EPS, 1 - EPS)
     assert np.all(np.abs(got - want) <= 1e-15 / min(theta, 1.0) * want)
-    assert np.all(np.isfinite(cop._logpdf(u, v))) and np.all(cop._hinv(u, v) > 0)
+    assert np.all(np.isfinite(cop.step(u, v, log_density=True)[2]))
+    assert np.all(cop._hinv(u, v) > 0)
 
 
 def test_gaussian_hfunc_closed_form():
@@ -706,3 +710,82 @@ def test_cond_on_is_validated_for_every_family(cop):
         cop.hfunc(0.3, 0.4, "third")
     with pytest.raises(InvalidInputError):
         cop.hinv(0.3, 0.4, "u")
+
+
+# ----------------------------------------------------------------------
+# step: the vine passes' one call per pair, at inputs already clipped
+
+unit_points = st.one_of(st.floats(EPS, 1 - EPS),
+                        st.sampled_from([EPS, 1 - EPS, 2 * EPS, 1e-9, 0.5, 1 - 1e-9]))
+point_pairs = st.lists(st.tuples(unit_points, unit_points), min_size=1, max_size=40).map(
+    lambda pts: tuple(np.array(a) for a in zip(*pts)))
+gaussians = st.floats(-0.99, 0.99).map(GaussianCopula)
+claytons = st.builds(ClaytonCopula, st.floats(1e-4, 50.0), st.sampled_from([0, 90, 180, 270]))
+step_copulas = st.one_of(st.just(IndependenceCopula()), gaussians, claytons,
+                         st.integers(0, 2 ** 32 - 1).map(seeded_grid))
+
+
+@settings(max_examples=300, deadline=None)
+@given(step_copulas, point_pairs)
+def test_step_matches_the_public_methods_bit_for_bit(cop, xy):
+    """Every combination of slots: each slot asked for is the public
+    method's value, shape included, and every other slot is None."""
+    x, y = xy
+    want = (cop.hfunc(x, y, "second"), cop.hfunc(x, y, "first"), cop.log_density(x, y))
+    for asked in itertools.product((False, True), repeat=3):
+        for got, on, value in zip(cop.step(x, y, *asked), asked, want):
+            if on:
+                assert got.shape == value.shape and np.array_equal(got, value)
+            else:
+                assert got is None
+
+
+def former_clayton_h(theta, u, v):
+    """The former `ClaytonCopula._h`, F(u | v) unrotated, one slot per call."""
+    log_u = np.log(u)
+    log_x = theta * (np.log(v) - log_u) + np.log(-np.expm1(theta * log_u))
+    return np.exp(-(1.0 + 1.0 / theta) * np.log1p(np.exp(np.minimum(log_x, 700.0))))
+
+
+def former_clayton_logpdf(theta, u, v):
+    """The former `ClaytonCopula._logpdf`, unrotated."""
+    log_u, log_v = np.log(u), np.log(v)
+    hi, lo = -theta * np.minimum(log_u, log_v), -theta * np.maximum(log_u, log_v)
+    log_t = hi + np.log1p(np.exp(lo - hi) * -np.expm1(-lo))
+    return np.log1p(theta) - (theta + 1.0) * (log_u + log_v) - (2.0 + 1.0 / theta) * log_t
+
+
+def former_gaussian_h(rho, u, v):
+    """The former `GaussianCopula._h`."""
+    sp = special()
+    x, y = sp.ndtri(u), sp.ndtri(v)
+    return sp.ndtr((x - rho * y) / np.sqrt(1.0 - rho ** 2))
+
+
+def former_gaussian_logpdf(rho, u, v):
+    """The former `GaussianCopula._logpdf`."""
+    sp = special()
+    x, y = sp.ndtri(u), sp.ndtri(v)
+    s2 = 1.0 - rho * rho
+    return -0.5 * np.log(s2) - (rho * rho * (x * x + y * y) - 2.0 * rho * x * y) / (2.0 * s2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(gaussians, claytons), point_pairs)
+def test_shared_slots_equal_the_former_one_slot_formulas(cop, xy):
+    """Clayton's and Gaussian's step share logs or normal scores across
+    their slots; each slot is still the float result of the former
+    one-slot formula at the rotated point, reflected back and clipped."""
+    x, y = xy
+    if cop.family == "clayton":
+        h, logpdf, param = former_clayton_h, former_clayton_logpdf, cop.theta
+    else:
+        h, logpdf, param = former_gaussian_h, former_gaussian_logpdf, cop.rho
+    flip_x, flip_y = cop.rotation in (90, 180), cop.rotation in (180, 270)
+    a, b = (1.0 - x if flip_x else x), (1.0 - y if flip_y else y)
+    h_ab, h_ba = h(param, a, b), h(param, b, a)
+    want = (np.clip(1.0 - h_ab if flip_x else h_ab, EPS, 1 - EPS),
+            np.clip(1.0 - h_ba if flip_y else h_ba, EPS, 1 - EPS),
+            logpdf(param, a, b))
+    for got, value in zip(cop.step(x, y, True, True, True), want):
+        assert np.array_equal(got, value)

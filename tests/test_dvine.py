@@ -1,13 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import constant_vine
+from helpers import constant_vine, seeded_grid
 from vineshap import (BurrMarginal, ClaytonCopula, CoverageError,
                       DVineModel, EmpiricalMarginal, GaussianCopula,
                       IndependenceCopula, InvalidInputError, NonparametricMode,
                       ParametricMode, fit_dvine, fit_vines, greedy_cover,
                       pseudo_observations)
+from vineshap.bicop import EPS
 
 
 def gaussian_vine(rhos, m=3, n_marg=100, seed=0):
@@ -230,6 +233,39 @@ def test_marginal_copula_log_density_rejects_a_nonfinite_input():
                 model.marginal_copula_log_density(block, row[cols])
     with pytest.raises(InvalidInputError, match="expected 2 columns, got 3"):
         model.marginal_copula_log_density((1, 2), nonfinite_rows()[0])
+
+
+def test_u_at_0_and_1_is_clipped_where_it_enters():
+    """The pair-copula steps of a vine pass do not clip their inputs: u is
+    clipped once, where it enters.  So u = 0 and u = 1 give the bits that
+    u = EPS and u = 1 - EPS give, with no RuntimeWarning, in every method
+    that takes copula-scale input and in conditional_sample's draws."""
+    pairs = [[ClaytonCopula(2.0), GaussianCopula(0.5), ClaytonCopula(3.0, 90)],
+             [ClaytonCopula(1.5, 180), seeded_grid(1)], [ClaytonCopula(4.0, 270)]]
+    data = np.random.default_rng(15).normal(size=(50, 4))
+    model = DVineModel((2, 0, 3, 1), pairs, [EmpiricalMarginal(c) for c in data.T])
+    rng = np.random.default_rng(16)
+    edge = rng.choice([0.0, 1.0, 0.3, 0.8], size=(40, 4))
+    edge[:2] = [[0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]]
+    clipped = np.clip(edge, EPS, 1 - EPS)
+    blocks = [(0, 1), (1, 3), (2, 2), (0, 3)]
+    draws = [edge[:10, :2], edge[10:, 1:]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for method in ("copula_log_density", "rosenblatt", "inverse_rosenblatt"):
+            assert np.array_equal(getattr(model, method)(edge),
+                                  getattr(model, method)(clipped)), method
+        assert np.array_equal(model.marginal_copula_log_density((1, 3), edge[:, :3]),
+                              model.marginal_copula_log_density((1, 3), clipped[:, :3]))
+        for u_star in edge[:3]:
+            assert np.array_equal(
+                model.log_density_ratios(edge, u_star, blocks),
+                model.log_density_ratios(clipped, np.clip(u_star, EPS, 1 - EPS), blocks))
+        coalitions = [set(model.order[:2]), set(model.order[:1])]
+        got = model.conditional_sample(coalitions, data[0], draws)
+        want = model.conditional_sample(coalitions, data[0],
+                                        [np.clip(d, EPS, 1 - EPS) for d in draws])
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize("m", [2, 3, 5])

@@ -17,7 +17,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import vineshap.dvine as dvine
-from helpers import constant_vine, straddled_overlaps
+from helpers import (constant_vine, count_steps, counted_step_points, seeded_grid,
+                     straddled_overlaps)
 from vineshap import (ClaytonCopula, CoverageError, DVineModel, EmpiricalMarginal,
                       GaussianCopula, GridCopula, IndependenceCopula,
                       InvalidInputError, NonparametricMode, PairCopula, ParametricMode,
@@ -147,26 +148,12 @@ def test_pass_matches_tree_by_tree_recursion(model, seed):
         [[pc.to_dict() for pc in row] for row in want]
 
 
-def counted_h_points(monkeypatch):
-    """A Counter of h-function points by cond_on."""
-    points = Counter()
-    hfunc = PairCopula.hfunc
-
-    def counted(self, u, v, cond_on="second"):
-        out = hfunc(self, u, v, cond_on)
-        points[cond_on] += out.size
-        return out
-
-    monkeypatch.setattr(PairCopula, "hfunc", counted)
-    return points
-
-
 def test_inverse_rosenblatt_h_points_per_row(monkeypatch):
     """The inverse walks the recursion once and reads each solved column's
     h-values off its h-inverse chain: only the carried F(v_j | ...) are
     computed, (M-1)(M-2)/2 h-points per row."""
     m, n = 8, 10
-    points = counted_h_points(monkeypatch)
+    points = counted_step_points(monkeypatch)
     data = np.random.default_rng(0).normal(size=(50, m))
     model = constant_vine(data, tuple(range(m)), GaussianCopula(0.5))
     model.inverse_rosenblatt(np.random.default_rng(1).uniform(size=(n, m)))
@@ -175,17 +162,19 @@ def test_inverse_rosenblatt_h_points_per_row(monkeypatch):
 
 def test_conditional_sample_h_points_per_solved_row(monkeypatch):
     """Solved rows make sum_{k=s}^{M-2} k h-points each, all cond_on="second";
-    x*'s pinned prefix adds its own pass on one row."""
+    x*'s pinned prefix adds its own pass on one row, which stops once the
+    values it carries to position s are in: the "first" values at s would
+    be read by nothing."""
     m, K = 8, 10
     data = np.random.default_rng(0).normal(size=(50, m))
     model = constant_vine(data, (3, 0, 7, 1, 6, 2, 5, 4), ClaytonCopula(2.0))
     for s in range(1, m):
         for features in (model.order[:s], model.order[m - s:]):
             with monkeypatch.context() as patch:
-                points = counted_h_points(patch)
+                points = counted_step_points(patch)
                 model.conditional_sample([set(features)], data[0],
                                          [np.random.default_rng(s).uniform(size=(K, m - s))])
-            assert points == Counter(first=sum(range(s)),
+            assert points == Counter(first=sum(range(s - 1)),
                                      second=sum(range(s)) + K * sum(range(s, m - 1)))
 
 
@@ -241,10 +230,6 @@ def reference_log_weights(est, features, x_star):
 def normalised(logw):
     w = np.exp(logw - np.max(logw))
     return w / w.sum()
-
-
-def seeded_grid(seed):
-    return GridCopula(np.random.default_rng(seed).uniform(0.2, 3.0, size=(8, 8)))
 
 
 ratio_pairs = st.one_of(pair_copulas, st.integers(0, 2 ** 32 - 1).map(seeded_grid))
@@ -351,17 +336,17 @@ def test_each_straddling_pair_is_evaluated_once_per_overlap(monkeypatch):
     plan = greedy_cover(m, "ratio", rng=np.random.default_rng(1))
     models = [constant_vine(train, order, ClaytonCopula(2.0)) for order in plan.orders]
     rows, current = Counter(), []
-    log_density, ratios = PairCopula.log_density, DVineModel.log_density_ratios
+    ratios = DVineModel.log_density_ratios
 
-    def counted(self, u, v):
-        rows[current[-1]] += len(u)
-        return log_density(self, u, v)
+    def counted(copula, x, y, slots):
+        if "log_density" in slots:
+            rows[current[-1]] += len(x)
 
     def serving(self, *args):
         current.append(self.order)
         return ratios(self, *args)
 
-    monkeypatch.setattr(PairCopula, "log_density", counted)
+    count_steps(monkeypatch, counted)
     monkeypatch.setattr(DVineModel, "log_density_ratios", serving)
     est = VineRatioEstimator(train, lambda x: x[:, 0], models, plan, K=K,
                              rng=np.random.default_rng(2))
@@ -550,17 +535,17 @@ def test_vine_calls_are_one_per_group_at_any_predictor_budget(monkeypatch):
     monkeypatch.setattr(explain, "PREDICT_CELLS", m * K)
     train = np.random.default_rng(0).normal(size=(60, m))
     sampled, current, points = counted_groups(monkeypatch), [], Counter()
-    log_density, ratios = PairCopula.log_density, DVineModel.log_density_ratios
+    ratios = DVineModel.log_density_ratios
 
-    def counted_density(self, u, v):
-        points[current[-1], len(u)] += 1
-        return log_density(self, u, v)
+    def counted_density(copula, x, y, slots):
+        if "log_density" in slots:
+            points[current[-1], len(x)] += 1
 
     def serving(self, *args):
         current.append(self.order)
         return ratios(self, *args)
 
-    monkeypatch.setattr(PairCopula, "log_density", counted_density)
+    count_steps(monkeypatch, counted_density)
     monkeypatch.setattr(DVineModel, "log_density_ratios", serving)
 
     def explained(method, cls):

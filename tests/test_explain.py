@@ -3,11 +3,11 @@ import pytest
 from scipy import stats
 
 import vineshap.dvine as dvine
-from helpers import constant_vine, straddled_overlaps
+from helpers import constant_vine, count_steps, straddled_overlaps
 from vineshap import (ClaytonCopula, CoverageError, CoverPlan, GaussianCopula,
                       GaussianCopulaEstimator, GaussianEstimator,
                       IndependenceCopula, IndependenceEstimator,
-                      InvalidInputError, NumericError, PairCopula,
+                      InvalidInputError, NumericError,
                       VineCondSimEstimator,
                       VineRatioEstimator, analytic_mean_predictor, burr_sample,
                       explain, fit_dvine, greedy_cover, shapley,
@@ -274,8 +274,11 @@ def test_ratio_weights_normalized_and_ess():
 class TailOverflowClayton(ClaytonCopula):
     """A Clayton pair whose log density overflows to -inf in its lower tail."""
 
-    def _logpdf(self, u, v):
-        return np.where(np.minimum(u, v) < 0.05, -np.inf, super()._logpdf(u, v))
+    def step(self, x, y, second=False, first=False, log_density=False):
+        *hs, log_c = super().step(x, y, second, first, log_density)
+        if log_density:
+            log_c = np.where(np.minimum(x, y) < 0.05, -np.inf, log_c)
+        return *hs, log_c
 
 
 def test_ratio_non_finite_log_weight_raises_numeric_error():
@@ -609,13 +612,12 @@ def test_ratio_pass_stacks_coalitions_within_the_row_budget(monkeypatch):
     x_star = train[7]
     expected = shapley(make_estimator("ratio", train, row_wise, 50, K), x_star)
     rows = []
-    log_density = PairCopula.log_density
 
-    def counted(self, u, v):
-        rows.append(len(u))
-        return log_density(self, u, v)
+    def counted(copula, x, y, slots):
+        if "log_density" in slots:
+            rows.append(len(x))
 
-    monkeypatch.setattr(PairCopula, "log_density", counted)
+    count_steps(monkeypatch, counted)
     passes = []
     h_pass = dvine._h_pass
 
