@@ -20,7 +20,8 @@ reflection identities of Joe (2014) and Czado (2019).  A family supplies
 only unrotated formulas for one conditioning slot: _logpdf(u, v),
 _h(u, v) = F(u | v) and _hinv(w, v), the inverse of _h in u; Gaussian and
 Clayton fold the first two into a step of their own, whose slots share
-normal scores or logs, each value by the same float operations.  Rotation
+normal scores or logs, each value by the same float operations (their log
+density kernels serve the stacked fit too, one parameter per row).  Rotation
 by 90 or 180 degrees reflects u -> 1 - u, by 180 or 270 degrees v -> 1 - v;
 the h output, or the h-inverse target, is reflected when u was.  F(v | u)
 is the h of the transpose at (v, u); each copula builds its transpose
@@ -68,9 +69,8 @@ class PairCopula:
     """Base class: clipping, cond_on checks and rotation for every family."""
 
     family = "base"
-    n_params = 0
     rotation = 0
-    degenerate = False  # set by fit_parametric on constant-column data
+    degenerate = False  # set by the parametric fit on a constant column
     _transposed = None  # see _swapped
 
     def _args(self, u, v):
@@ -151,9 +151,24 @@ class IndependenceCopula(PairCopula):
         return "IndependenceCopula()"
 
 
+def _gaussian_log_c(r, zx, zy):
+    """Gaussian log density at normal scores (zx, zy); r a scalar or a (P, 1) column."""
+    s2 = 1.0 - r * r
+    return -0.5 * np.log(s2) - (r * r * (zx * zx + zy * zy) - 2.0 * r * zx * zy) / (2.0 * s2)
+
+
+def _clayton_log_c(theta, log_a, log_b, t_a, t_b):
+    """Unrotated Clayton log density from log a, log b and theta times each;
+    theta a scalar or a (P, 1) column.  With hi, lo = -min(t_a, t_b),
+    -max(t_a, t_b), log(a^-theta + b^-theta - 1) is
+    hi + log1p(e^(lo - hi) (1 - e^-lo)), where e^(lo - hi) <= 1: no overflow."""
+    small, large = np.minimum(t_a, t_b), np.maximum(t_a, t_b)
+    log_t = np.log1p(np.exp(small - large) * -np.expm1(large)) - small
+    return np.log1p(theta) - (theta + 1.0) * (log_a + log_b) - (2.0 + 1.0 / theta) * log_t
+
+
 class GaussianCopula(PairCopula):
     family = "gaussian"
-    n_params = 1
 
     def __init__(self, rho):
         rho = float(rho)
@@ -164,11 +179,10 @@ class GaussianCopula(PairCopula):
     def step(self, x, y, second=False, first=False, log_density=False):
         sp, r = special(), self.rho
         zx, zy = sp.ndtri(x), sp.ndtri(y)  # unrotated and exchangeable: shared by the slots
-        s, s2 = np.sqrt(1.0 - r ** 2), 1.0 - r * r
+        s = np.sqrt(1.0 - r ** 2)
         return (self._unflip(sp.ndtr((zx - r * zy) / s)) if second else None,
                 self._unflip(sp.ndtr((zy - r * zx) / s)) if first else None,
-                np.asarray(-0.5 * np.log(s2) - (r * r * (zx * zx + zy * zy) - 2.0 * r * zx * zy)
-                           / (2.0 * s2)) if log_density else None)
+                np.asarray(_gaussian_log_c(r, zx, zy)) if log_density else None)
 
     def _hinv(self, w, v):
         sp = special()
@@ -190,7 +204,6 @@ class ClaytonCopula(PairCopula):
     """
 
     family = "clayton"
-    n_params = 1
 
     def __init__(self, theta, rotation=0):
         theta = float(theta)
@@ -205,9 +218,7 @@ class ClaytonCopula(PairCopula):
         # The slots share log a, log b and theta times each, at the rotated (a, b).
         # h = (1 + b^theta (a^-theta - 1))^-(1 + 1/theta) is formed from log_x, the
         # log of b^theta (a^-theta - 1): no overflow, no cancellation near h = 1;
-        # past log_x = 700, h < 1e-300 is clipped all the same.  With hi, lo =
-        # -min(t_a, t_b), -max(t_a, t_b), log(a^-theta + b^-theta - 1) is
-        # hi + log1p(e^(lo - hi) (1 - e^-lo)), where e^(lo - hi) <= 1: no overflow.
+        # past log_x = 700, h < 1e-300 is clipped all the same.
         a, b = self._args(x, y)
         theta = self.theta
         log_a, log_b = np.log(a), np.log(b)
@@ -216,15 +227,9 @@ class ClaytonCopula(PairCopula):
 
         def h(log_x):
             return np.exp(-(1.0 + 1.0 / theta) * np.log1p(np.exp(np.minimum(log_x, 700.0))))
-        log_c = None
-        if log_density:
-            small, large = np.minimum(t_a, t_b), np.maximum(t_a, t_b)
-            log_t = np.log1p(np.exp(small - large) * -np.expm1(large)) - small
-            log_c = np.asarray(np.log1p(theta) - (theta + 1.0) * (log_a + log_b)
-                               - (2.0 + 1.0 / theta) * log_t)
         return (self._unflip(h(d + np.log(-np.expm1(t_a)))) if second else None,
                 self._swapped()._unflip(h(np.log(-np.expm1(t_b)) - d)) if first else None,
-                log_c)
+                np.asarray(_clayton_log_c(theta, log_a, log_b, t_a, t_b)) if log_density else None)
 
     def _hinv(self, w, v):
         # u = (c v^-theta + 1)^(-1/theta), c = w^(-theta/(1+theta)) - 1, as
@@ -364,103 +369,124 @@ def _validate_pseudo_obs(data, min_n):
     return data
 
 
-_BLOCK = 32     # entries per block that `_inversions` counts by broadcasting
-_UPPER = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool), 1)
+_BLOCK = 8      # entries per block whose inversions `_inversions` counts pair by pair
+_PAIRS = np.triu_indices(_BLOCK, 1)
+_FIT_CELLS = 1 << 18  # entries per chunk of a stacked fit, which bounds its scratch memory
 
 
 def _inversions(r):
-    """Number of pairs i < j with r[i] > r[j], for integer ranks 1 <= r <= n.
+    """Per row of r, (P, n) integer ranks 1 <= r <= n, the number of pairs
+    i < j with r[i] > r[j]: a (P,) array.
 
-    Blocks of _BLOCK entries are counted by broadcasting and sorted; then
-    each level merges neighbouring sorted blocks with one sort per row.  The
+    Blocks of _BLOCK entries are counted pair by pair and sorted; then each
+    level merges neighbouring sorted blocks with one sort per row.  The
     right block's entries are tagged (2r + 1 against 2r on the left), so on
     a tie a left entry sorts first, and a right entry at merged position s
     that is the t-th of its block has s - t left entries at or below it.
     The padding, n + 1 after the end, adds no pair.
     """
-    n = len(r)
+    p, n = r.shape
     blocks = 1 << (-(-n // _BLOCK) - 1).bit_length()  # a power of two
-    a = np.full(blocks * _BLOCK, n + 1, dtype=np.int32 if n < 1 << 29 else np.int64)
-    a[:n] = r
-    a = a.reshape(blocks, _BLOCK)
-    count = int(np.count_nonzero((a[:, :, None] > a[:, None, :]) & _UPPER))
-    a.sort(axis=1)
+    a = np.pad(r.astype(np.int32 if n < 1 << 29 else np.int64), ((0, 0), (0, blocks * _BLOCK - n)),
+               constant_values=n + 1).reshape(p, blocks, _BLOCK)
+    count = (a[..., _PAIRS[0]] > a[..., _PAIRS[1]]).reshape(p, -1).sum(axis=1)
+    a.sort(axis=2)
     w = _BLOCK
-    while len(a) > 1:
-        a = a.reshape(-1, 2 * w) << 1
-        a[:, w:] |= 1
-        a.sort(axis=1)
-        s = np.count_nonzero(a & 1, axis=0) @ np.arange(2 * w)
-        count += len(a) * (w * w + w * (w - 1) // 2) - int(s)
+    while a.shape[1] > 1:
+        a = a.reshape(p, -1, 2 * w) << 1
+        a[..., w:] |= 1
+        a.sort(axis=2)
+        s = (a & 1).sum(axis=1) @ np.arange(2 * w)
+        count += a.shape[1] * (w * w + w * (w - 1) // 2) - s
         a >>= 1
         w *= 2
     return count
 
 
-def _tied_pairs(counts):
-    """Number of pairs within groups of the given sizes."""
-    counts = counts.astype(np.int64)
-    return int((counts * (counts - 1) // 2).sum())
+def _runs(s):
+    """Dense ranks of the sorted rows of s, and each row's number of tied pairs."""
+    new = np.ones(s.shape, dtype=bool)
+    new[:, 1:] = s[:, 1:] != s[:, :-1]
+    starts = np.flatnonzero(new)  # of runs, which never span two rows
+    length = np.append(starts[1:], new.size) - starts
+    first = np.searchsorted(starts, np.arange(len(s)) * s.shape[1])  # each row's first run
+    return new.cumsum(axis=1), np.add.reduceat(length * (length - 1) // 2, first)
 
 
 def _kendall_tau(x, y):
-    """Kendall's tau-b, equal bit for bit to `scipy.stats.kendalltau(x, y).statistic`.
+    """Kendall's tau-b of each row pair of x and y, (P, n) each: a (P,) array,
+    each entry equal bit for bit to `scipy.stats.kendalltau(x[p], y[p]).statistic`.
 
-    scipy's steps: dense ranks (y by argsort, then x by a stable sort, so
-    y ascends within tied x), the discordant pairs as the inversions of y,
-    the joint, x and y tie counts, and its final expression in the same
-    float order.  NaN when either column is constant.
+    scipy's steps, row by row: dense ranks and ties of y, then of x; the
+    discordant pairs as the inversions of y's ranks in x's order, y
+    ascending within tied x (one sort of x's rank times n + 1 plus y's),
+    whose runs are the joint ties; its final expression in the same float
+    order.  NaN where either row is constant.  Scratch memory is O(P * n).
     """
-    perm = np.argsort(y)
-    x, y = x[perm], y[perm]
-    y = np.r_[True, y[1:] != y[:-1]].cumsum(dtype=np.intp)
-    perm = np.argsort(x, kind="mergesort")
-    x, y = x[perm], y[perm]
-    x = np.r_[True, x[1:] != x[:-1]].cumsum(dtype=np.intp)
-    dis = _inversions(y)
-    obs = np.r_[True, (x[1:] != x[:-1]) | (y[1:] != y[:-1]), True]
-    ntie = _tied_pairs(np.diff(np.nonzero(obs)[0]))
-    xtie, ytie = _tied_pairs(np.bincount(x)), _tied_pairs(np.bincount(y))
-    tot = len(x) * (len(x) - 1) // 2
-    if xtie == tot or ytie == tot:
-        return np.float64(np.nan)
-    con_minus_dis = tot - xtie - ytie + ntie - 2 * dis
-    return np.minimum(1.0, max(-1.0, con_minus_dis / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)))
+    n = x.shape[1]
+    perm = np.argsort(y, axis=1)
+    x, (ry, ytie) = np.take_along_axis(x, perm, 1), _runs(np.take_along_axis(y, perm, 1))
+    perm = np.argsort(x, axis=1)
+    rx, xtie = _runs(np.take_along_axis(x, perm, 1))
+    key = np.sort(rx * (n + 1) + np.take_along_axis(ry, perm, 1), axis=1)
+    tot = n * (n - 1) // 2
+    con_minus_dis = tot - xtie - ytie + _runs(key)[1] - 2 * _inversions(key % (n + 1))
+    with np.errstate(divide="ignore", invalid="ignore"):  # the constant rows, NaN below
+        tau = con_minus_dis / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)
+    return np.where((xtie == tot) | (ytie == tot), np.nan, np.minimum(1.0, np.maximum(-1.0, tau)))
 
 
 def fit_parametric(data):
-    """Fit a parametric pair copula by Kendall's-tau inversion + AIC selection.
+    """Fit a parametric pair copula by Kendall's-tau inversion + AIC
+    selection: the one-pair case of `fit_parametric_stack`."""
+    return fit_parametric_stack(*_validate_pseudo_obs(data, 10).T[:, None])[0]
 
-    Gaussian: rho = sin(pi * tau / 2).  Clayton: theta = 2|tau|/(1 - |tau|),
-    with rotations 0/180 for positive tau and 90/270 for negative tau (the
-    better tail is picked by AIC).  |tau| below the independence threshold,
-    or a degenerate column, yields the independence copula.  Tau is
-    computed in NumPy, O(n log n), so no vineshap command imports
-    `scipy.stats`.
-    """
-    data = _validate_pseudo_obs(data, 10)
-    if np.std(data[:, 0]) < 1e-12 or np.std(data[:, 1]) < 1e-12:
-        cop = IndependenceCopula()
-        cop.degenerate = True
-        return cop
-    tau = _kendall_tau(data[:, 0], data[:, 1])
-    if not np.isfinite(tau) or abs(tau) < TAU_INDEPENDENCE_THRESHOLD:
-        return IndependenceCopula()
 
-    rho = np.clip(np.sin(np.pi * tau / 2.0), -0.999, 0.999)
-    theta = np.clip(2.0 * abs(tau) / (1.0 - abs(tau)), 1e-4, 50.0)
-    rotations = (0, 180) if tau > 0 else (90, 270)
-    candidates = [IndependenceCopula(), GaussianCopula(rho)]
-    candidates += [ClaytonCopula(theta, rotation=rot) for rot in rotations]
+def fit_parametric_stack(X, Y):
+    """One parametric pair copula per row pair of two P x n stacks of
+    pseudo-observations.  Gaussian: rho = sin(pi * tau / 2).  Clayton:
+    theta = 2|tau|/(1 - |tau|), capped at 50 (where |tau| = 1 lands), at
+    rotations 0/180 for positive tau and 90/270 for negative.  A row with
+    |tau| below the independence threshold, or a degenerate one, is
+    independent; the others are scored together, one candidate at a time,
+    and take the first least AIC (a NaN AIC never wins).  Tau is computed in
+    NumPy: no vineshap command imports `scipy.stats`.  Chunks of at most
+    _FIT_CELLS entries bound the scratch memory at any P."""
+    rows = max(1, _FIT_CELLS // X.shape[1])
+    return [c for s in range(0, len(X), rows) for c in _fit_chunk(X[s:s + rows], Y[s:s + rows])]
 
-    best, best_aic = None, np.inf
-    u, v = _clip(data[:, 0]), _clip(data[:, 1])
-    for cop in candidates:
-        loglik = float(np.sum(cop.step(u, v, log_density=True)[2]))
-        aic = -2.0 * loglik + 2.0 * cop.n_params
-        if aic < best_aic:
-            best, best_aic = cop, aic
-    return best
+
+def _fit_chunk(X, Y):
+    degenerate = (np.std(X, axis=1) < 1e-12) | (np.std(Y, axis=1) < 1e-12)
+    tau = _kendall_tau(X, Y)
+    active = np.flatnonzero(~degenerate & (np.abs(tau) >= TAU_INDEPENDENCE_THRESHOLD))  # not NaN
+    t = tau[active]
+    rho = np.clip(np.sin(np.pi * t / 2.0), -0.999, 0.999)
+    with np.errstate(divide="ignore"):  # |tau| = 1: theta is the cap
+        theta = np.clip(2.0 * np.abs(t) / (1.0 - np.abs(t)), 1e-4, 50.0)
+    best = _least_aic(_clip(X[active]), _clip(Y[active]), rho, theta, t > 0) if len(t) else []
+    out = [IndependenceCopula() for _ in X]
+    for p in np.flatnonzero(degenerate):
+        out[p].degenerate = True
+    for r, k in enumerate(best):
+        if k == 1:
+            out[active[r]] = GaussianCopula(rho[r])
+        elif k:
+            out[active[r]] = ClaytonCopula(theta[r], (k - 2) * 180 + (0 if t[r] > 0 else 90))
+    return out
+
+
+def _least_aic(u, v, rho, theta, positive):
+    """Per row, the first candidate of least AIC: 0 independence, 1 Gaussian,
+    2 and 3 Clayton at the sign's two rotations."""
+    theta, positive = theta[:, None], positive[:, None]
+    logl = [np.zeros(len(u)), _gaussian_log_c(rho[:, None], special().ndtri(u),
+                                              special().ndtri(v)).sum(axis=1)]
+    for a, b in ((np.where(positive, u, 1.0 - u), v), (np.where(positive, 1.0 - u, u), 1.0 - v)):
+        log_a, log_b = np.log(a), np.log(b)
+        logl.append(_clayton_log_c(theta, log_a, log_b, theta * log_a, theta * log_b).sum(axis=1))
+    aic = -2.0 * np.array(logl) + np.array([[0.0], [2.0], [2.0], [2.0]])  # 2 per parameter
+    return np.argmin(np.where(np.isnan(aic), np.inf, aic), axis=0)
 
 
 def valid_grid_size(grid_size):

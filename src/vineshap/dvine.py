@@ -16,8 +16,10 @@ density reduces to the pairs that straddle the block's ends
 (`log_density_ratios`): one (len(blocks), n) array per order, from one
 `step` call per straddling pair over its distinct overlaps with a block.
 
-Fitting, both densities, the Rosenblatt transform and its inverse all
-walk one h-function recursion, `_h_pass`, left to right over the order
+The fit walks the trees: one `mode.fit_level` call fits all of a tree's
+pairs on stacks of their arguments, from which the next tree's are
+built.  Both densities, the Rosenblatt transform and its inverse walk
+one h-function recursion, `_h_pass`, left to right over the order
 positions.  The inverse reads each position's h-values off the h-inverse
 chain that solved it: its only h-functions are those carried onward.
 Conditional sampling is that inverse pass with x*_S given on the
@@ -30,7 +32,7 @@ built once per model and not serialised.
 """
 import numpy as np
 
-from .bicop import EPS, PairCopula, fit_nonparametric, fit_parametric, valid_grid_size
+from .bicop import EPS, PairCopula, fit_nonparametric, fit_parametric_stack, valid_grid_size
 from .errors import CoverageError, InvalidInputError
 from .marginals import EmpiricalMarginal
 
@@ -39,16 +41,18 @@ MIN_FIT_ROWS = 30           # the fewest training rows `fit_dvine` and `vineshap
 
 
 class ParametricMode:
-    def fit_edge(self, u):
-        return fit_parametric(u)
+    def fit_level(self, X, Y):
+        """One pair copula per row pair of X and Y (P x n each)."""
+        return fit_parametric_stack(X, Y)
 
 
 class NonparametricMode:
     def __init__(self, grid_size=64):
         self.grid_size = valid_grid_size(grid_size)
 
-    def fit_edge(self, u):
-        return fit_nonparametric(u, grid_size=self.grid_size)
+    def fit_level(self, X, Y):
+        return [fit_nonparametric(np.column_stack([x, y]), grid_size=self.grid_size)
+                for x, y in zip(X, Y)]
 
 
 def _h_pass(V, pairs, solve=None, joins=None):
@@ -57,13 +61,12 @@ def _h_pass(V, pairs, solve=None, joins=None):
     Position k closes the pairs (i, k-1-i), i = 0..k-1: pair i links
     x_i = F(v_{k-1-i} | v_{k-i..k-1}), carried over from position k-1, with
     y_i = F(v_k | v_{k-i..k-1}) = h(y_{i-1} | x_{i-1}), y_0 = v_k.  Yields
-    (i, j, x_i, y_i) before reading pairs[i][j], so a caller may fit that
-    pair in its loop body.  `solve(k, x)`, if given, is first called with
-    the values carried to position k; it may set column k to y_0 (the
-    inverse Rosenblatt step) and return the chain y_0..y_{k-1} it went
-    down, from which each y_{i+1} is read rather than recomputed.  Only the
-    h-values a later step reads are computed, by one `step` call per pair,
-    which does not clip its inputs: V must lie in [EPS, 1 - EPS].
+    (i, j, x_i, y_i) for each pair.  `solve(k, x)`, if given, is first
+    called with the values carried to position k; it may set column k to
+    y_0 (the inverse Rosenblatt step) and return the chain y_0..y_{k-1} it
+    went down, from which each y_{i+1} is read rather than recomputed.
+    Only the h-values a later step reads are computed, by one `step` call
+    per pair, which does not clip its inputs: V must lie in [EPS, 1 - EPS].
 
     `joins` stacks V's rows in blocks that enter at different positions:
     (k, n, x), in ascending k, lets the next n rows take part from position
@@ -337,9 +340,12 @@ def pseudo_observations(data, marginals):
 
 
 def fit_dvine(data, order, mode=None, marginals=None):
-    """Fit a D-vine, each pair on the h-function transforms the pass carries to it.
+    """Fit a D-vine tree by tree, one `mode.fit_level(X, Y)` call per tree.
 
-    `mode` is ParametricMode (the default) or NonparametricMode.
+    Pair j of tree i links X[j] = F(v_j | v_{j+1..j+i}) and
+    Y[j] = F(v_{j+i+1} | v_{j+1..j+i}), the h-values `_h_pass` carries;
+    tree 0's are the clipped pseudo-observations.  `mode` is
+    ParametricMode (the default) or NonparametricMode.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
@@ -357,10 +363,15 @@ def fit_dvine(data, order, mode=None, marginals=None):
 
     if marginals is None:
         marginals = [EmpiricalMarginal(data[:, j]) for j in range(m)]
-    V = np.clip(pseudo_observations(data, marginals)[:, order], EPS, 1 - EPS)
-    pairs = [[None] * (m - 1 - i) for i in range(m - 1)]
-    for i, j, x, y in _h_pass(V, pairs):
-        pairs[i][j] = mode.fit_edge(np.column_stack([x, y]))
+    X = np.clip([marginals[f].cdf(data[:, f]) for f in order], EPS, 1 - EPS)  # by position
+    X, Y = X[:-1], X[1:]  # tree 0's, as views: nothing else holds the table past tree 0
+    pairs = [mode.fit_level(X, Y)]
+    for _ in range(m - 2):  # next tree: X[j] is pair j's F(x | y), Y[j] pair j + 1's F(y | x)
+        h = [c.step(x, y, j + 1 < len(X), j > 0)
+             for j, (c, x, y) in enumerate(zip(pairs[-1], X, Y))]
+        X, Y = np.array([s for s, _, _ in h[:-1]]), np.array([f for _, f, _ in h[1:]])
+        del h  # copied into X and Y: not held through the fit
+        pairs.append(mode.fit_level(X, Y))
     return DVineModel(order, pairs, marginals)
 
 

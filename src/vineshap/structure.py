@@ -9,6 +9,8 @@ coalition is served by the first order that covers it.
 """
 
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import or_
 
 import numpy as np
 
@@ -40,11 +42,19 @@ class CoverPlan:
     assignment: dict = field(init=False)  # frozenset -> order index
 
     def __post_init__(self):
-        required = required_sets(self.M, self.method)
+        required = _required_masks(self.M, self.method)
         self.assignment = {}
         for index, order in enumerate(self.orders):
-            for s in covered_sets(order, self.method) & required:
-                self.assignment.setdefault(s, index)
+            for mask in _covered_masks(order, self.method) & required:
+                self.assignment.setdefault(set_of(mask), index)
+
+
+def _required_masks(M, method):
+    if not 2 <= M <= MAX_FEATURES:
+        raise InvalidInputError(f"M must be in [2, {MAX_FEATURES}], got {M}")
+    if method not in METHODS:
+        raise InvalidInputError(f"method must be one of {METHODS}, got {method!r}")
+    return set(range(1, (1 << M) - 1))
 
 
 def required_sets(M, method):
@@ -53,11 +63,17 @@ def required_sets(M, method):
     condsim: every conditioning set S; ratio: every complement set S-bar.
     For both that is every proper nonempty subset of the M features.
     """
-    if not 2 <= M <= MAX_FEATURES:
-        raise InvalidInputError(f"M must be in [2, {MAX_FEATURES}], got {M}")
-    if method not in METHODS:
-        raise InvalidInputError(f"method must be one of {METHODS}, got {method!r}")
-    return {set_of(mask) for mask in range(1, (1 << M) - 1)}
+    return {set_of(mask) for mask in _required_masks(M, method)}
+
+
+def _covered_masks(order, method):
+    """`covered_sets` as bit masks (bit f for feature f)."""
+    bits = [1 << f for f in order]
+    if method == "condsim":
+        return {*accumulate(bits[:-1], or_), *accumulate(bits[:0:-1], or_)}
+    if method == "ratio":
+        return {mask for s in range(len(bits)) for mask in accumulate(bits[s:], or_)}
+    raise InvalidInputError(f"method must be one of {METHODS}, got {method!r}")
 
 
 def covered_sets(order, method):
@@ -67,39 +83,26 @@ def covered_sets(order, method):
     excluded).  ratio: all contiguous blocks, from the length-1 ones up
     to the full order.
     """
-    order = tuple(order)
-    M = len(order)
-    out = set()
-    if method == "condsim":
-        for k in range(1, M):
-            out.add(frozenset(order[:k]))
-            out.add(frozenset(order[M - k:]))
-    elif method == "ratio":
-        for s in range(M):
-            for e in range(s, M):
-                out.add(frozenset(order[s:e + 1]))
-    else:
-        raise InvalidInputError(f"method must be one of {METHODS}, got {method!r}")
-    return out
+    return {set_of(mask) for mask in _covered_masks(order, method)}
 
 
 def greedy_cover(M, method, B=DEFAULT_BATCH, rng=None):
     """Greedy randomized cover: draw B permutations, keep the best, repeat.
 
     Ties are broken by lexicographically smallest permutation so a fixed
-    seed yields a fixed plan.
+    seed yields a fixed plan.  Coalitions are scored as bit masks.
     """
     if B < 1:
         raise InvalidInputError(f"B must be >= 1, got {B}")
     if rng is None:
         rng = np.random.default_rng()
-    remaining = required_sets(M, method)
+    remaining = _required_masks(M, method)
     orders = []
     while remaining:
         best_order, best_cov, best_score = None, None, -1
         for _ in range(B):
             order = tuple(int(x) for x in rng.permutation(M))
-            cov = covered_sets(order, method) & remaining
+            cov = _covered_masks(order, method) & remaining
             score = len(cov)
             if score > best_score or (score == best_score and order < best_order):
                 best_order, best_cov, best_score = order, cov, score

@@ -1,7 +1,9 @@
 import itertools
 import time
 import tracemalloc
+import warnings
 from decimal import Decimal, localcontext
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,11 +12,12 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from helpers import seeded_grid
+from vineshap import bicop
 from vineshap import (ClaytonCopula, GaussianCopula, GridCopula,
                       IndependenceCopula, InvalidInputError, fit_nonparametric,
                       fit_parametric)
 from vineshap.bicop import (EPS, TAU_INDEPENDENCE_THRESHOLD, _kendall_tau, _normal_pdf,
-                            special)
+                            fit_parametric_stack, special)
 
 
 def clayton_cdf(u, v, theta):
@@ -367,8 +370,9 @@ def test_fit_rejects_tiny_samples():
 
 @st.composite
 def tau_samples(draw):
-    """Two columns: continuous, heavily tied or constant, and independent,
-    identical, reversed, negated or tied-monotone in each other."""
+    """A stack of 1-8 row pairs of one length n.  Each row: continuous,
+    heavily tied or constant; and independent, identical, reversed, negated
+    or tied-monotone in its partner row."""
     n = draw(st.one_of(st.sampled_from([2, 3, 10, 30]), st.integers(2, 3000)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
 
@@ -376,20 +380,26 @@ def tau_samples(draw):
         levels = draw(st.sampled_from([None, 1, 2, 3, 10]))  # None: no ties
         return rng.uniform(size=n) if levels is None else rng.integers(levels, size=n) / 10
 
-    x = column()
-    link = draw(st.sampled_from(["independent", "identical", "reversed", "negated",
-                                 "tied-monotone"]))
-    y = {"independent": column, "identical": x.copy, "reversed": x[::-1].copy,
-         "negated": lambda: 1.0 - x, "tied-monotone": lambda: np.floor(4 * x + column())}[link]()
-    return x, y
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        x = column()
+        link = draw(st.sampled_from(["independent", "identical", "reversed", "negated",
+                                     "tied-monotone"]))
+        y = {"independent": column, "identical": x.copy, "reversed": x[::-1].copy,
+             "negated": lambda: 1.0 - x,
+             "tied-monotone": lambda: np.floor(4 * x + column())}[link]()
+        rows.append((x, y))
+    return np.array([x for x, _ in rows]), np.array([y for _, y in rows])
 
 
 @settings(max_examples=300, deadline=None)
 @given(tau_samples())
 def test_kendall_tau_equals_scipy(sample):
-    x, y = sample
-    assert np.array_equal(_kendall_tau(x, y), stats.kendalltau(x, y).statistic,
-                          equal_nan=True)
+    X, Y = sample
+    tau = _kendall_tau(X, Y)
+    assert tau.shape == (len(X),)
+    for got, x, y in zip(tau, X, Y):
+        assert np.array_equal(got, stats.kendalltau(x, y).statistic, equal_nan=True)
 
 
 def test_kendall_tau_at_a_large_n_equals_scipy_within_three_times_its_time():
@@ -398,12 +408,101 @@ def test_kendall_tau_at_a_large_n_equals_scipy_within_three_times_its_time():
     y = np.round(x + rng.uniform(size=x.size), 3)  # with ties in y
     times = {"ours": [], "scipy": []}
     for _ in range(3):  # alternating; the fastest of each
-        for name, f in (("ours", _kendall_tau), ("scipy", stats.kendalltau)):
+        for name, f in (("ours", lambda: _kendall_tau(x[None], y[None])[0]),
+                        ("scipy", lambda: stats.kendalltau(x, y).statistic)):
             start = time.perf_counter()
-            result = f(x, y)
+            result = f()
             times[name].append(time.perf_counter() - start)
-        assert _kendall_tau(x, y) == result.statistic
+        assert _kendall_tau(x[None], y[None])[0] == result
     assert min(times["ours"]) < 3 * min(times["scipy"])
+
+
+@st.composite
+def fit_stacks(draw):
+    """1-6 row pairs of n pseudo-observations: Clayton-generated at any
+    rotation (theta up to past the cap), Gaussian-generated, independent,
+    degenerate, identical or reversed (|tau| = 1), or weakly dependent."""
+    n = draw(st.sampled_from([10, 30, 200]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["clayton", "gaussian", "independent", "degenerate",
+                                     "identical", "reversed", "weak"]))
+        x, w = rng.uniform(0.01, 0.99, size=(2, n))
+        if kind == "clayton":
+            cop = ClaytonCopula(draw(st.floats(0.05, 80.0)),
+                                draw(st.sampled_from([0, 90, 180, 270])))
+            y = cop.hinv(w, x, "first")
+        elif kind == "gaussian":
+            rho = draw(st.floats(-0.95, 0.95))
+            z = rho * special().ndtri(x) + np.sqrt(1 - rho ** 2) * special().ndtri(w)
+            y = special().ndtr(z)
+        else:
+            y = {"independent": w, "degenerate": np.full(n, 0.5), "identical": x,
+                 "reversed": 1.0 - x, "weak": np.where(w < 0.02, x, w)}[kind]
+        if draw(st.booleans()):
+            x, y = y, x
+        rows.append((x, np.clip(y, 1e-12, 1 - 1e-12)))
+    return np.array([x for x, _ in rows]), np.array([y for _, y in rows])
+
+
+def reference_fit_parametric(x, y):
+    """One pair's fit as a loop over the candidates, each scored by its
+    own `step`, with scipy's tau: the per-pair fit the stack replaced."""
+    if np.std(x) < 1e-12 or np.std(y) < 1e-12:
+        cop = IndependenceCopula()
+        cop.degenerate = True
+        return cop
+    tau = stats.kendalltau(x, y).statistic
+    if not np.isfinite(tau) or abs(tau) < TAU_INDEPENDENCE_THRESHOLD:
+        return IndependenceCopula()
+    rho = np.clip(np.sin(np.pi * tau / 2.0), -0.999, 0.999)
+    theta = 50.0 if abs(tau) == 1 else np.clip(2.0 * abs(tau) / (1.0 - abs(tau)), 1e-4, 50.0)
+    candidates = [(IndependenceCopula(), 0), (GaussianCopula(rho), 1)]
+    candidates += [(ClaytonCopula(theta, rot), 1) for rot in ((0, 180) if tau > 0 else (90, 270))]
+    best, best_aic = None, np.inf
+    u, v = np.clip(x, EPS, 1 - EPS), np.clip(y, EPS, 1 - EPS)
+    for cop, n_params in candidates:
+        aic = -2.0 * float(np.sum(cop.step(u, v, log_density=True)[2])) + 2.0 * n_params
+        if aic < best_aic:
+            best, best_aic = cop, aic
+    return best
+
+
+@settings(max_examples=200, deadline=None)
+@given(fit_stacks(), st.sampled_from([1, 2, 3, 1000]))
+def test_stacked_fit_equals_the_one_pair_fits(stack, rows_per_chunk):
+    """Each row pair's copula is the one-pair fits', `fit_parametric`'s and
+    the reference loop's, in family, parameter, rotation and degenerate
+    flag, however the stack is chunked, and no RuntimeWarning is raised."""
+    X, Y = stack
+    with mock.patch.object(bicop, "_FIT_CELLS", rows_per_chunk * X.shape[1]), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = fit_parametric_stack(X, Y)
+        one = [fit_parametric(np.column_stack([x, y])) for x, y in zip(X, Y)]
+        reference = [reference_fit_parametric(x, y) for x, y in zip(X, Y)]
+    for fits in (one, reference):
+        assert [(c.to_dict(), c.degenerate) for c in got] == \
+            [(c.to_dict(), c.degenerate) for c in fits]
+
+
+@pytest.mark.parametrize("n, sign, want", [
+    (10, 1, {"family": "clayton", "theta": 50.0, "rotation": 0}),
+    (10, -1, {"family": "clayton", "theta": 50.0, "rotation": 270}),
+    (200, 1, {"family": "gaussian", "rho": 0.999}),
+    (200, -1, {"family": "gaussian", "rho": -0.999})])
+def test_tau_of_one_fits_without_a_warning(n, sign, want):
+    """(x, x) and (x, 1 - x) have |tau| = 1: Clayton's theta is the fit cap
+    of 50, one pair at a time and stacked, and no division by zero is
+    flagged.  At n = 200 the Gaussian at rho = +-0.999 scores better."""
+    x = np.random.default_rng(5).uniform(0.01, 0.99, size=n)
+    y = x.copy() if sign > 0 else 1.0 - x
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        one = fit_parametric(np.column_stack([x, y]))
+        stacked = fit_parametric_stack(np.array([x, x]), np.array([y, y]))
+    assert [c.to_dict() for c in [one, *stacked]] == [want] * 3
 
 
 # ----------------------------------------------------------------------

@@ -148,6 +148,24 @@ def test_fit_loads_no_scipy_stats(train_csv, tmp_path):
     assert out.stdout.strip() == f"{[0] * len(runs)} False"
 
 
+@pytest.mark.parametrize("shap_method", ["condsim", "ratio"])
+def test_fit_on_a_column_increasing_in_another_raises_no_runtime_warning(tmp_path, shap_method):
+    """x3 = 2 x1 + 1 has Kendall's tau 1 with x1: `vineshap fit`, run with
+    RuntimeWarnings as errors, fits it and exits 0."""
+    x = burr_sample(study_params(1.0, M=3), 200, np.random.default_rng(0))
+    x[:, 2] = 2.0 * x[:, 0] + 1.0
+    train = tmp_path / "train.csv"
+    train.write_text("\n".join(["x1,x2,x3"] + [",".join(map(repr, row)) for row in x.tolist()]))
+    src = Path(vineshap.__file__).resolve().parents[1]
+    argv = ["fit", str(train), "--shap-method", shap_method, "--out", str(tmp_path / "m.json")]
+    code = f"import sys; from vineshap.cli import main; sys.exit(main({argv!r}))"
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert "Warning" not in proc.stderr
+
+
 def test_const_predictor():
     g = make_predictor("const:2.5", ["a", "b"])
     assert np.allclose(g(np.zeros((4, 2))), 2.5)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,8 +9,8 @@ from helpers import constant_vine, seeded_grid
 from vineshap import (BurrMarginal, ClaytonCopula, CoverageError,
                       DVineModel, EmpiricalMarginal, GaussianCopula,
                       IndependenceCopula, InvalidInputError, NonparametricMode,
-                      ParametricMode, fit_dvine, fit_vines, greedy_cover,
-                      pseudo_observations)
+                      ParametricMode, burr_sample, fit_dvine, fit_vines, greedy_cover,
+                      pseudo_observations, study_params)
 from vineshap.bicop import EPS
 
 
@@ -143,6 +144,21 @@ def test_fit_vines_fits_every_order_on_one_set_of_marginals(mode):
     for model, order in zip(models, orders):
         assert model.marginals is shared
         assert model.to_dict() == fit_dvine(data, order, mode, marginals=shared).to_dict()
+
+
+def test_fit_peak_memory_at_a_large_n():
+    """The fit holds one tree's arguments at a time and scores them in
+    chunks: at N = 200,000 and M = 6 its tracemalloc peak stays within
+    1.25 times the 57.8 MB of the former per-position fit (NumPy 2.4)."""
+    data = burr_sample(study_params(0.5, M=6), 200_000, np.random.default_rng(0))
+    fit_dvine(data[:100], range(6))  # scipy.special's import is not the fit's
+    tracemalloc.start()
+    try:
+        fit_dvine(data, range(6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 57_844_871
 
 
 def test_a_grid_of_one_node_fails_at_fit():

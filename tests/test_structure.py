@@ -111,6 +111,44 @@ def test_assignment_points_at_covering_order():
                            for order in plan.orders[:index])
 
 
+def frozenset_covered(order, method):
+    """`covered_sets` built from slices of the order."""
+    M = len(order)
+    if method == "condsim":
+        return {frozenset(order[:k]) for k in range(1, M)} | {frozenset(order[k:])
+                                                               for k in range(1, M)}
+    return {frozenset(order[s:e + 1]) for s in range(M) for e in range(s, M)}
+
+
+def frozenset_greedy_cover(M, method, B, rng):
+    """The greedy loop scoring frozensets, as `greedy_cover` did before it
+    scored bit masks."""
+    remaining = required_sets(M, method)
+    orders = []
+    while remaining:
+        best_order, best_cov, best_score = None, None, -1
+        for _ in range(B):
+            order = tuple(int(x) for x in rng.permutation(M))
+            cov = frozenset_covered(order, method) & remaining
+            if len(cov) > best_score or (len(cov) == best_score and order < best_order):
+                best_order, best_cov, best_score = order, cov, len(cov)
+        if best_score == 0:
+            continue
+        orders.append(best_order)
+        remaining -= best_cov
+    return orders
+
+
+@pytest.mark.parametrize("method", ["condsim", "ratio"])
+@pytest.mark.parametrize("m", range(2, 11))
+def test_mask_scoring_gives_the_frozenset_loops_orders(m, method):
+    for seed in range(10):  # B = 20 keeps the reference loop quick at M = 10
+        plan = greedy_cover(m, method, B=20, rng=np.random.default_rng(seed))
+        assert plan.orders == frozenset_greedy_cover(m, method, 20, np.random.default_rng(seed))
+        for order in plan.orders:
+            assert covered_sets(order, method) == frozenset_covered(order, method)
+
+
 def test_determinism():
     a = greedy_cover(6, "ratio", B=50, rng=np.random.default_rng(9))
     b = greedy_cover(6, "ratio", B=50, rng=np.random.default_rng(9))
