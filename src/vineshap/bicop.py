@@ -10,10 +10,11 @@ their inverses, which is everything the D-vine machinery needs:
     conditioning value, in the copula slot that cond_on names.
 These clip their inputs to [EPS, 1 - EPS], and h and h-inverse their
 outputs too; each returns an ndarray of its inputs' broadcast shape (0-d
-for scalars).  A vine pass calls `step` instead, once per pair, on (x, y)
-already in range (u is clipped where it enters a vine, and every h-value
-it carries is a clipped output), and step clips only its outputs.  hfunc
-and log_density are step behind the input clip.
+for scalars).  The vine walks call `step` (forward, once per pair) and
+`inverse(w, x)` = the y with F(y | x) = w instead, on arguments already
+in range (u is clipped where it enters a vine, and every h-value it
+carries is a clipped output); these clip only their outputs.  hfunc and
+log_density are step behind the input clip, hinv is inverse behind it.
 
 Rotation lives in PairCopula alone (`_args`, `_unflip`) and follows the
 reflection identities of Joe (2014) and Czado (2019).  A family supplies
@@ -101,9 +102,14 @@ class PairCopula:
         on_first = _on_first(cond_on)
         return self.step(_clip(u), _clip(v), not on_first, on_first)[on_first]
 
+    def inverse(self, w, x):
+        """The y with F(y | x) = w, at (w, x) in range; clips only its output."""
+        cop = self._swapped()
+        return cop._unflip(cop._hinv(*cop._args(w, x)))
+
     def hinv(self, w, v, cond_on="second"):
-        cop = self._swapped() if _on_first(cond_on) else self
-        return cop._unflip(cop._hinv(*cop._args(_clip(w), _clip(v))))
+        cop = self if _on_first(cond_on) else self._swapped()
+        return cop.inverse(_clip(w), _clip(v))
 
     def transpose(self):
         """Copula of the argument-swapped pair (u, v) -> (v, u)."""

@@ -16,19 +16,18 @@ density reduces to the pairs that straddle the block's ends
 (`log_density_ratios`): one (len(blocks), n) array per order, from one
 `step` call per straddling pair over its distinct overlaps with a block.
 
-The fit walks the trees: one `mode.fit_level` call fits all of a tree's
-pairs on stacks of their arguments, from which the next tree's are
-built.  Both densities, the Rosenblatt transform and its inverse walk
-one h-function recursion, `_h_pass`, left to right over the order
-positions.  The inverse reads each position's h-values off the h-inverse
+The h-function recursion has two walks, one per direction.  `_trees`
+runs it forward, tree by tree, for the fit (one `mode.fit_level` call
+per tree), both densities, the Rosenblatt transform, the straddling
+pairs and x*'s pinned prefix.  `DVineModel._solve` inverts it position
+by position, and reads each solved position's h-values off the h-inverse
 chain that solved it: its only h-functions are those carried onward.
-Conditional sampling is that inverse pass with x*_S given on the
-coalition's positions; only the other positions are solved, from the
-caller's uniform draws.  The prefixes of one order share x*'s u-values,
-so one call samples a group of them: the pinned positions are passed
-once, on one row, and each coalition's rows join the inverse pass at
-their first free position.  A suffix is a prefix of the reversed model,
-built once per model and not serialised.
+Conditional sampling solves only the positions after the coalition's,
+from the caller's uniform draws.  The prefixes of one order share x*'s
+u-values, so one call samples a group of them: x*'s prefix is walked
+once, on one row, and each coalition's rows join the inverse at their
+first free position.  A suffix is a prefix of the reversed model, built
+once per model and not serialised.
 """
 import numpy as np
 
@@ -55,43 +54,23 @@ class NonparametricMode:
                 for x, y in zip(X, Y)]
 
 
-def _h_pass(V, pairs, solve=None, joins=None):
-    """Walk the h-function recursion over V's columns (one per order position).
-
-    Position k closes the pairs (i, k-1-i), i = 0..k-1: pair i links
-    x_i = F(v_{k-1-i} | v_{k-i..k-1}), carried over from position k-1, with
-    y_i = F(v_k | v_{k-i..k-1}) = h(y_{i-1} | x_{i-1}), y_0 = v_k.  Yields
-    (i, j, x_i, y_i) for each pair.  `solve(k, x)`, if given, is first
-    called with the values carried to position k; it may set column k to
-    y_0 (the inverse Rosenblatt step) and return the chain y_0..y_{k-1} it
-    went down, from which each y_{i+1} is read rather than recomputed.
-    Only the h-values a later step reads are computed, by one `step` call
-    per pair, which does not clip its inputs: V must lie in [EPS, 1 - EPS].
-
-    `joins` stacks V's rows in blocks that enter at different positions:
-    (k, n, x), in ascending k, lets the next n rows take part from position
-    k on with the carried values x (k arrays that broadcast to n rows).  By
-    default every row enters at position 1 with x = [V[:, 0]].
-    """
-    m = V.shape[1]
-    joins = list(joins or [(1, len(V), [V[:, 0]])])
-    x = [V[:0, 0]] * joins[0][0]
-    for k in range(joins[0][0], m):
-        while joins and joins[0][0] == k:
-            _, n, enter = joins.pop(0)
-            x = [np.concatenate([a, np.broadcast_to(b, n)]) for a, b in zip(x, enter)]
-        chain = solve(k, x) if solve else None
-        y = V[:len(x[0]), k]
-        carry = [y]
-        for i in range(k):
-            yield i, k - 1 - i, x[i], y
-            second, first = k < m - 1, i < k - 1 and not chain
-            if second or first:  # a carry gets None only at the last position: never read
-                h_second, h_first, _ = pairs[i][k - 1 - i].step(x[i], y, second, first)
-                carry.append(h_second)
-            if i < k - 1:
-                y = chain[i + 1] if chain else h_first
-        x = carry
+def _trees(V, pairs):
+    """Yield each tree's (X, Y) over V, an (M, n) stack of order-position rows
+    in [EPS, 1 - EPS]: pair j of tree i links X[j] = F(v_j | v_{j+1..j+i}) and
+    Y[j] = F(v_{j+i+1} | v_{j+1..j+i}); tree 0's are V[:-1] and V[1:].  The next
+    tree's X[j] is pair j's F(x | y), its Y[j] pair j + 1's F(y | x), from one
+    `step` call per pair of pairs[i], read after tree i is yielded (the fit
+    appends it then).  A row cut short makes only its pairs' calls; no call
+    follows the last tree."""
+    X, Y = V[:-1], V[1:]  # views: V is held through tree 0 alone
+    del V
+    for i in range(len(X)):
+        if i:
+            h = [c.step(x, y, j + 1 < len(X), j > 0)
+                 for j, (c, x, y) in enumerate(zip(pairs[i - 1], X, Y))]
+            X, Y = np.array([s for s, _, _ in h[:len(X) - 1]]), np.array([f for _, f, _ in h[1:]])
+            del h  # copied into X and Y: not held through the caller's use of them
+        yield X, Y
 
 
 class DVineModel:
@@ -130,11 +109,13 @@ class DVineModel:
         return np.clip(a, EPS, 1 - EPS)
 
     def _log_density(self, V, start=0):
-        """Log density of the sub-vine on positions start.., added tree by tree."""
+        """Log density of the sub-vine on positions start.. (V's columns), tree by tree."""
         pairs = [row[start:] for row in self.pairs]
-        logs = {(i, j): pairs[i][j].step(x, y, log_density=True)[2]
-                for i, j, x, y in _h_pass(V, pairs)}
-        return sum((logs[key] for key in sorted(logs)), np.zeros(V.shape[0]))
+        out = np.zeros(len(V))
+        for row, (X, Y) in zip(pairs, _trees(V.T, pairs)):
+            for c, x, y in zip(row, X, Y):
+                out += c.step(x, y, log_density=True)[2]
+        return out
 
     def copula_log_density(self, u):
         """Log D-vine copula density at u (original feature indexing)."""
@@ -155,32 +136,32 @@ class DVineModel:
         """log c(u_b, u*_S) - log c(u_b) per block b = (a, e) of order positions
         and row of u, up to a constant per block: one (len(blocks), n) array.
 
-        S, the positions outside b, is pinned at u_star.  One h-pass over u,
-        with u_star as one more row, runs first.  Only the pairs whose span
-        straddles a block are then evaluated (the others cancel or are
-        constant).  Their arguments depend only on the block's overlap with
-        the span: one `step` call per pair gives its log density, and the
-        h-values the next tree reads, at all its distinct overlaps; each
-        overlap's row is added to every block with that overlap.  An argument
-        inside the block comes from the pass over u, one outside it from
-        u_star's row, any other from the h-values the last tree carried.
+        S, the positions outside b, is pinned at u_star.  The tree walk over
+        u, with u_star as one more row, gives each tree's arguments.  Only
+        the pairs whose span straddles a block are evaluated (the others
+        cancel or are constant).  Their arguments depend only on the block's
+        overlap with the span: one `step` call per pair gives its log
+        density, and the h-values the next tree reads, at all its distinct
+        overlaps; each overlap's row is added to every block with that
+        overlap.  An argument inside the block comes from the walk's rows of
+        u, one outside it from u_star's row, any other from the h-values the
+        last tree carried.
         """
         V = np.vstack([self._columns(u), self._columns(u_star)])[:, self.order]
         n, m = V.shape[0] - 1, V.shape[1]
         if any(not 0 <= a <= e < m for a, e in blocks):
             raise InvalidInputError(f"invalid block in {blocks} for M={m}")
-        args = {(i, j): xy for i, j, *xy in _h_pass(V, self.pairs)}
         out = np.zeros((len(blocks), n))
         carried = ({}, {})  # x, y arguments of the next tree, by (pair j, overlap)
-        for i in range(m - 1):
+        for i, tree in enumerate(_trees(V.T, self.pairs)):
             prev, carried = carried, ({}, {})
             for j in range(m - 1 - i):
 
                 def arg(side, lo, hi):  # x spans positions j..j+i, y spans j+1..j+i+1
                     if lo <= j + side and j + i + side <= hi:
-                        return args[i, j][side][:n]
+                        return tree[side][j, :n]
                     if j + i + side < lo or hi < j + side:
-                        return np.broadcast_to(args[i, j][side][n], n)
+                        return np.broadcast_to(tree[side][j, n], n)
                     return prev[side][j, max(lo, j + side), min(hi, j + i + side)]
 
                 groups = {}  # overlap of the straddled block with span j..j+i+1 -> blocks
@@ -209,9 +190,8 @@ class DVineModel:
         """w_k = F(u_{pi_k} | u_{pi_1..pi_{k-1}}); output in position indexing."""
         V = self._columns(u)[:, self.order]
         W = V.copy()
-        for i, j, x, y in _h_pass(V, self.pairs):
-            if j == 0:  # the last pair at position i+1 conditions it on 0..i
-                W[:, i + 1] = self.pairs[i][0].step(x, y, first=True)[1]
+        for i, (X, Y) in enumerate(_trees(V.T, self.pairs)):  # tree i's pair 0 ends at i + 1
+            W[:, i + 1] = self.pairs[i][0].step(X[0], Y[0], first=True)[1]
         return W
 
     def inverse_rosenblatt(self, w):
@@ -221,20 +201,32 @@ class DVineModel:
         return V[:, np.argsort(self.order)]
 
     def _solve(self, V, joins=None):
-        """Solve each row of V in place, from the position it joins the pass
-        at (see `_h_pass`) on, from the w-values it holds there."""
+        """Solve each row of V (n x M, in [EPS, 1 - EPS]) in place, position by
+        position, from the w-values it holds.  At position k, w_k = y_k goes
+        down the chain y_{i+1} = F(y_i | x_i), one `inverse` per pair
+        (i, k-1-i), to y_0 = v_k.  Pair i's x_i = F(v_{k-1-i} | v_{k-i..k-1})
+        was carried to k, and its F(x_i | y_i), with y_i off the chain, is
+        carried on.
 
-        def solve(k, x):
+        `joins` stacks V's rows in blocks that enter at different positions:
+        (k, n, x), in ascending k, lets the next n rows take part from
+        position k on with the carried values x (k arrays that broadcast to
+        n rows).  By default every row enters at position 1 with
+        x = [V[:, 0]].
+        """
+        joins = list(joins or [(1, len(V), [V[:, 0]])])
+        x = [V[:0, 0]] * joins[0][0]
+        for k in range(joins[0][0], self.M):
+            while joins and joins[0][0] == k:
+                _, n, enter = joins.pop(0)
+                x = [np.concatenate([a, np.broadcast_to(b, n)]) for a, b in zip(x, enter)]
             chain = [V[:len(x[0]), k]]
-            # invert w_k = y_k down the chain y_{i+1} = h(y_i | x_i) to y_0 = v_k
             for i in range(k - 1, -1, -1):
-                chain.insert(0, self.pairs[i][k - 1 - i].hinv(chain[0], x[i], "first"))
+                chain.insert(0, self.pairs[i][k - 1 - i].inverse(chain[0], x[i]))
             V[:len(x[0]), k] = chain[0]
-            return chain[:-1]  # y_0..y_{k-1}: y_k's column now holds y_0
-
-        for i, j, _, _ in _h_pass(V, self.pairs, solve, joins):
-            if i + j == self.M - 2:  # v_{M-1} is solved; no h-value of its pairs is read
-                break
+            if k < self.M - 1:  # nothing reads the last position's h-values
+                x = chain[:1] + [self.pairs[i][k - 1 - i].step(x[i], chain[i], second=True)[0]
+                                 for i in range(k)]
 
     # ------------------------------------------------------------------
     # conditional sampling
@@ -274,8 +266,8 @@ class DVineModel:
         their x_star values.
 
         The blocks are stacked by ascending |S|, and the block of |S| = s
-        joins the pass at position s with the h-values x*'s pinned prefix
-        carries there, from one pass on one row for every block.  Each
+        joins the inverse at position s with the h-values x*'s pinned prefix
+        carries there, from one tree walk on one row for every block.  Each
         pair's h-inverse runs once per position on every joined block's rows.
         """
         roles = {self.coalition_role(f) for f in coalitions}
@@ -292,18 +284,18 @@ class DVineModel:
         rank = sorted(range(len(coalitions)), key=sizes.__getitem__)
         starts = [sizes[c] for c in rank]
 
-        u_star = np.clip([[model.marginals[f].cdf(x_star[f])
-                           for f in model.order[:starts[-1] + 1]]], EPS, 1 - EPS)
-        carried = {}  # position -> the pinned prefix's carried values there
-        for i, j, _, _ in _h_pass(u_star, model.pairs, carried.__setitem__):
-            if i + j + 1 == starts[-1]:  # every carry is in; no h-value here is read
-                break
+        s = starts[-1]
+        u_star = np.clip([[model.marginals[f].cdf(x_star[f])] for f in model.order[:s + 1]],
+                         EPS, 1 - EPS)
+        # x*'s tree i carries X[k-1-i] to position k <= s: its first s-1-i pairs build them
+        pinned = [X for X, _ in _trees(u_star, [model.pairs[i][:s - 1 - i] for i in range(s - 1)])]
 
         ends = np.cumsum([len(draws[c]) for c in rank])
         V = np.empty((ends[-1], m))
         for c, end in zip(rank, ends):
             V[end - len(draws[c]):end, sizes[c]:] = np.clip(draws[c], EPS, 1 - EPS)
-        model._solve(V, [(s, len(draws[c]), carried[s]) for c, s in zip(rank, starts)])
+        model._solve(V, [(k, len(draws[c]), [pinned[i][k - 1 - i] for i in range(k)])
+                         for c, k in zip(rank, starts)])
 
         X = np.tile(x_star, (len(V), 1))
         for p in range(starts[0], m):
@@ -339,47 +331,39 @@ def pseudo_observations(data, marginals):
     return np.column_stack([marginals[j].cdf(data[:, j]) for j in range(data.shape[1])])
 
 
-def fit_dvine(data, order, mode=None, marginals=None):
-    """Fit a D-vine tree by tree, one `mode.fit_level(X, Y)` call per tree.
+def fit_dvine(data, order, mode=None):
+    """Fit one D-vine: the one-order case of `fit_vines`."""
+    return fit_vines(data, [order], mode)[0]
 
-    Pair j of tree i links X[j] = F(v_j | v_{j+1..j+i}) and
-    Y[j] = F(v_{j+i+1} | v_{j+1..j+i}), the h-values `_h_pass` carries;
-    tree 0's are the clipped pseudo-observations.  `mode` is
-    ParametricMode (the default) or NonparametricMode.
-    """
+
+def fit_vines(data, orders, mode=None):
+    """One fitted D-vine per order, all on one list of empirical marginals,
+    built once after the table is checked.  Each order is fitted on the
+    `_trees` walk of its clipped pseudo-observations, one
+    `mode.fit_level(X, Y)` call per tree, whose pairs the walk reads to build
+    the next tree.  `mode` is ParametricMode (the default) or NonparametricMode."""
+    if not orders:
+        raise InvalidInputError("need at least one order to fit")
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
         raise InvalidInputError("data must be an N x M table")
     n, m = data.shape
+    if m < 2:
+        raise InvalidInputError(f"need at least 2 columns to fit a vine, got {m}")
     if not np.all(np.isfinite(data)):
         raise InvalidInputError("data must be finite")
-    order = tuple(int(o) for o in order)
-    if sorted(order) != list(range(m)):
+    orders = [tuple(int(o) for o in order) for order in orders]
+    if any(sorted(order) != list(range(m)) for order in orders):
         raise InvalidInputError(f"order must be a permutation of 0..{m - 1}")
-    if mode is None:
-        mode = ParametricMode()
     if n < MIN_FIT_ROWS:
         raise InvalidInputError(f"need at least {MIN_FIT_ROWS} rows to fit, got {n}")
-
-    if marginals is None:
-        marginals = [EmpiricalMarginal(data[:, j]) for j in range(m)]
-    X = np.clip([marginals[f].cdf(data[:, f]) for f in order], EPS, 1 - EPS)  # by position
-    X, Y = X[:-1], X[1:]  # tree 0's, as views: nothing else holds the table past tree 0
-    pairs = [mode.fit_level(X, Y)]
-    for _ in range(m - 2):  # next tree: X[j] is pair j's F(x | y), Y[j] pair j + 1's F(y | x)
-        h = [c.step(x, y, j + 1 < len(X), j > 0)
-             for j, (c, x, y) in enumerate(zip(pairs[-1], X, Y))]
-        X, Y = np.array([s for s, _, _ in h[:-1]]), np.array([f for _, f, _ in h[1:]])
-        del h  # copied into X and Y: not held through the fit
-        pairs.append(mode.fit_level(X, Y))
-    return DVineModel(order, pairs, marginals)
-
-
-def fit_vines(data, orders, mode=None):
-    """One fitted D-vine per order, all on the first model's marginals: the
-    first fit validates the table and builds them."""
-    if not orders:
-        raise InvalidInputError("need at least one order to fit")
-    first = fit_dvine(data, orders[0], mode)
-    return [first] + [fit_dvine(data, order, mode, marginals=first.marginals)
-                      for order in orders[1:]]
+    mode = ParametricMode() if mode is None else mode
+    marginals = [EmpiricalMarginal(data[:, j]) for j in range(m)]
+    models = []
+    for order in orders:
+        pairs = []
+        for X, Y in _trees(np.clip([marginals[f].cdf(data[:, f]) for f in order], EPS, 1 - EPS),
+                           pairs):
+            pairs.append(mode.fit_level(X, Y))
+        models.append(DVineModel(order, pairs, marginals))
+    return models

@@ -143,7 +143,7 @@ def test_fit_vines_fits_every_order_on_one_set_of_marginals(mode):
     assert [m.order for m in models] == orders
     for model, order in zip(models, orders):
         assert model.marginals is shared
-        assert model.to_dict() == fit_dvine(data, order, mode, marginals=shared).to_dict()
+        assert model.to_dict() == fit_dvine(data, order, mode).to_dict()
 
 
 def test_fit_peak_memory_at_a_large_n():
@@ -179,6 +179,16 @@ def test_nonparametric_mode_needs_an_integer_grid_size(grid_size):
 def test_fit_vines_rejects_a_bad_table(data):
     with pytest.raises(InvalidInputError):
         fit_vines(data, [(0, 1, 2), (2, 0, 1)])
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_fit_needs_two_columns(m):
+    # an (N, 0) table ended in IndexError, an (N, 1) one in "pair table
+    # must be triangular"
+    data = np.random.default_rng(11).normal(size=(40, m))
+    for fit in (lambda: fit_dvine(data, range(m)), lambda: fit_vines(data, [range(m)])):
+        with pytest.raises(InvalidInputError, match=f"got {m}$"):
+            fit()
 
 
 def test_fit_recovers_partial_correlation():

@@ -1,11 +1,15 @@
-"""The single h-function pass against the tree-by-tree recursion it replaced.
+"""The vine's two walks against the recursion they replaced, and their work.
 
-`reference_triangle` is the former `DVineModel._triangle`: it builds
-every tree level of conditional cdfs before any caller reads them.  The
-reference density, Rosenblatt transform, inverse and fit below are the
-former bodies of those methods on top of it.  The pass must give the
-same bytes, since both evaluate the same kernels on the same arguments
-and add the log densities in the same (tree-by-tree) order.
+The forward walk, `dvine._trees`, builds each tree's arguments from the
+last tree's; the inverse, `DVineModel._solve`, goes position by position
+down h-inverse chains.  `reference_triangle` is the former
+`DVineModel._triangle`: it builds every tree level of conditional cdfs
+with the public, clipping kernels before any caller reads them.  The
+reference density, Rosenblatt transform, inverse, fit and straddling
+pairs below are the former bodies of those methods on top of it.  The
+walks must give the same bytes, since both evaluate the same kernels on
+the same arguments and add the log densities in the same (tree-by-tree)
+order.  The count tests pin the kernel calls each walk makes.
 """
 
 import json
@@ -16,7 +20,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-import vineshap.dvine as dvine
 from helpers import (constant_vine, count_steps, counted_step_points, seeded_grid,
                      straddled_overlaps)
 from vineshap import (ClaytonCopula, CoverageError, DVineModel, EmpiricalMarginal,
@@ -160,6 +163,60 @@ def test_inverse_rosenblatt_h_points_per_row(monkeypatch):
     assert points == Counter(second=n * (m - 1) * (m - 2) // 2)
 
 
+def counted_walk(monkeypatch):
+    """A Counter of `step` calls and of their points by slot; a call that
+    asks for no slot fails."""
+    counts = Counter()
+
+    def record(copula, x, y, slots):
+        assert slots, "a step call asked for no slot"
+        counts["calls"] += 1
+        for slot in slots:
+            counts[slot] += np.broadcast(x, y).size
+
+    count_steps(monkeypatch, record)
+    return counts
+
+
+@pytest.mark.parametrize("m", [2, 3, 8])
+def test_forward_walk_steps(monkeypatch, m):
+    """The forward walk makes one `step` call per pair of trees 0..M-3, for
+    pair j's F(x | y) if j < P - 1 and F(y | x) if j > 0 of the tree's P
+    pairs: (M-1)(M-2)/2 points per row and slot, and no call after the
+    last tree.  The densities add one
+    log-density call per pair, the Rosenblatt transform one F(y | x) call
+    per position after the first, and the ratios one call per pair over
+    its distinct overlaps with the blocks: with every contiguous block,
+    each sub-interval of its span but the span itself.  At M = 8 and
+    n = 50: 27 fit calls, and 55 density calls."""
+    n = 50
+    data = np.random.default_rng(0).normal(size=(n, m)).cumsum(axis=1)
+    order = tuple(range(m))[::-1]
+    model = fit_dvine(data, order)
+    u = np.random.default_rng(1).uniform(size=(n, m))
+    blocks = [(a, e) for a in range(m) for e in range(a, m)]
+    pairs, walk = m * (m - 1) // 2, (m - 1) * (m - 2) // 2
+    overlaps = [(i + 2) * (i + 3) // 2 - 1 for i in range(m - 1)]  # per pair of tree i
+    h_overlaps = n * sum((m - 2 - i) * overlaps[i] for i in range(m - 1))
+    fit = Counter(calls=max(pairs - 1, 0), second=n * walk, first=n * walk)
+    cases = [
+        (lambda: fit_dvine(data, order), fit),
+        (lambda: model.copula_log_density(u), fit + Counter(calls=pairs, log_density=n * pairs)),
+        (lambda: model.rosenblatt(u), fit + Counter(calls=m - 1, first=n * (m - 1))),
+        (lambda: model.log_density_ratios(u, u[0], blocks),
+         Counter(calls=max(pairs - 1, 0) + pairs, second=(n + 1) * walk + h_overlaps,
+                 first=(n + 1) * walk + h_overlaps,
+                 log_density=n * sum((m - 1 - i) * overlaps[i] for i in range(m - 1))))]
+    if m == 8:
+        assert cases[0][1] == Counter(calls=27, second=1050, first=1050)
+        assert cases[1][1] == Counter(calls=55, log_density=1400, second=1050, first=1050)
+    for run, want in cases:
+        with monkeypatch.context() as patch:
+            counts = counted_walk(patch)
+            run()
+        assert counts == +want
+
+
 def test_conditional_sample_h_points_per_solved_row(monkeypatch):
     """Solved rows make sum_{k=s}^{M-2} k h-points each, all cond_on="second";
     x*'s pinned prefix adds its own pass on one row, which stops once the
@@ -183,17 +240,17 @@ def test_conditional_sample_solves_only_the_free_positions(monkeypatch):
     its positions, so sum_{k=s}^{M-1} k h-inverse points per row."""
     m, K = 8, 10
     points = []
-    hinv = PairCopula.hinv
+    inverse = PairCopula.inverse
 
-    def counted(self, w, v, cond_on="second"):
-        out = hinv(self, w, v, cond_on)
+    def counted(self, w, x):
+        out = inverse(self, w, x)
         points.append(out.size)
         return out
 
     def refused(self, u):
         raise AssertionError("conditional_sample must not call rosenblatt")
 
-    monkeypatch.setattr(PairCopula, "hinv", counted)
+    monkeypatch.setattr(PairCopula, "inverse", counted)
     monkeypatch.setattr(DVineModel, "rosenblatt", refused)
     data = np.random.default_rng(0).normal(size=(50, m))
     model = constant_vine(data, (3, 0, 7, 1, 6, 2, 5, 4), ClaytonCopula(2.0))
@@ -270,7 +327,7 @@ def reference_straddling(model, u, u_star, blocks):
     evaluated once per block, its carried h-values keyed by (pair, block)."""
     V = np.vstack([u, u_star])[:, model.order]
     n, m = len(u), model.M
-    args = {(i, j): xy for i, j, *xy in dvine._h_pass(V, model.pairs)}
+    args = reference_triangle(V, model.pairs)
     out = np.zeros((len(blocks), n))
     carried = ({}, {})
     for i in range(m - 1):
@@ -280,9 +337,9 @@ def reference_straddling(model, u, u_star, blocks):
             def arg(side, b):
                 a, e = blocks[b]
                 if a <= j + side and j + i + side <= e:
-                    return args[i, j][side][:n]
+                    return args[side][i][j][:n]
                 if j + i + side < a or e < j + side:
-                    return np.broadcast_to(args[i, j][side][n], n)
+                    return np.broadcast_to(args[side][i][j][n], n)
                 return prev[side][j, b]
 
             bs = [b for b, (a, e) in enumerate(blocks)

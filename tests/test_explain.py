@@ -500,13 +500,13 @@ def test_shapley_reports_the_ess_of_the_weights_it_averaged_with(monkeypatch):
     train = np.random.default_rng(53).normal(size=(100, 4))
     x_star = train[3]
     passes = []
-    h_pass = dvine._h_pass
+    trees = dvine._trees
 
     def counted_pass(V, *args):
-        passes.append(len(V))
-        return h_pass(V, *args)
+        passes.append(V.shape[1])  # rows: V stacks the order positions
+        return trees(V, *args)
 
-    monkeypatch.setattr(dvine, "_h_pass", counted_pass)
+    monkeypatch.setattr(dvine, "_trees", counted_pass)
     est = make_estimator("ratio", train, row_wise, 54)
     expl = shapley(est, x_star)
     assert len(passes) == len(set(est.plan.assignment.values()))
@@ -619,13 +619,13 @@ def test_ratio_pass_stacks_coalitions_within_the_row_budget(monkeypatch):
 
     count_steps(monkeypatch, counted)
     passes = []
-    h_pass = dvine._h_pass
+    trees = dvine._trees
 
     def counted_pass(V, *args):
-        passes.append(len(V))
-        return h_pass(V, *args)
+        passes.append(V.shape[1])  # rows: V stacks the order positions
+        return trees(V, *args)
 
-    monkeypatch.setattr(dvine, "_h_pass", counted_pass)
+    monkeypatch.setattr(dvine, "_trees", counted_pass)
     monkeypatch.setattr(explain, "PREDICT_CELLS", M * 50)  # 50 rows: two coalitions
     est = make_estimator("ratio", train, row_wise, 50, K)
     expl = shapley(est, x_star)
