@@ -11,23 +11,25 @@ their inverses, which is everything the D-vine machinery needs:
 These clip their inputs to [EPS, 1 - EPS], and h and h-inverse their
 outputs too; each returns an ndarray of its inputs' broadcast shape (0-d
 for scalars).  The vine walks call `step` (forward, once per pair) and
-`inverse(w, x)` = the y with F(y | x) = w instead, on arguments already
-in range (u is clipped where it enters a vine, and every h-value it
-carries is a clipped output); these clip only their outputs.  hfunc and
-log_density are step behind the input clip, hinv is inverse behind it.
+`inverse(w, x, carry)` = the y with F(y | x) = w and, if asked, the F(x | y)
+the chain carries on, on arguments already in range (u is clipped where it
+enters a vine, and every h-value it carries is a clipped output); these
+clip only their outputs.  hfunc and log_density are step behind the input
+clip, hinv is inverse's first output behind it.
 
 Rotation lives in PairCopula alone (`_args`, `_unflip`) and follows the
 reflection identities of Joe (2014) and Czado (2019).  A family supplies
 only unrotated formulas for one conditioning slot: _logpdf(u, v),
-_h(u, v) = F(u | v) and _hinv(w, v), the inverse of _h in u; Gaussian and
-Clayton fold the first two into a step of their own, whose slots share
-normal scores or logs, each value by the same float operations (their log
-density kernels serve the stacked fit too, one parameter per row).  Rotation
-by 90 or 180 degrees reflects u -> 1 - u, by 180 or 270 degrees v -> 1 - v;
-the h output, or the h-inverse target, is reflected when u was.  F(v | u)
-is the h of the transpose at (v, u); each copula builds its transpose
-once, on first use, and keeps it.  The grid's h and h-inverse read one
-cumulative table, four cells at a time.
+_h(u, v) = F(u | v) and _hinv(w, v), the inverse of _h in u.  Gaussian and
+Clayton fold the first two into a step whose slots share normal scores or
+logs, each value by the same float operations (their log density kernels
+serve the stacked fit too, one parameter per row), and the last into an
+inverse whose carry is the closed form at the exact y, not h at the clipped
+one.  Rotation by 90 or 180 degrees reflects u -> 1 - u, by 180 or 270
+degrees v -> 1 - v; the h output, or the h-inverse target, is reflected when
+u was.  F(v | u) is the h of the transpose at (v, u); each copula builds its
+transpose once, on first use, and keeps it.  The grid's h and h-inverse read
+one cumulative table, four cells at a time.
 
 One formula per kernel at every parameter: Clayton's start from log u and
 log v (log w) and never form u ** -theta, so they stay finite and keep
@@ -102,14 +104,15 @@ class PairCopula:
         on_first = _on_first(cond_on)
         return self.step(_clip(u), _clip(v), not on_first, on_first)[on_first]
 
-    def inverse(self, w, x):
-        """The y with F(y | x) = w, at (w, x) in range; clips only its output."""
+    def inverse(self, w, x, carry=False):
+        """(y, F(x | y) or None) with F(y | x) = w, at (w, x) in range; clips only its outputs."""
         cop = self._swapped()
-        return cop._unflip(cop._hinv(*cop._args(w, x)))
+        y = cop._unflip(cop._hinv(*cop._args(w, x)))
+        return y, self.step(x, y, second=True)[0] if carry else None
 
     def hinv(self, w, v, cond_on="second"):
         cop = self if _on_first(cond_on) else self._swapped()
-        return cop.inverse(_clip(w), _clip(v))
+        return cop.inverse(_clip(w), _clip(v))[0]
 
     def transpose(self):
         """Copula of the argument-swapped pair (u, v) -> (v, u)."""
@@ -190,10 +193,12 @@ class GaussianCopula(PairCopula):
                 self._unflip(sp.ndtr((zy - r * zx) / s)) if first else None,
                 np.asarray(_gaussian_log_c(r, zx, zy)) if log_density else None)
 
-    def _hinv(self, w, v):
-        sp = special()
-        z, y = sp.ndtri(w), sp.ndtri(v)
-        return sp.ndtr(z * np.sqrt(1.0 - self.rho ** 2) + self.rho * y)
+    def inverse(self, w, x, carry=False):
+        # y's normal score is s z_w + r z_x, so the carry's, (z_x - r z_y) / s, is s z_x - r z_w
+        sp, r, s = special(), self.rho, np.sqrt(1.0 - self.rho ** 2)
+        zw, zx = sp.ndtri(w), sp.ndtri(x)
+        return self._unflip(sp.ndtr(zw * s + r * zx)), \
+            self._unflip(sp.ndtr(s * zx - r * zw)) if carry else None
 
     def to_dict(self):
         return {"family": "gaussian", "rho": self.rho}
@@ -213,8 +218,8 @@ class ClaytonCopula(PairCopula):
 
     def __init__(self, theta, rotation=0):
         theta = float(theta)
-        if theta <= 0.0:
-            raise InvalidInputError(f"clayton copula needs theta > 0, got {theta}")
+        if not 0.0 < theta < np.inf:
+            raise InvalidInputError(f"clayton copula needs a finite theta > 0, got {theta}")
         if rotation not in (0, 90, 180, 270):
             raise InvalidInputError(f"rotation must be 0/90/180/270, got {rotation}")
         self.theta = theta
@@ -237,12 +242,21 @@ class ClaytonCopula(PairCopula):
                 self._swapped()._unflip(h(np.log(-np.expm1(t_b)) - d)) if first else None,
                 np.asarray(_clayton_log_c(theta, log_a, log_b, t_a, t_b)) if log_density else None)
 
-    def _hinv(self, w, v):
-        # u = (c v^-theta + 1)^(-1/theta), c = w^(-theta/(1+theta)) - 1, as
-        # v (c + v^theta)^(-1/theta): no overflow, and no cancellation near w = 1
-        theta = self.theta
-        c = np.expm1(-theta / (1.0 + theta) * np.log(w))
-        return v * (c + v ** theta) ** (-1.0 / theta)
+    def inverse(self, w, x, carry=False):
+        # Unrotated at the conditioning value a, e = -theta/(1+theta) log w, s = e^e - 1 + a^theta:
+        # y = a s^(-1/theta), F(a | y) = (s e^-e)^(1 + 1/theta).  To keep small values' digits,
+        # reflected w and a enter via log1p, as does 1 - F (a = 1 - x): log1p((a^theta - 1) e^-e).
+        theta, flip, flip_w = self.theta, self.rotation in (90, 180), self.rotation in (180, 270)
+        e = -theta / (1.0 + theta) * (np.log1p(-w) if flip_w else np.log(w))
+        t_a = theta * (np.log1p(-x) if flip else np.log(x))
+        c = np.expm1(e)
+        s, k = c + np.exp(t_a), 1.0 + 1.0 / theta
+        y = self._swapped()._unflip((1.0 - x if flip else x) * s ** (-1.0 / theta))
+        if not carry:
+            return y, None
+        h = (-np.expm1(k * np.log1p(np.expm1(t_a) / (1.0 + c))) if flip
+             else np.exp(k * (np.log(s) - e)))
+        return y, np.asarray(np.clip(h, EPS, 1.0 - EPS))
 
     def transpose(self):
         if self.rotation in (0, 180):

@@ -21,7 +21,7 @@ runs it forward, tree by tree, for the fit (one `mode.fit_level` call
 per tree), both densities, the Rosenblatt transform, the straddling
 pairs and x*'s pinned prefix.  `DVineModel._solve` inverts it position
 by position, and reads each solved position's h-values off the h-inverse
-chain that solved it: its only h-functions are those carried onward.
+chain that solved it and the carries its calls return: it makes no `step`.
 Conditional sampling solves only the positions after the coalition's,
 from the caller's uniform draws.  The prefixes of one order share x*'s
 u-values, so one call samples a group of them: x*'s prefix is walked
@@ -203,10 +203,9 @@ class DVineModel:
     def _solve(self, V, joins=None):
         """Solve each row of V (n x M, in [EPS, 1 - EPS]) in place, position by
         position, from the w-values it holds.  At position k, w_k = y_k goes
-        down the chain y_{i+1} = F(y_i | x_i), one `inverse` per pair
+        down the chain y_{i+1} = F(y_i | x_i), one `inverse` call per pair
         (i, k-1-i), to y_0 = v_k.  Pair i's x_i = F(v_{k-1-i} | v_{k-i..k-1})
-        was carried to k, and its F(x_i | y_i), with y_i off the chain, is
-        carried on.
+        was carried to k, and the same call returns F(x_i | y_i), carried on.
 
         `joins` stacks V's rows in blocks that enter at different positions:
         (k, n, x), in ascending k, lets the next n rows take part from
@@ -220,13 +219,10 @@ class DVineModel:
             while joins and joins[0][0] == k:
                 _, n, enter = joins.pop(0)
                 x = [np.concatenate([a, np.broadcast_to(b, n)]) for a, b in zip(x, enter)]
-            chain = [V[:len(x[0]), k]]
-            for i in range(k - 1, -1, -1):
-                chain.insert(0, self.pairs[i][k - 1 - i].inverse(chain[0], x[i]))
-            V[:len(x[0]), k] = chain[0]
-            if k < self.M - 1:  # nothing reads the last position's h-values
-                x = chain[:1] + [self.pairs[i][k - 1 - i].step(x[i], chain[i], second=True)[0]
-                                 for i in range(k)]
+            y, carried = V[:len(x[0]), k], [None] * k
+            for i in range(k - 1, -1, -1):  # nothing reads the last position's carries
+                y, carried[i] = self.pairs[i][k - 1 - i].inverse(y, x[i], k < self.M - 1)
+            V[:len(y), k], x = y, [y] + carried
 
     # ------------------------------------------------------------------
     # conditional sampling
@@ -337,11 +333,11 @@ def fit_dvine(data, order, mode=None):
 
 
 def fit_vines(data, orders, mode=None):
-    """One fitted D-vine per order, all on one list of empirical marginals,
-    built once after the table is checked.  Each order is fitted on the
-    `_trees` walk of its clipped pseudo-observations, one
-    `mode.fit_level(X, Y)` call per tree, whose pairs the walk reads to build
-    the next tree.  `mode` is ParametricMode (the default) or NonparametricMode."""
+    """One fitted D-vine per order, all on one list of empirical marginals and
+    one table of clipped pseudo-observations, built once after the table is
+    checked.  Each order is fitted on the `_trees` walk of its rows of that
+    table, one `mode.fit_level(X, Y)` call per tree, whose pairs the walk reads
+    to build the next tree.  `mode` is ParametricMode (default) or NonparametricMode."""
     if not orders:
         raise InvalidInputError("need at least one order to fit")
     data = np.asarray(data, dtype=float)
@@ -359,11 +355,11 @@ def fit_vines(data, orders, mode=None):
         raise InvalidInputError(f"need at least {MIN_FIT_ROWS} rows to fit, got {n}")
     mode = ParametricMode() if mode is None else mode
     marginals = [EmpiricalMarginal(data[:, j]) for j in range(m)]
+    U = np.clip([marginals[f].cdf(data[:, f]) for f in range(m)], EPS, 1 - EPS)
     models = []
     for order in orders:
         pairs = []
-        for X, Y in _trees(np.clip([marginals[f].cdf(data[:, f]) for f in order], EPS, 1 - EPS),
-                           pairs):
+        for X, Y in _trees(U[list(order)], pairs):
             pairs.append(mode.fit_level(X, Y))
         models.append(DVineModel(order, pairs, marginals))
     return models

@@ -39,24 +39,44 @@ def straddled_overlaps(plan):
     return overlaps
 
 
-def count_steps(monkeypatch, record):
-    """Patch `step` on every package pair-copula class that defines its own,
-    so that each call first runs record(copula, x, y, slots), slots being
-    the names of the slots it asks for (see STEP_SLOTS)."""
+def patch_own(monkeypatch, name, wrap):
+    """Replace method `name` by wrap(method) on every package pair-copula
+    class that defines its own."""
     classes = [PairCopula]
     while classes:
         cls = classes.pop()
         classes += cls.__subclasses__()
-        if "step" not in vars(cls) or cls.__module__ != PairCopula.__module__:
-            continue
+        if name in vars(cls) and cls.__module__ == PairCopula.__module__:
+            monkeypatch.setattr(cls, name, wrap(vars(cls)[name]))
 
-        def counted(self, x, y, second=False, first=False, log_density=False,
-                    _step=vars(cls)["step"]):
+
+def count_steps(monkeypatch, record):
+    """Patch `step` so that each call first runs record(copula, x, y, slots),
+    slots being the names of the slots it asks for (see STEP_SLOTS)."""
+    def wrap(step):
+        def counted(self, x, y, second=False, first=False, log_density=False):
             asked = (second, first, log_density)
             record(self, x, y, [slot for slot, on in zip(STEP_SLOTS, asked) if on])
-            return _step(self, x, y, second, first, log_density)
+            return step(self, x, y, second, first, log_density)
+        return counted
 
-        monkeypatch.setattr(cls, "step", counted)
+    patch_own(monkeypatch, "step", wrap)
+
+
+def counted_inverse_points(monkeypatch):
+    """A Counter of `inverse` points: one "hinv" per broadcast (w, x) point,
+    and one "carried" more where the call asks for the carry."""
+    points = Counter()
+
+    def wrap(inverse):
+        def counted(self, w, x, carry=False):
+            n = np.broadcast(w, x).size
+            points.update(hinv=n, carried=n if carry else 0)
+            return inverse(self, w, x, carry)
+        return counted
+
+    patch_own(monkeypatch, "inverse", wrap)
+    return points
 
 
 def counted_step_points(monkeypatch):

@@ -159,7 +159,63 @@ def test_clayton_log_density_and_hinv_match_50_digits(theta):
                    EPS, 1 - EPS)
     assert np.all(np.abs(got - want) <= 1e-15 / min(theta, 1.0) * want)
     assert np.all(np.isfinite(cop.step(u, v, log_density=True)[2]))
-    assert np.all(cop._hinv(u, v) > 0)
+    with mock.patch.object(bicop.PairCopula, "_unflip", lambda self, out: out):
+        assert np.all(cop.inverse(u, v)[0] > 0)  # h-inverse before its clip
+
+
+def clayton_inverse_50_digits(theta, rotation, w, x):
+    """(y, F(x | y)) for the y with F(y | x) = w, rotated Clayton, in 50-digit
+    decimals: the exact y, and the carry F(x | y) at it."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        w, x = Decimal(w), Decimal(x)
+        a = 1 - x if rotation in (90, 180) else x
+        b = clayton_hinv_50_digits(theta, 1 - w if rotation in (180, 270) else w, a)
+        h = clayton_h_50_digits(theta, a, b)
+        return (1 - b if rotation in (180, 270) else b), (1 - h if rotation in (90, 180) else h)
+
+
+@pytest.mark.parametrize("theta", [1e-4, 0.0408, 0.1, 0.5, 2.0, 4.75, 14.0, 31.0, 50.0])
+@pytest.mark.parametrize("rotation", [0, 90, 180, 270])
+def test_clayton_inverse_carry_matches_50_digits(theta, rotation):
+    """The carry F(x | y) comes from the h-inverse's own intermediates, at the
+    exact y: within 5e-15 wherever that y is unclipped (2e-12 at theta = 1e-4,
+    whose power 1 + 1/theta magnifies one rounding), and the carries below
+    1e-3 keep their digits at least about as well as h at the clipped,
+    rounded y does (the former inverse-then-step composition, which is off
+    by up to 6.1e-6 absolute and 1.9e-5 relative at theta = 50)."""
+    w, x = (a.ravel() for a in np.meshgrid(REFERENCE_GRID, REFERENCE_GRID))
+    ref = [clayton_inverse_50_digits(theta, rotation, a, b) for a, b in zip(w, x)]
+    exact = np.array([EPS < y < 1 - EPS for y, _ in ref])
+    want = np.clip([float(h) for _, h in ref], EPS, 1 - EPS)[exact]
+    cop, w, x = ClaytonCopula(theta, rotation), w[exact], x[exact]
+    got = cop.inverse(w, x, carry=True)[1]
+    if theta < 0.01:
+        assert np.all(np.abs(got - want) <= 2e-12)
+        return
+    assert np.all(np.abs(got - want) <= 5e-15)
+    composed = cop.step(x, cop.inverse(w, x)[0], second=True)[0]
+    small = want < 1e-3
+
+    def rel(h):
+        return np.max(np.abs(h[small] - want[small]) / want[small], initial=0.0)
+    assert rel(got) <= max(2 * rel(composed), 1e-13)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-0.99, 0.99), st.lists(st.tuples(st.floats(EPS, 1 - EPS),
+                                                  st.floats(EPS, 1 - EPS)), min_size=1))
+def test_gaussian_inverse_keeps_y_and_carries_its_closed_form(rho, points):
+    """y is the former h-inverse bit for bit, and the carry F(x | y) is
+    Phi(sqrt(1 - rho^2) z_x - rho z_w), from the same normal scores."""
+    w, x = (np.array(a) for a in zip(*points))
+    sp = special()
+    zw, zx = sp.ndtri(w), sp.ndtri(x)
+    y, carry = GaussianCopula(rho).inverse(w, x, carry=True)
+    assert np.array_equal(y, np.clip(sp.ndtr(zw * np.sqrt(1.0 - rho ** 2) + rho * zx),
+                                     EPS, 1 - EPS))
+    assert np.array_equal(carry, np.clip(sp.ndtr(np.sqrt(1.0 - rho ** 2) * zx - rho * zw),
+                                         EPS, 1 - EPS))
 
 
 def test_gaussian_hfunc_closed_form():
@@ -800,6 +856,14 @@ def test_transpose_swaps_conditioning_slot(cop):
     assert np.array_equal(t.hfunc(v, u, "first"), cop.hfunc(u, v, "second"))
     assert np.array_equal(t.hinv(u, v, "second"), cop.hinv(u, v, "first"))
     assert np.array_equal(t.hinv(u, v, "first"), cop.hinv(u, v, "second"))
+
+
+@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_clayton_needs_a_finite_positive_theta(theta):
+    # NaN and inf passed a bare `theta <= 0` check, and a bundle holding one
+    # loaded, then failed in the draws' quantile
+    with pytest.raises(InvalidInputError, match="finite theta > 0"):
+        bicop.PairCopula.from_dict({"family": "clayton", "theta": theta, "rotation": 180})
 
 
 @pytest.mark.parametrize("cop", [IndependenceCopula(), GaussianCopula(0.3),

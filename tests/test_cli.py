@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -642,6 +643,25 @@ def test_malformed_bundle_is_data_error(train_csv, test_csv, tmp_path, capsys, e
     assert code == 3
     assert err.count("error:") == 1 and "malformed model bundle" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "e.json").exists()
+
+
+@pytest.mark.parametrize("theta", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+def test_a_non_finite_clayton_theta_is_a_malformed_bundle(train_csv, test_csv, tmp_path,
+                                                          capsys, theta):
+    # such a bundle loaded, and explain exited 4 on the draws' quantile (after
+    # a RuntimeWarning at inf)
+    def edit(bundle):
+        pair = next(pc for model in bundle["models"] for row in model["pairs"] for pc in row
+                    if pc["family"] == "clayton")
+        pair["theta"] = theta  # written as the JSON token NaN or Infinity
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, err = explain_edited_bundle(train_csv, test_csv, tmp_path, capsys, "condsim",
+                                          edit)
+    assert code == 3
+    assert err.count("error:") == 1 and "malformed model bundle" in err and "theta" in err
     assert not (tmp_path / "e.json").exists()
 
 

@@ -146,6 +146,21 @@ def test_fit_vines_fits_every_order_on_one_set_of_marginals(mode):
         assert model.to_dict() == fit_dvine(data, order, mode).to_dict()
 
 
+def test_fit_vines_maps_each_feature_to_copula_scale_once(monkeypatch):
+    """One `EmpiricalMarginal.cdf` call per feature, however many orders:
+    every order reads its rows of one table of pseudo-observations."""
+    calls = []
+    cdf = EmpiricalMarginal.cdf
+    monkeypatch.setattr(EmpiricalMarginal, "cdf", lambda self, x: calls.append(x) or cdf(self, x))
+    data = np.random.default_rng(9).normal(size=(60, 5)).cumsum(axis=1)
+    for m in (2, 3, 5):
+        orders = greedy_cover(m, "condsim", rng=np.random.default_rng(10)).orders
+        calls.clear()
+        fit_vines(data[:, :m], orders)
+        assert len(calls) == m
+    assert len(orders) > 1
+
+
 def test_fit_peak_memory_at_a_large_n():
     """The fit holds one tree's arguments at a time and scores them in
     chunks: at N = 200,000 and M = 6 its tracemalloc peak stays within

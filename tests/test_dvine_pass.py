@@ -20,11 +20,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (constant_vine, count_steps, counted_step_points, seeded_grid,
-                     straddled_overlaps)
+from helpers import (constant_vine, count_steps, counted_inverse_points, counted_step_points,
+                     seeded_grid, straddled_overlaps)
 from vineshap import (ClaytonCopula, CoverageError, DVineModel, EmpiricalMarginal,
                       GaussianCopula, GridCopula, IndependenceCopula,
-                      InvalidInputError, NonparametricMode, PairCopula, ParametricMode,
+                      InvalidInputError, NonparametricMode, ParametricMode,
                       VineCondSimEstimator, VineRatioEstimator,
                       analytic_mean_predictor, burr_sample, explain, fit_dvine,
                       fit_parametric, greedy_cover, shapley, study_params)
@@ -34,16 +34,18 @@ from vineshap.structure import set_of
 def reference_triangle(V, pairs, chains=None):
     """left[i][j] = F(v_j | v_{j+1..j+i}), right[i][j] = F(v_{j+i+1} | v_{j+1..j+i}).
 
-    chains[k], where given, is column k's h-inverse chain: chains[k][i] is
-    right[i][k-1-i], read from it instead of computed."""
+    chains[k], where given, is column k's h-inverse chain and the carries
+    its calls returned: chains[k][0][i] is right[i][k-1-i] and
+    chains[k][1][i] is left[i+1][k-1-i], read from them instead of computed."""
     m = V.shape[1]
     chains = chains or {}
     left = [[V[:, j] for j in range(m)]]
     right = [[V[:, j + 1] for j in range(m - 1)]]
     for i in range(m - 1):
-        left.append([pairs[i][j].hfunc(left[i][j], right[i][j], "second")
+        left.append([chains[j + i + 1][1][i] if j + i + 1 in chains else
+                     pairs[i][j].hfunc(left[i][j], right[i][j], "second")
                      for j in range(m - 1 - i)])
-        right.append([chains[j + i + 2][i + 1] if j + i + 2 in chains else
+        right.append([chains[j + i + 2][0][i + 1] if j + i + 2 in chains else
                       pairs[i][j + 1].hfunc(left[i][j + 1], right[i][j + 1], "first")
                       for j in range(m - 2 - i)])
     return left, right
@@ -70,9 +72,10 @@ def reference_rosenblatt(model, u):
 def reference_inverse_rosenblatt(model, w, reuse_chains=True, carried=None):
     """Column k is solved down its h-inverse chain, given the triangle of
     columns 0..k-1.  That triangle reads each solved column's h-values from
-    its chain, as the pass does; with `reuse_chains=False` it recomputes
-    them with h-functions, as the pass did before.  `carried`, if given,
-    receives the values x_0..x_{k-1} each column k was solved with."""
+    its chain and the carries of the calls that built it, as the pass does;
+    with `reuse_chains=False` it recomputes them with h-functions, as the
+    pass did before.  `carried`, if given, receives the values x_0..x_{k-1}
+    each column k was solved with."""
     W = np.clip(w, 1e-10, 1 - 1e-10)
     V = W.copy()
     chains = {}
@@ -80,10 +83,12 @@ def reference_inverse_rosenblatt(model, w, reuse_chains=True, carried=None):
         left, _ = reference_triangle(V[:, :k], model.pairs, reuse_chains and chains)
         if carried is not None:
             carried[k] = [left[i][k - 1 - i] for i in range(k)]
-        chain = [W[:, k]]
+        chain, carries = [W[:, k]], []
         for i in range(k, 0, -1):
-            chain.insert(0, model.pairs[i - 1][k - i].hinv(chain[0], left[i - 1][k - i], "first"))
-        V[:, k], chains[k] = chain[0], chain
+            y, h = model.pairs[i - 1][k - i].inverse(chain[0], left[i - 1][k - i], carry=True)
+            chain.insert(0, y)
+            carries.insert(0, h)
+        V[:, k], chains[k] = chain[0], (chain, carries)
     U = np.empty_like(V)
     U[:, list(model.order)] = V
     return U
@@ -152,15 +157,18 @@ def test_pass_matches_tree_by_tree_recursion(model, seed):
 
 
 def test_inverse_rosenblatt_h_points_per_row(monkeypatch):
-    """The inverse walks the recursion once and reads each solved column's
-    h-values off its h-inverse chain: only the carried F(v_j | ...) are
-    computed, (M-1)(M-2)/2 h-points per row."""
+    """The inverse walks the recursion once, one fused `inverse` call per
+    chain step: each solved column's h-values are its chain and the carries
+    those calls return, so it makes no `step` call.  Per row: M(M-1)/2
+    h-inverse points, and (M-1)(M-2)/2 carried ones (none at the last
+    column)."""
     m, n = 8, 10
-    points = counted_step_points(monkeypatch)
+    steps, inverses = counted_step_points(monkeypatch), counted_inverse_points(monkeypatch)
     data = np.random.default_rng(0).normal(size=(50, m))
     model = constant_vine(data, tuple(range(m)), GaussianCopula(0.5))
     model.inverse_rosenblatt(np.random.default_rng(1).uniform(size=(n, m)))
-    assert points == Counter(second=n * (m - 1) * (m - 2) // 2)
+    assert steps == Counter()
+    assert inverses == Counter(hinv=n * m * (m - 1) // 2, carried=n * (m - 1) * (m - 2) // 2)
 
 
 def counted_walk(monkeypatch):
@@ -218,39 +226,34 @@ def test_forward_walk_steps(monkeypatch, m):
 
 
 def test_conditional_sample_h_points_per_solved_row(monkeypatch):
-    """Solved rows make sum_{k=s}^{M-2} k h-points each, all cond_on="second";
-    x*'s pinned prefix adds its own pass on one row, which stops once the
-    values it carries to position s are in: the "first" values at s would
-    be read by nothing."""
+    """Solved rows make sum_{k=s}^{M-1} k h-inverse points and
+    sum_{k=s}^{M-2} k carried points each, from the fused `inverse` calls,
+    and no `step` call; x*'s pinned prefix adds its own pass on one row,
+    which stops once the values it carries to position s are in: the
+    "first" values at s would be read by nothing."""
     m, K = 8, 10
     data = np.random.default_rng(0).normal(size=(50, m))
     model = constant_vine(data, (3, 0, 7, 1, 6, 2, 5, 4), ClaytonCopula(2.0))
     for s in range(1, m):
         for features in (model.order[:s], model.order[m - s:]):
             with monkeypatch.context() as patch:
-                points = counted_step_points(patch)
+                steps, inverses = counted_step_points(patch), counted_inverse_points(patch)
                 model.conditional_sample([set(features)], data[0],
                                          [np.random.default_rng(s).uniform(size=(K, m - s))])
-            assert points == Counter(first=sum(range(s - 1)),
-                                     second=sum(range(s)) + K * sum(range(s, m - 1)))
+            assert steps == Counter(first=sum(range(s - 1)), second=sum(range(s)))
+            assert inverses == Counter(hinv=K * sum(range(s, m)),
+                                       carried=K * sum(range(s, m - 1)))
 
 
 def test_conditional_sample_solves_only_the_free_positions(monkeypatch):
     """The pinned pass: no Rosenblatt transform of x*_S and no h-inverse on
     its positions, so sum_{k=s}^{M-1} k h-inverse points per row."""
     m, K = 8, 10
-    points = []
-    inverse = PairCopula.inverse
-
-    def counted(self, w, x):
-        out = inverse(self, w, x)
-        points.append(out.size)
-        return out
 
     def refused(self, u):
         raise AssertionError("conditional_sample must not call rosenblatt")
 
-    monkeypatch.setattr(PairCopula, "inverse", counted)
+    points = counted_inverse_points(monkeypatch)
     monkeypatch.setattr(DVineModel, "rosenblatt", refused)
     data = np.random.default_rng(0).normal(size=(50, m))
     model = constant_vine(data, (3, 0, 7, 1, 6, 2, 5, 4), ClaytonCopula(2.0))
@@ -259,7 +262,7 @@ def test_conditional_sample_solves_only_the_free_positions(monkeypatch):
             points.clear()
             model.conditional_sample([set(features)], data[0],
                                      [np.random.default_rng(s).uniform(size=(K, m - s))])
-            assert sum(points) / K == sum(range(s, m))
+            assert points["hinv"] / K == sum(range(s, m))
 
 
 # ----------------------------------------------------------------------

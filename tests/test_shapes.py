@@ -13,13 +13,15 @@ from vineshap import (ClaytonCopula, DVineModel, EmpiricalMarginal,
 SHAPES = [(), (1,), (5,)]
 
 
+def _copulas(rng):
+    grid = fit_nonparametric(rng.uniform(0.05, 0.95, size=(200, 2)), grid_size=16)
+    return [IndependenceCopula(), GaussianCopula(0.4), ClaytonCopula(1.5, rotation=90), grid]
+
+
 def _cases():
     rng = np.random.default_rng(40)
-    grid = fit_nonparametric(rng.uniform(0.05, 0.95, size=(200, 2)), grid_size=16)
-    copulas = [IndependenceCopula(), GaussianCopula(0.4),
-               ClaytonCopula(1.5, rotation=90), grid]
     cases = []
-    for cop, (su, sv) in itertools.product(copulas, itertools.product(SHAPES, SHAPES)):
+    for cop, (su, sv) in itertools.product(_copulas(rng), itertools.product(SHAPES, SHAPES)):
         u, v = np.full(su, 0.3), np.full(sv, 0.6)
         want = np.broadcast_shapes(su, sv)
         tag = f"{cop.family}-{su}-{sv}"
@@ -64,3 +66,15 @@ def test_arrays_in_arrays_out(fn, args, want):
     out = fn(*args)
     assert isinstance(out, np.ndarray)
     assert out.shape == want
+
+
+@pytest.mark.parametrize("cop", _copulas(np.random.default_rng(40)), ids=lambda c: c.family)
+@pytest.mark.parametrize("sw,sx", list(itertools.product(SHAPES, SHAPES)),
+                         ids=[f"{a}-{b}" for a, b in itertools.product(SHAPES, SHAPES)])
+def test_inverse_returns_arrays_and_a_carry_only_if_asked(cop, sw, sx):
+    w, x = np.full(sw, 0.3), np.full(sx, 0.6)
+    want = np.broadcast_shapes(sw, sx)
+    y, carry = cop.inverse(w, x)
+    assert carry is None and isinstance(y, np.ndarray) and y.shape == want
+    for out in cop.inverse(w, x, carry=True):
+        assert isinstance(out, np.ndarray) and out.shape == want
