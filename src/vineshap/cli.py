@@ -262,8 +262,9 @@ def cmd_explain(args):
         })
         if args.diagnostics:
             records[-1]["values"] = {str(k): v for k, v in sorted(expl.values.items())}
-            if "ess_min" in expl.diagnostics:
-                records[-1]["ess_min"] = expl.diagnostics["ess_min"]
+            for key in ("ess_min", "ridge_flagged"):
+                if key in expl.diagnostics:
+                    records[-1][key] = expl.diagnostics[key]
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump({"columns": columns, "explanations": records}, fh, sort_keys=True)
         fh.write("\n")

@@ -3,7 +3,11 @@
 The Shapley combination itself is exact: all 2^M coalitions are
 enumerated and each v(S) is obtained once.  Estimators differ only in
 how they approximate the conditional expectation v(S) = E[g(x) | x_S]:
-each draws the rows at which to evaluate g (and their weights).
+each draws the rows at which to evaluate g (and their weights) through
+one `_draws(masks, x_star)`; `sample` and `sample_all` are its one- and
+all-coalition cases.  The Gaussian baselines draw a row in waves of at
+most `PREDICT_CELLS` // M rows: one multivariate normal call per
+coalition in mask order, then one data-scale map per feature per wave.
 `shapley_rows` explains many query rows through one predictor stream:
 it stacks v(empty)'s training rows (until cached), then each row's x*
 and the draws its `sample_all` yields, and calls the predictor once per
@@ -63,7 +67,7 @@ def shapley_from_values(M, values):
 
 class ContributionEstimator:
     """Base: holds the predictor, training data and Monte Carlo settings.
-    Estimators only implement `sample`; predicting and averaging live here."""
+    Estimators only implement `_draws`; predicting and averaging live here."""
 
     method = "base"
 
@@ -98,15 +102,18 @@ class ContributionEstimator:
     def begin_explanation(self, x_star):
         """Hook called once per query point (e.g. to fix a shared subsample)."""
 
-    def sample(self, features, x_star):
-        """(x, pi): rows at which to evaluate g, normalised weights or None."""
+    def _draws(self, masks, x_star):
+        """(mask, x, pi) per coalition mask, in any order: the rows at which
+        to evaluate g and their normalised weights, or None."""
         raise NotImplementedError
 
+    def sample(self, features, x_star):
+        """(x, pi) of one coalition: the one-coalition case of `_draws`."""
+        return next(self._draws([sum(1 << j for j in features)], x_star))[1:]
+
     def sample_all(self, x_star):
-        """(mask, x, pi) for every coalition but the empty and the full one,
-        in any order; here `sample` in mask order."""
-        for mask in range(1, (1 << self.M) - 1):
-            yield (mask, *self.sample(set_of(mask), x_star))
+        """`_draws` of every coalition but the empty and the full one."""
+        return self._draws(range(1, (1 << self.M) - 1), x_star)
 
     def contribution(self, features, x_star):
         return self.contribution_with_se(features, x_star)[0]
@@ -178,7 +185,8 @@ def shapley_rows(estimator, X_star, cells=None):
     Each row calls `begin_explanation`, in row order, before its first
     draw, so its draws are those of `shapley` on that row alone.  A row's
     diagnostics count the calls that carried any of its rows, and the rows
-    it sent (v(empty)'s with the first row's)."""
+    it sent (v(empty)'s with the first row's); a Gaussian baseline's also
+    list, in mask order, the coalitions in its `ridge_flagged`."""
     X_star = np.asarray(X_star, dtype=float)
     M = estimator.M
     if X_star.ndim != 2 or X_star.shape[1] != M:
@@ -216,6 +224,10 @@ def shapley_rows(estimator, X_star, cells=None):
                 ess[i][mask] = float(1.0 / np.sum(pi ** 2))
     if tables and estimator._v_empty is None:
         estimator._v_empty = tables[0][0]
+    # a Gaussian baseline's ridge flag depends on the mask alone: one list for every row
+    flagged = getattr(estimator, "ridge_flagged", None)
+    if flagged is not None:
+        flagged = sorted(sum(1 << j for j in features) for features in flagged)
     out = []
     for values, row_ess, (calls, rows) in zip(tables, ess, counts):
         values[0] = estimator._v_empty
@@ -223,6 +235,8 @@ def shapley_rows(estimator, X_star, cells=None):
         diagnostics = {"predictor_calls": calls, "predictor_rows": rows}
         if row_ess:
             diagnostics.update(ess=dict(sorted(row_ess.items())), ess_min=min(row_ess.values()))
+        if flagged is not None:
+            diagnostics["ridge_flagged"] = list(flagged)
         out.append(Explanation(phi0=phi0, phi=phi, values=values, method=estimator.method,
                                K=estimator.K, diagnostics=diagnostics))
     return out
@@ -236,9 +250,10 @@ class IndependenceEstimator(ContributionEstimator):
 
     method = "independence"
 
-    def sample(self, features, x_star):
-        idx = self.rng.integers(0, self.train_x.shape[0], size=self.K)
-        return self._pinned(idx, features, x_star), None
+    def _draws(self, masks, x_star):
+        for mask in masks:
+            idx = self.rng.integers(0, self.train_x.shape[0], size=self.K)
+            yield mask, self._pinned(idx, set_of(mask), x_star), None
 
 
 def _conditional_normal(mu, sigma, s_cols, sbar_cols, x_s):
@@ -269,7 +284,10 @@ def _conditional_normal(mu, sigma, s_cols, sbar_cols, x_s):
 
 class GaussianCopulaEstimator(ContributionEstimator):
     """Empirical marginals + Gaussian copula: the complement is drawn from
-    the conditional N(mu, sigma) on the normal scale and mapped back."""
+    the conditional N(mu, sigma) on the normal scale and mapped back.
+    `_draws` scores x* once, draws each coalition in mask order into waves
+    of at most PREDICT_CELLS // M rows (a larger coalition is a wave of its
+    own), maps each wave in place and yields its tables in mask order."""
 
     method = "gaussian-copula"
 
@@ -284,27 +302,37 @@ class GaussianCopulaEstimator(ContributionEstimator):
         scores = special().ndtri(pseudo_observations(self.train_x, self.marginals))
         return np.zeros(self.M), np.corrcoef(scores, rowvar=False)
 
-    def to_normal(self, cols, x):
-        return special().ndtri([self.marginals[j].cdf(x[i]) for i, j in enumerate(cols)])
+    def to_normal(self, x):
+        """Normal scores of a data-scale row."""
+        return special().ndtri([f.cdf(v) for f, v in zip(self.marginals, x)])
 
-    def from_normal(self, cols, z):
-        return np.column_stack([
-            self.marginals[j].quantile(np.clip(special().ndtr(z[:, i]), EPS, 1 - EPS))
-            for i, j in enumerate(cols)])
+    def from_normal(self, x, masks):
+        """Map each feature's free columns of a (coalitions, K, M) wave x
+        from normal scores to the data scale, in place."""
+        for j, f in enumerate(self.marginals):
+            free = [i for i, mask in enumerate(masks) if not mask >> j & 1]
+            if free:
+                x[free, :, j] = f.quantile(np.clip(special().ndtr(x[free, :, j]), EPS, 1 - EPS))
 
-    def sample(self, features, x_star):
-        s_cols = sorted(features)
-        sbar_cols = sorted(set(range(self.M)) - set(features))
-        mu_c, cov_c, flagged = _conditional_normal(
-            self.mu, self.sigma, s_cols, sbar_cols, self.to_normal(s_cols, x_star[s_cols]))
-        if flagged:
-            self.ridge_flagged.add(frozenset(features))
-        z = self.rng.multivariate_normal(mu_c, cov_c, size=self.K,
-                                         method="cholesky")
-        x = np.empty((self.K, self.M))
-        x[:, s_cols] = x_star[s_cols]
-        x[:, sbar_cols] = self.from_normal(sbar_cols, z)
-        return x, None
+    def _draws(self, masks, x_star):
+        scores = self.to_normal(x_star)
+        masks = list(masks)
+        per_wave = max(1, PREDICT_CELLS // self.M // self.K)
+        for start in range(0, len(masks), per_wave):
+            wave = masks[start:start + per_wave]
+            x = np.empty((len(wave), self.K, self.M))
+            for mask, table in zip(wave, x):
+                s_cols = [j for j in range(self.M) if mask >> j & 1]
+                sbar_cols = [j for j in range(self.M) if not mask >> j & 1]
+                mu_c, cov_c, flagged = _conditional_normal(
+                    self.mu, self.sigma, s_cols, sbar_cols, scores[s_cols])
+                if flagged:
+                    self.ridge_flagged.add(frozenset(s_cols))
+                table[:, s_cols] = x_star[s_cols]
+                table[:, sbar_cols] = self.rng.multivariate_normal(
+                    mu_c, cov_c, size=self.K, method="cholesky")
+            self.from_normal(x, wave)
+            yield from ((mask, table, None) for mask, table in zip(wave, x))
 
 
 class GaussianEstimator(GaussianCopulaEstimator):
@@ -315,11 +343,11 @@ class GaussianEstimator(GaussianCopulaEstimator):
     def fit_normal(self):
         return np.mean(self.train_x, axis=0), np.cov(self.train_x, rowvar=False)
 
-    def to_normal(self, cols, x):
+    def to_normal(self, x):
         return x
 
-    def from_normal(self, cols, z):
-        return z
+    def from_normal(self, x, masks):
+        pass
 
 
 # ----------------------------------------------------------------------
@@ -329,7 +357,7 @@ class _VineEstimator(ContributionEstimator):
     """Base of the vine estimators: checks their cover plan once, when built.
     A subclass sets `plan_method`, the `CoverPlan.method` it serves, and
     yields (mask, x, pi) per coalition from `_draws(masks, x_star)`, one
-    vine call per group of coalitions; `sample` is its one-coalition case."""
+    vine call per group of coalitions."""
 
     def __init__(self, train_x, predictor, models, plan, K=1000, rng=None):
         super().__init__(train_x, predictor, K, rng)
@@ -341,12 +369,6 @@ class _VineEstimator(ContributionEstimator):
                                     "of the models' orders")
         if len(plan.assignment) != (1 << self.M) - 2:  # it holds only required sets
             raise CoverageError("the plan leaves a coalition unserved")
-
-    def sample(self, features, x_star):
-        return next(self._draws([sum(1 << j for j in features)], x_star))[1:]
-
-    def sample_all(self, x_star):
-        return self._draws(range(1, (1 << self.M) - 1), x_star)
 
 
 class VineCondSimEstimator(_VineEstimator):

@@ -567,6 +567,28 @@ def test_explain_diagnostics_write_the_ratio_ess_min(train_csv, test_csv, tmp_pa
             assert "ess_min" not in rec
 
 
+@pytest.mark.parametrize("method", ["gaussian", "gaussian-copula"])
+def test_explain_diagnostics_write_the_gaussian_ridge_flags(tmp_path, method):
+    # x2 repeats x1: sigma_SS of S = {x1, x2} (mask 3) is singular
+    rng = np.random.default_rng(10)
+    z, noise = rng.normal(size=(2, 200))
+    train = tmp_path / "train.csv"
+    rows = zip(z.tolist(), noise.tolist())
+    train.write_text("x1,x2,x3\n" + "".join(f"{a!r},{a!r},{b!r}\n" for a, b in rows))
+    model = tmp_path / "m.json"
+    assert run_cli("fit", str(train), "--method", method, "--out", str(model)) == 0
+    docs = []
+    for extra in ([], ["--diagnostics"]):
+        out = tmp_path / f"e{len(extra)}.json"
+        assert run_cli("explain", str(model), str(train), "--predictor", "linear:1,2,3",
+                       "--k", "50", "--seed", "4", "--out", str(out), *extra) == 0
+        docs.append(out.read_text())
+    plain, diagnosed = (json.loads(doc)["explanations"] for doc in docs)
+    assert json.dumps([r["phi"] for r in plain]) == json.dumps([r["phi"] for r in diagnosed])
+    assert all("ridge_flagged" not in rec for rec in plain)
+    assert [rec["ridge_flagged"] for rec in diagnosed] == [[3]] * 200
+
+
 @pytest.mark.parametrize("method", ["vine-parametric", "gaussian", "gaussian-copula"])
 def test_bundle_stores_train_once(train_csv, tmp_path, method):
     out = tmp_path / "m.json"

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import special, stats
 
 import vineshap.dvine as dvine
 from helpers import constant_vine, count_steps, straddled_overlaps
@@ -13,6 +15,7 @@ from vineshap import (ClaytonCopula, CoverageError, CoverPlan, GaussianCopula,
                       explain, fit_dvine, greedy_cover, shapley,
                       shapley_from_values, shapley_rows, shapley_weights,
                       study_params)
+from vineshap.bicop import EPS
 from vineshap.structure import set_of
 
 
@@ -197,6 +200,82 @@ def test_gaussian_copula_agrees_with_gaussian_on_gaussian_data():
     vb = b.contribution({0}, x_star)
     se = np.sqrt(2 * (1 - rho * rho) / 10000)
     assert abs(va - vb) < 3 * se + 0.02
+
+
+def test_gaussian_ridge_flags_are_reported_in_every_rows_diagnostics():
+    # the singular block of test_gaussian_ridge_path_flags: sigma_SS of S = {0, 1}
+    rng = np.random.default_rng(10)
+    z = rng.normal(size=(200, 1))
+    train = np.column_stack([z, z, rng.normal(size=(200, 1))])
+    for cls in (GaussianEstimator, GaussianCopulaEstimator):
+        est = cls(train, lambda x: x[:, 2], K=100, rng=np.random.default_rng(11))
+        rows = shapley_rows(est, train[:3])
+        assert est.ridge_flagged == {frozenset({0, 1})}
+        assert [e.diagnostics["ridge_flagged"] for e in rows] == [[0b011]] * 3
+
+
+def reference_gaussian_sample(est, mask, x_star):
+    """One coalition's draw of a Gaussian baseline as a coalition of its own:
+    x*_S's normal scores, the conditional moments, one `multivariate_normal`
+    call, then one data-scale map per free column.  Returns (x, ridge flag)."""
+    copula = not isinstance(est, GaussianEstimator)
+    s_cols = [j for j in range(est.M) if mask >> j & 1]
+    sbar_cols = [j for j in range(est.M) if not mask >> j & 1]
+    x_s = x_star[s_cols]
+    if copula:
+        x_s = special.ndtri([est.marginals[j].cdf(x_star[j]) for j in s_cols])
+    mu_c, cov_c, flagged = explain._conditional_normal(est.mu, est.sigma, s_cols,
+                                                       sbar_cols, x_s)
+    z = est.rng.multivariate_normal(mu_c, cov_c, size=est.K, method="cholesky")
+    if copula:
+        z = np.column_stack([
+            est.marginals[j].quantile(np.clip(special.ndtr(z[:, i]), EPS, 1 - EPS))
+            for i, j in enumerate(sbar_cols)])
+    x = np.empty((est.K, est.M))
+    x[:, s_cols] = x_star[s_cols]
+    x[:, sbar_cols] = z
+    return x, flagged
+
+
+@pytest.mark.parametrize("cls", [GaussianEstimator, GaussianCopulaEstimator])
+@settings(max_examples=10, deadline=None)
+@given(M=st.sampled_from([2, 3, 5, 8]), K=st.sampled_from([1, 7, 100, 1000, 40000]),
+       seed=st.integers(0, 2 ** 32 - 1), singular=st.booleans())
+# K = 1; a K that leaves part of a wave (PREDICT_CELLS // M rows) unused, so the
+# coalitions span several waves; K larger than one wave: one coalition per wave
+@example(M=2, K=1, seed=0, singular=True)
+@example(M=3, K=1, seed=1, singular=False)
+@example(M=5, K=1, seed=2, singular=True)
+@example(M=8, K=1, seed=3, singular=False)
+@example(M=5, K=1000, seed=4, singular=True)
+@example(M=8, K=100, seed=5, singular=True)
+@example(M=3, K=40000, seed=6, singular=True)
+def test_gaussian_waves_equal_one_draw_per_coalition(cls, M, K, seed, singular):
+    """phi, every v(S) and the ridge flags of both Gaussian baselines are those
+    of coalitions drawn one at a time, in mask order, bit for bit."""
+    if K * (1 << M) > 400_000:     # keep an example under about a second
+        K = 100
+    rng = np.random.default_rng(seed)
+    train = rng.gamma(2.0, size=(200, M))
+    if singular:
+        train[:, 1] = train[:, 0]
+    X_star = rng.gamma(2.0, size=(2, M))
+    waves = cls(train, row_wise, K=K, rng=np.random.default_rng(seed))
+    reference = cls(train, row_wise, K=K, rng=np.random.default_rng(seed))
+    full = (1 << M) - 1
+    v_empty = float(np.mean(reference.predict(train)))
+    for expl, x_star in zip(shapley_rows(waves, X_star), X_star):
+        values, flagged = {0: v_empty, full: float(reference.predict(x_star[None, :])[0])}, []
+        for mask in range(1, full):
+            x, flag = reference_gaussian_sample(reference, mask, x_star)
+            values[mask] = float(np.mean(reference.predict(x)))
+            if flag:
+                flagged.append(mask)
+        assert all(np.array_equal(expl.values[mask], v) for mask, v in values.items())
+        phi0, phi = shapley_from_values(M, values)
+        assert expl.phi0 == phi0 and np.array_equal(expl.phi, phi)
+        assert expl.diagnostics["ridge_flagged"] == flagged
+    assert waves.ridge_flagged == {set_of(mask) for mask in flagged}
 
 
 # ----------------------------------------------------------------------
@@ -445,11 +524,13 @@ class UnevenEstimator(IndependenceEstimator):
         super().__init__(*args, **kwargs)
         self.drawn = []
 
-    def sample(self, features, x_star):
-        n = 4 * self.K if features == {1} else self.K
-        x = self._pinned(self.rng.integers(0, len(self.train_x), size=n), features, x_star)
-        self.drawn.append(x)
-        return x, None
+    def _draws(self, masks, x_star):
+        for mask in masks:
+            n = 4 * self.K if mask == 0b10 else self.K
+            x = self._pinned(self.rng.integers(0, len(self.train_x), size=n), set_of(mask),
+                             x_star)
+            self.drawn.append(x)
+            yield mask, x, None
 
 
 def test_batches_flush_at_the_cell_budget(monkeypatch):
@@ -473,9 +554,11 @@ def test_batches_flush_at_the_cell_budget(monkeypatch):
 
 def predictor_counts(expl, method):
     """The row's predictor counts; the ratio estimator, and only it, also
-    reports the ESS of its weights."""
-    ess = {"ess", "ess_min"} if method == "ratio" else set()
-    assert set(expl.diagnostics) == {"predictor_calls", "predictor_rows"} | ess
+    reports the ESS of its weights, and the Gaussian baselines alone their
+    ridge flags."""
+    extra = {"ratio": {"ess", "ess_min"}, "gaussian": {"ridge_flagged"},
+             "gaussian-copula": {"ridge_flagged"}}.get(method, set())
+    assert set(expl.diagnostics) == {"predictor_calls", "predictor_rows"} | extra
     return expl.diagnostics["predictor_calls"], expl.diagnostics["predictor_rows"]
 
 
