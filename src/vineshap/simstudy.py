@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bicop import ClaytonCopula
-from .dvine import (DVineModel, NonparametricMode, ParametricMode, fit_vines,
-                    pseudo_observations)
+from .dvine import DVineModel, NonparametricMode, ParametricMode, fit_vines
 from .errors import InvalidInputError
 from .explain import (Explanation, GaussianCopulaEstimator, GaussianEstimator,
                       IndependenceEstimator, VineCondSimEstimator,
@@ -58,6 +57,16 @@ def study_params(p, M=10):
     return BurrParams(p=p, b=STUDY_B[:M], r=STUDY_R[:M])
 
 
+def _burr_cdf(x, p, b, r, out):
+    """F(max(x, 0)) = 1 - (1 + r x^b)^(-p), clipped to [1e-12, 1 - 1e-12],
+    written into `out`; b a float, so that x^b takes NumPy's scalar power."""
+    u = np.maximum(x, 0.0, out=out)
+    u **= b
+    u *= r
+    np.multiply(np.log1p(u, out=u), -p, out=u)
+    return np.clip(np.negative(np.expm1(u, out=u), out=u), 1e-12, 1 - 1e-12, out=u)
+
+
 class BurrMarginal:
     """Analytic univariate Burr marginal: F(x) = 1 - (1 + r x^b)^(-p)."""
 
@@ -65,9 +74,8 @@ class BurrMarginal:
         self.p, self.b, self.r = float(p), float(b), float(r)
 
     def cdf(self, x):
-        x = np.maximum(np.asarray(x, dtype=float), 0.0)
-        u = -np.expm1(-self.p * np.log1p(self.r * x ** self.b))
-        return np.asarray(np.clip(u, 1e-12, 1 - 1e-12))
+        x = np.asarray(x, dtype=float)
+        return _burr_cdf(x, self.p, self.b, self.r, np.empty(x.shape))
 
     def quantile(self, u):
         u = np.asarray(u, dtype=float)
@@ -112,11 +120,16 @@ def burr_sample(params, n, rng):
     """Gamma-mixture sampler: X_m = (E_m / (G r_m))^(1/b_m), G ~ Gamma(p)."""
     if n < 0:
         raise InvalidInputError("sample size must be >= 0")
-    g = rng.gamma(params.p, 1.0, size=(n, 1))
-    e = rng.exponential(1.0, size=(n, params.M))
-    b = np.asarray(params.b)
-    r = np.asarray(params.r)
-    return (e / (g * r)) ** (1.0 / b)
+    return _burr_draws(params.p, np.asarray(params.b), np.asarray(params.r), n, rng)
+
+
+def _burr_draws(p, b, r, n, rng):
+    """`burr_sample`'s (n, len(b)) draws, formed in place in the exponentials."""
+    g = rng.gamma(p, 1.0, size=(n, 1))
+    e = rng.exponential(1.0, size=(n, len(b)))
+    e /= g * r
+    e **= 1.0 / b
+    return e
 
 
 def burr_conditional_params(params, features, x_star):
@@ -129,8 +142,7 @@ def burr_conditional_params(params, features, x_star):
         raise InvalidInputError("conditioning set must be a proper nonempty subset")
     x_star = np.asarray(x_star, dtype=float)
     sbar = [j for j in range(params.M) if j not in set(s_cols)]
-    b = np.asarray(params.b)
-    r = np.asarray(params.r)
+    b, r = np.asarray(params.b), np.asarray(params.r)
     denom = 1.0 + np.sum(r[s_cols] * x_star[s_cols] ** b[s_cols])
     cond = BurrParams(p=params.p + len(s_cols),
                       b=tuple(b[sbar]), r=tuple(r[sbar] / denom))
@@ -148,39 +160,47 @@ def response_mean_from_u(U):
     u1 u2 exp(1.8 u3 u4) and the 0.5 u1 noise multiplier).
     """
     U = np.atleast_2d(np.asarray(U, dtype=float))
-    u = np.zeros((U.shape[0], 10))
-    u[:, :U.shape[1]] = U[:, :10]
-    return (u[:, 0] * u[:, 1] * np.exp(1.8 * u[:, 2] * u[:, 3])
-            + u[:, 4] * u[:, 5] * np.exp(1.8 * u[:, 6] * u[:, 7])
-            + u[:, 8] * np.exp(1.8 * u[:, 9]))
+    u = np.zeros((10, U.shape[0]))
+    u[:min(U.shape[1], 10)] = U[:, :10].T
+    return _response_mean(u)
+
+
+def _response_mean(u):
+    """The response mean from a (10, n) table, one row per u."""
+    return (u[0] * u[1] * np.exp(1.8 * u[2] * u[3])
+            + u[4] * u[5] * np.exp(1.8 * u[6] * u[7])
+            + u[8] * np.exp(1.8 * u[9]))
+
+
+def _u_table(params, x):
+    """The (10, n) Burr cdfs of an (n, M) table or one (M,) row; rows M..9 zero."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.ndim > 2 or x.shape[1] != params.M:
+        raise InvalidInputError(f"expected an (n, {params.M}) table or one row, got {x.shape}")
+    u = np.zeros((10, len(x)))
+    for j in range(min(params.M, 10)):
+        _burr_cdf(x[:, j], params.p, params.b[j], params.r[j], u[j])
+    return u
 
 
 def generate_response(x, params, noise_scale=0.5, rng=None):
     """y = response mean + noise_scale (u1 + u5 + u9) eps, eps ~ N(0, 1)."""
     if noise_scale < 0:
         raise InvalidInputError("noise_scale must be >= 0")
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if np.any(x <= 0):
+    if np.any(np.asarray(x) <= 0):
         raise InvalidInputError("x must lie in the Burr support (positive)")
-    U = pseudo_observations(x, [marginal(params, m) for m in range(params.M)])
-    y = response_mean_from_u(U)
+    u = _u_table(params, x)
+    y = _response_mean(u)
     if noise_scale > 0:
         if rng is None:
             raise InvalidInputError("noise_scale > 0 requires an rng")
-        u_pad = np.zeros((U.shape[0], 10))
-        u_pad[:, :U.shape[1]] = U
-        het = u_pad[:, 0] + u_pad[:, 4] + u_pad[:, 8]
-        y = y + noise_scale * het * rng.standard_normal(U.shape[0])
+        y = y + noise_scale * (u[0] + u[4] + u[8]) * rng.standard_normal(len(y))
     return y
 
 
 def analytic_mean_predictor(params):
     """Noise-free conditional mean of the response, as a predictor g(x)."""
-    marginals = [marginal(params, m) for m in range(params.M)]
-
-    def g(x):
-        return response_mean_from_u(pseudo_observations(np.atleast_2d(x), marginals))
-    return g
+    return lambda x: _response_mean(_u_table(params, x))
 
 
 def knn_predictor(train_x, train_y, k=10):
@@ -214,43 +234,42 @@ def truth_vine(params):
     the marginals are the analytic Burr cdfs, so the vine IS the Burr
     distribution.
     """
-    theta = 1.0 / params.p
-    m = params.M
-    pairs = []
-    for i in range(m - 1):
-        th_i = theta / (1.0 + i * theta)
-        pairs.append([ClaytonCopula(th_i, rotation=180) for _ in range(m - 1 - i)])
-    marginals = [marginal(params, j) for j in range(m)]
-    return DVineModel(tuple(range(m)), pairs, marginals)
+    theta, m = 1.0 / params.p, params.M
+    pairs = [[ClaytonCopula(theta / (1.0 + i * theta), rotation=180) for _ in range(m - 1 - i)]
+             for i in range(m - 1)]
+    return DVineModel(tuple(range(m)), pairs, [marginal(params, j) for j in range(m)])
 
 
 # ----------------------------------------------------------------------
 # oracle and scoring
 
 def true_shapley(params, predictor, x_star, K_oracle=10000, rng=None):
-    """Ground-truth Shapley values via analytic conditional Burr sampling."""
-    if K_oracle < 1000:
-        raise InvalidInputError("oracle needs K_oracle >= 1000")
-    if rng is None:
-        rng = np.random.default_rng()
-    x_star = np.asarray(x_star, dtype=float)
+    """Ground-truth Shapley values via analytic conditional Burr sampling: per
+    row x*, 2^M predictor calls on (2^M - 1) K_oracle + 1 rows.  Each coalition
+    S but the full set refills one column-major buffer, x*_S fixed and x_Sbar
+    drawn from the Burr conditional: bit for bit the truths of a new table each."""
     m = params.M
+    x_star = np.asarray(x_star, dtype=float)
+    if x_star.shape != (m,) or not np.all(np.isfinite(x_star)) or np.any(x_star <= 0):
+        raise InvalidInputError(f"x* must be {m} finite positive values, got {x_star}")
+    if not isinstance(K_oracle, (int, np.integer)) or K_oracle < 1000:
+        raise InvalidInputError(f"oracle needs an integer K_oracle >= 1000, got {K_oracle!r}")
+    rng = np.random.default_rng(rng)
+    b, r = np.asarray(params.b), np.asarray(params.r)
+    terms = r * x_star ** b
     full = (1 << m) - 1
-    values = {}
-    base = burr_sample(params, K_oracle, rng)
-    values[0] = float(np.mean(predictor(base)))
-    values[full] = float(np.asarray(predictor(x_star[None, :])).ravel()[0])
-    for mask in range(1, full):
-        features = [j for j in range(m) if mask & (1 << j)]
-        draws, sbar = burr_conditional_params(params, features, x_star)
-        samp = burr_sample(draws, K_oracle, rng)
-        x = np.empty((K_oracle, m))
-        x[:, features] = x_star[features]
-        x[:, sbar] = samp
+    # v(empty set) first, then v(full set): shapley_from_values sums in this order
+    values = {0: None, full: float(np.asarray(predictor(x_star[None, :])).ravel()[0])}
+    x = np.empty((K_oracle, m), order="F")
+    for mask in range(full):
+        s = [j for j in range(m) if mask >> j & 1]
+        sbar = [j for j in range(m) if not mask >> j & 1]
+        x[:, s] = x_star[s]
+        x[:, sbar] = _burr_draws(params.p + len(s), b[sbar],
+                                 r[sbar] / (1.0 + np.sum(terms[s])), K_oracle, rng)
         values[mask] = float(np.mean(predictor(x)))
     phi0, phi = shapley_from_values(m, values)
-    return Explanation(phi0=phi0, phi=phi, values=values,
-                       method="true", K=K_oracle)
+    return Explanation(phi0=phi0, phi=phi, values=values, method="true", K=K_oracle)
 
 
 def mae(estimates, truths):
@@ -327,21 +346,17 @@ def run_repetition(config, rep):
     """One repetition of the protocol; deterministic in (seed, rep)."""
     config.validate()
     ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(rep,))
-    rng_data, rng_fit, rng_explain, rng_oracle = [
-        np.random.default_rng(s) for s in ss.spawn(4)]
+    rng_data, rng_fit, rng_explain, rng_oracle = map(np.random.default_rng, ss.spawn(4))
 
     params = config.burr
     train_x = burr_sample(params, config.n_train, rng_data)
     train_y = generate_response(train_x, params, config.noise_scale, rng_data)
-    if config.predictor == "analytic-mean":
-        g = analytic_mean_predictor(params)
-    else:
-        g = knn_predictor(train_x, train_y)
+    g = (analytic_mean_predictor(params) if config.predictor == "analytic-mean"
+         else knn_predictor(train_x, train_y))
     test_x = burr_sample(params, config.n_test, rng_data)
 
-    truths = np.array([
-        true_shapley(params, g, x, config.K_oracle, rng_oracle).phi
-        for x in test_x])
+    truths = np.array([true_shapley(params, g, x, config.K_oracle, rng_oracle).phi
+                       for x in test_x])
 
     rows, timings = [], []
     for tag in config.methods:

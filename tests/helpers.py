@@ -4,7 +4,8 @@ from collections import Counter
 
 import numpy as np
 
-from vineshap import DVineModel, EmpiricalMarginal, GridCopula, PairCopula
+from vineshap import (BurrMarginal, DVineModel, EmpiricalMarginal, GridCopula, PairCopula,
+                      burr_conditional_params, shapley_from_values)
 
 STEP_SLOTS = ("second", "first", "log_density")
 
@@ -90,3 +91,58 @@ def counted_step_points(monkeypatch):
 
     count_steps(monkeypatch, record)
     return points
+
+
+# ----------------------------------------------------------------------
+# the Burr oracle's reference layout: a new table per coalition, the
+# sampler's out-of-place form and the (n, 10) zero-padded response
+
+def reference_burr_sample(params, n, rng):
+    g = rng.gamma(params.p, 1.0, size=(n, 1))
+    e = rng.exponential(1.0, size=(n, params.M))
+    b = np.asarray(params.b)
+    r = np.asarray(params.r)
+    return (e / (g * r)) ** (1.0 / b)
+
+
+def reference_burr_cdf(marginal, x):
+    x = np.maximum(np.asarray(x, dtype=float), 0.0)
+    u = -np.expm1(-marginal.p * np.log1p(marginal.r * x ** marginal.b))
+    return np.asarray(np.clip(u, 1e-12, 1 - 1e-12))
+
+
+def reference_response_mean(U):
+    U = np.atleast_2d(np.asarray(U, dtype=float))
+    u = np.zeros((U.shape[0], 10))
+    u[:, :U.shape[1]] = U[:, :10]
+    return (u[:, 0] * u[:, 1] * np.exp(1.8 * u[:, 2] * u[:, 3])
+            + u[:, 4] * u[:, 5] * np.exp(1.8 * u[:, 6] * u[:, 7])
+            + u[:, 8] * np.exp(1.8 * u[:, 9]))
+
+
+def reference_analytic_mean_predictor(params):
+    marginals = [BurrMarginal(params.p, b, r) for b, r in zip(params.b, params.r)]
+
+    def g(x):
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        return reference_response_mean(np.column_stack(
+            [reference_burr_cdf(marginals[j], x[:, j]) for j in range(x.shape[1])]))
+    return g
+
+
+def reference_true_shapley(params, predictor, x_star, K_oracle, rng):
+    """(v table, phi) of the oracle with one new (K_oracle, M) table per
+    coalition, v(empty set) from `reference_burr_sample` of the joint."""
+    x_star = np.asarray(x_star, dtype=float)
+    m = params.M
+    full = (1 << m) - 1
+    values = {0: float(np.mean(predictor(reference_burr_sample(params, K_oracle, rng)))),
+              full: float(np.asarray(predictor(x_star[None, :])).ravel()[0])}
+    for mask in range(1, full):
+        features = [j for j in range(m) if mask & (1 << j)]
+        draws, sbar = burr_conditional_params(params, features, x_star)
+        x = np.empty((K_oracle, m))
+        x[:, features] = x_star[features]
+        x[:, sbar] = reference_burr_sample(draws, K_oracle, rng)
+        values[mask] = float(np.mean(predictor(x)))
+    return values, shapley_from_values(m, values)[1]

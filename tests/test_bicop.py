@@ -144,23 +144,37 @@ REFERENCE_GRID = np.concatenate([[EPS, 1e-9, 1e-6, 1e-3], np.linspace(0.01, 0.99
                                  [1 - 1e-6, 1 - 1e-9, 1 - EPS]])
 
 
+def assert_clayton_hinv_matches_50_digits(theta, bound):
+    """h-inverse within bound / min(theta, 1) relative over REFERENCE_GRID^2:
+    its power -1/theta magnifies one rounding by 1/theta."""
+    w, v = (a.ravel() for a in np.meshgrid(REFERENCE_GRID, REFERENCE_GRID))
+    got = ClaytonCopula(theta).hinv(w, v)
+    want = np.clip([float(clayton_hinv_50_digits(theta, a, b)) for a, b in zip(w, v)],
+                   EPS, 1 - EPS)
+    assert np.all(np.abs(got - want) <= bound / min(theta, 1.0) * want)
+
+
 @pytest.mark.parametrize("theta", [1e-4, 0.05, 2.0, 14.0, 29.0, 30.0, 31.0, 35.0, 50.0])
 def test_clayton_log_density_and_hinv_match_50_digits(theta):
     """One form per kernel, finite and within a few ulps over the clipped
-    square at every theta up to the fit cap.  h-inverse's power -1/theta
-    magnifies one rounding by 1/theta, so small theta gets a looser bound."""
+    square at every theta up to the fit cap."""
     u, v = (a.ravel() for a in np.meshgrid(REFERENCE_GRID, REFERENCE_GRID))
     cop = ClaytonCopula(theta)
     got = cop.log_density(u, v)
     want = np.array([float(clayton_log_density_50_digits(theta, a, b)) for a, b in zip(u, v)])
     assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
-    got = cop.hinv(u, v)
-    want = np.clip([float(clayton_hinv_50_digits(theta, a, b)) for a, b in zip(u, v)],
-                   EPS, 1 - EPS)
-    assert np.all(np.abs(got - want) <= 1e-15 / min(theta, 1.0) * want)
+    assert_clayton_hinv_matches_50_digits(theta, 1e-15)
     assert np.all(np.isfinite(cop.step(u, v, log_density=True)[2]))
     with mock.patch.object(bicop.PairCopula, "_unflip", lambda self, out: out):
         assert np.all(cop.inverse(u, v)[0] > 0)  # h-inverse before its clip
+
+
+@pytest.mark.parametrize("theta", np.geomspace(1e-4, 50.0, 40), ids="{:.4g}".format)
+def test_clayton_hinv_matches_50_digits_between_the_listed_theta(theta):
+    """A log-spaced scan of the fit range: the power also magnifies the
+    rounding of s a little above theta = 1 (1.9e-15 relative at 1.23), so
+    the scan's bound is twice the listed theta's."""
+    assert_clayton_hinv_matches_50_digits(theta, 2e-15)
 
 
 def clayton_inverse_50_digits(theta, rotation, w, x):

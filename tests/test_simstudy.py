@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
@@ -12,6 +12,9 @@ from vineshap import (BurrParams, ExperimentConfig, InvalidInputError,
 from vineshap import shapley, simstudy
 from vineshap.explain import ContributionEstimator
 from vineshap.simstudy import METHOD_TAGS, marginal
+
+from helpers import (reference_analytic_mean_predictor, reference_burr_cdf,
+                     reference_burr_sample, reference_true_shapley)
 
 
 # ----------------------------------------------------------------------
@@ -247,12 +250,108 @@ def test_true_shapley_rejects_small_k():
                      np.ones(2), K_oracle=10)
 
 
+def never_called(x):
+    raise AssertionError("the oracle called its predictor before checking its input")
+
+
+@pytest.mark.parametrize("x_star", [
+    pytest.param(np.ones(4), id="shape-4"),
+    pytest.param(np.ones(2), id="shape-2"),
+    pytest.param(np.ones((1, 3)), id="shape-1x3"),
+    pytest.param([1.0, np.nan, 1.0], id="nan"),
+    pytest.param([1.0, np.inf, 1.0], id="inf"),
+    pytest.param([1.0, -2.0, 1.0], id="negative"),
+    pytest.param([1.0, 0.0, 1.0], id="zero"),
+])
+def test_true_shapley_rejects_x_star_off_the_burr_support(x_star):
+    with pytest.raises(InvalidInputError, match="x\\* must be 3 finite positive"):
+        true_shapley(study_params(1.0, M=3), never_called, x_star, 1000)
+
+
+@pytest.mark.parametrize("K_oracle", [1000.5, 2000.0, "2000"])
+def test_true_shapley_rejects_a_k_oracle_that_is_not_an_integer_from_1000(K_oracle):
+    with pytest.raises(InvalidInputError, match="integer K_oracle >= 1000"):
+        true_shapley(study_params(1.0, M=3), never_called, np.ones(3), K_oracle)
+
+
+@settings(max_examples=12, deadline=None)
+@given(M=st.sampled_from([2, 3, 5, 8]), knn=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+@example(M=2, knn=True, seed=0, data=None)
+@example(M=3, knn=False, seed=1, data=None)
+@example(M=5, knn=True, seed=2, data=None)
+@example(M=8, knn=False, seed=3, data=None)
+def test_true_shapley_is_bit_identical_to_a_new_table_per_coalition(M, knn, seed, data):
+    """The refilled column-major buffer and the in-place sampler give every
+    v(S) and phi of the per-coalition layout bit for bit, from the same
+    random stream."""
+    params = study_params(0.5, M)
+    rng = np.random.default_rng(seed)
+    if data is None:
+        x_star = burr_sample(params, 1, rng)[0]
+    else:
+        x_star = np.array(data.draw(st.lists(st.floats(1e-3, 1e3), min_size=M, max_size=M)))
+    if knn:
+        train = burr_sample(params, 200, rng)
+        g = g_ref = knn_predictor(train, generate_response(train, params, 0.5, rng))
+    else:
+        g, g_ref = analytic_mean_predictor(params), reference_analytic_mean_predictor(params)
+    got = true_shapley(params, g, x_star, 1000, np.random.default_rng(seed))
+    values, phi = reference_true_shapley(params, g_ref, x_star, 1000,
+                                         np.random.default_rng(seed))
+    assert got.values == values and list(got.values) == list(values)
+    assert np.array_equal(got.phi, phi)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 1000])
+def test_burr_sample_is_bit_identical_to_its_out_of_place_form(n):
+    params = study_params(0.5, M=10)
+    assert np.array_equal(burr_sample(params, n, np.random.default_rng(n)),
+                          reference_burr_sample(params, n, np.random.default_rng(n)))
+
+
 def test_mae_examples():
     assert mae(np.zeros((3, 2)), np.zeros((3, 2))) == 0.0
     assert mae(np.ones((4, 5)), np.zeros((4, 5))) == 1.0
     assert mae(np.array([[0.0, 0.0]]), np.array([[1.0, -1.0]])) == 1.0
     with pytest.raises(InvalidInputError):
         mae(np.zeros((2, 2)), np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("M", [1, 4, 6, 10])
+@pytest.mark.parametrize("n", [1, 7, 1000])
+def test_analytic_mean_predictor_is_bit_identical_in_either_memory_order(M, n):
+    """M = 1, 4, 6 and 10 end the table inside or after each term of the
+    response formula; zero and negative entries hit the cdf's clip."""
+    params = study_params(0.5, M)
+    x = burr_sample(params, n, np.random.default_rng(M))
+    x[::3, 0] = 0.0
+    x[1::4, -1] = -1.5
+    want = reference_analytic_mean_predictor(params)(x)
+    g = analytic_mean_predictor(params)
+    assert np.array_equal(g(x), want)
+    assert np.array_equal(g(np.asfortranarray(x)), want)
+    assert np.array_equal(g(x[0]), want[:1])
+    assert np.array_equal(marginal(params, 0).cdf(x[:, 0]),
+                          reference_burr_cdf(marginal(params, 0), x[:, 0]))
+
+
+def test_burr_cdf_keeps_the_shape_of_its_input():
+    m = marginal(study_params(0.5, M=1), 0)
+    assert m.cdf(0.7).shape == () and m.cdf(0.7) == reference_burr_cdf(m, 0.7)
+    assert m.cdf([[0.7, -1.0]]).shape == (1, 2)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (2, 2, 4), (2, 5), (3,), ()])
+def test_analytic_mean_predictor_rejects_a_table_without_m_columns(shape):
+    g = analytic_mean_predictor(study_params(0.5, M=4))
+    with pytest.raises(InvalidInputError, match="expected an \\(n, 4\\) table"):
+        g(np.full(shape, 0.5))
+
+
+def test_analytic_mean_predictor_takes_an_empty_table():
+    y = analytic_mean_predictor(study_params(0.5, M=4))(np.empty((0, 4)))
+    assert y.shape == (0,)
 
 
 def test_knn_predictor_interpolates_training_points():
