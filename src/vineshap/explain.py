@@ -5,9 +5,11 @@ enumerated and each v(S) is obtained once.  Estimators differ only in
 how they approximate the conditional expectation v(S) = E[g(x) | x_S]:
 each draws the rows at which to evaluate g (and their weights) through
 one `_draws(masks, x_star)`; `sample` and `sample_all` are its one- and
-all-coalition cases.  The Gaussian baselines draw a row in waves of at
-most `PREDICT_CELLS` // M rows: one multivariate normal call per
-coalition in mask order, then one data-scale map per feature per wave.
+all-coalition cases.  The Gaussian baselines build a call's conditional
+normals in chunks of at most `PREDICT_CELLS` // M² coalitions, stacked by
+|S|, then draw each coalition in mask order, bit for bit as one
+`multivariate_normal` call each, into waves of at most `PREDICT_CELLS` // M
+rows, with one data-scale map per feature per wave.
 `shapley_rows` explains many query rows through one predictor stream:
 it stacks v(empty)'s training rows (until cached), then each row's x*
 and the draws its `sample_all` yields, and calls the predictor once per
@@ -256,38 +258,48 @@ class IndependenceEstimator(ContributionEstimator):
             yield mask, self._pinned(idx, set_of(mask), x_star), None
 
 
-def _conditional_normal(mu, sigma, s_cols, sbar_cols, x_s):
-    """Mean and covariance of the x_sbar | x_s = x_s block of N(mu, sigma)."""
-    s_ss = sigma[np.ix_(s_cols, s_cols)]
-    s_bs = sigma[np.ix_(sbar_cols, s_cols)]
-    s_bb = sigma[np.ix_(sbar_cols, sbar_cols)]
-    ridge_flag = False
+def _conditional_normals(mu, sigma, scores, inside, ridge=False):
+    """Means, Cholesky factors and ridge flags of the x_sbar | x_S = scores_S
+    blocks of N(mu, sigma) for a stack of coalitions of one size, each a row
+    of the (n, M) boolean `inside`.  Each coalition gets the numbers it would
+    get alone, bit for bit: if any sigma_SS of the stack is singular, each
+    coalition is solved alone, and only a singular one takes a ridge."""
+    s_cols = np.nonzero(inside)[1].reshape(len(inside), -1)
+    sbar_cols = np.nonzero(~inside)[1].reshape(len(inside), -1)
+    s_ss = sigma[s_cols[:, :, None], s_cols[:, None, :]]
+    s_bs = sigma[sbar_cols[:, :, None], s_cols[:, None, :]]
+    s_bb = sigma[sbar_cols[:, :, None], sbar_cols[:, None, :]]
+    if ridge:  # trace 0: every S column is constant, so s_bs = 0 and any ridge will do
+        s_ss = s_ss + (1e-8 * np.trace(s_ss[0]) or 1e-8) * np.eye(s_cols.shape[1])
     try:
-        sol = np.linalg.solve(s_ss, (x_s - mu[s_cols]))
-        gain = np.linalg.solve(s_ss, s_bs.T).T
+        sol = np.linalg.solve(s_ss, (scores[s_cols] - mu[s_cols])[..., None])
+        gain = np.linalg.solve(s_ss, s_bs.swapaxes(1, 2)).swapaxes(1, 2)
     except np.linalg.LinAlgError:
-        ridge_flag = True
-        # trace 0: every S column is constant, so s_bs = 0 and any ridge will do
-        s_ss = s_ss + (1e-8 * np.trace(s_ss) or 1e-8) * np.eye(len(s_cols))
-        sol = np.linalg.solve(s_ss, (x_s - mu[s_cols]))
-        gain = np.linalg.solve(s_ss, s_bs.T).T
-    cond_mu = mu[sbar_cols] + s_bs @ sol
-    cond_cov = s_bb - gain @ s_bs.T
+        if ridge:
+            raise
+        parts = [_conditional_normals(mu, sigma, scores, inside[i:i + 1], len(inside) == 1)
+                 for i in range(len(inside))]
+        return tuple(map(np.concatenate, zip(*parts)))
+    mean = mu[sbar_cols] + (s_bs @ sol)[..., 0]
+    cov = s_bb - gain @ s_bs.swapaxes(1, 2)
     # symmetrize and guard small negative eigenvalues from cancellation
-    cond_cov = 0.5 * (cond_cov + cond_cov.T)
-    eigmin = np.min(np.linalg.eigvalsh(cond_cov)) if cond_cov.size else 0.0
-    if cond_cov.size and eigmin < 1e-12:
-        cond_cov = cond_cov + (1e-12 - min(eigmin, 0.0)) * np.eye(cond_cov.shape[0])
-        ridge_flag = ridge_flag or eigmin < -1e-8
-    return cond_mu, cond_cov, ridge_flag
+    cov = 0.5 * (cov + cov.swapaxes(1, 2))
+    eigmin = np.linalg.eigvalsh(cov).min(axis=1)
+    low = eigmin < 1e-12
+    cov[low] += (1e-12 - np.minimum(eigmin[low], 0.0))[:, None, None] * np.eye(cov.shape[1])
+    return mean, np.linalg.cholesky(cov), ridge | (eigmin < -1e-8)
 
 
 class GaussianCopulaEstimator(ContributionEstimator):
     """Empirical marginals + Gaussian copula: the complement is drawn from
     the conditional N(mu, sigma) on the normal scale and mapped back.
-    `_draws` scores x* once, draws each coalition in mask order into waves
-    of at most PREDICT_CELLS // M rows (a larger coalition is a wave of its
-    own), maps each wave in place and yields its tables in mask order."""
+    `_draws` scores x* once and takes the masks in chunks of at most
+    PREDICT_CELLS // M**2.  Per chunk, one `_conditional_normals` per size
+    |S| gives every coalition's mean and Cholesky factor; none is kept past
+    the call.  Each coalition then draws in mask order, as
+    `multivariate_normal(..., method="cholesky")` would bit for bit, into
+    waves of at most PREDICT_CELLS // M rows (a larger coalition is a wave
+    of its own); each wave is mapped in place and its tables yielded."""
 
     method = "gaussian-copula"
 
@@ -317,22 +329,30 @@ class GaussianCopulaEstimator(ContributionEstimator):
     def _draws(self, masks, x_star):
         scores = self.to_normal(x_star)
         masks = list(masks)
+        per_chunk = max(1, PREDICT_CELLS // self.M ** 2)
         per_wave = max(1, PREDICT_CELLS // self.M // self.K)
-        for start in range(0, len(masks), per_wave):
-            wave = masks[start:start + per_wave]
-            x = np.empty((len(wave), self.K, self.M))
-            for mask, table in zip(wave, x):
-                s_cols = [j for j in range(self.M) if mask >> j & 1]
-                sbar_cols = [j for j in range(self.M) if not mask >> j & 1]
-                mu_c, cov_c, flagged = _conditional_normal(
-                    self.mu, self.sigma, s_cols, sbar_cols, scores[s_cols])
-                if flagged:
-                    self.ridge_flagged.add(frozenset(s_cols))
-                table[:, s_cols] = x_star[s_cols]
-                table[:, sbar_cols] = self.rng.multivariate_normal(
-                    mu_c, cov_c, size=self.K, method="cholesky")
-            self.from_normal(x, wave)
-            yield from ((mask, table, None) for mask, table in zip(wave, x))
+        for start in range(0, len(masks), per_chunk):
+            chunk, by_size, models = masks[start:start + per_chunk], {}, {}
+            for mask in chunk:
+                by_size.setdefault(bin(mask).count("1"), []).append(mask)
+            for group in by_size.values():
+                inside = (np.array(group)[:, None] >> np.arange(self.M) & 1).astype(bool)
+                stacks = _conditional_normals(self.mu, self.sigma, scores, inside)
+                for mask, s, mean, factor, flagged in zip(group, inside, *stacks):
+                    models[mask] = s, mean, factor
+                    if flagged:
+                        self.ridge_flagged.add(set_of(mask))
+            for w in range(0, len(chunk), per_wave):
+                wave = chunk[w:w + per_wave]
+                x = np.empty((len(wave), self.K, self.M))
+                for mask, table in zip(wave, x):
+                    inside, mean, factor = models[mask]
+                    table[:, inside] = x_star[inside]
+                    # multivariate_normal(mean, factor @ factor.T, method="cholesky")
+                    table[:, ~inside] = (self.rng.standard_normal((self.K, len(mean)))
+                                         @ factor.T + mean)
+                self.from_normal(x, wave)
+                yield from ((mask, table, None) for mask, table in zip(wave, x))
 
 
 class GaussianEstimator(GaussianCopulaEstimator):

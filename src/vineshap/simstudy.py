@@ -187,8 +187,8 @@ def generate_response(x, params, noise_scale=0.5, rng=None):
     """y = response mean + noise_scale (u1 + u5 + u9) eps, eps ~ N(0, 1)."""
     if noise_scale < 0:
         raise InvalidInputError("noise_scale must be >= 0")
-    if np.any(np.asarray(x) <= 0):
-        raise InvalidInputError("x must lie in the Burr support (positive)")
+    if not np.all((np.asarray(x) > 0) & np.isfinite(x)):
+        raise InvalidInputError("x must be finite and lie in the Burr support (positive)")
     u = _u_table(params, x)
     y = _response_mean(u)
     if noise_scale > 0:

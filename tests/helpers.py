@@ -4,8 +4,9 @@ from collections import Counter
 
 import numpy as np
 
-from vineshap import (BurrMarginal, DVineModel, EmpiricalMarginal, GridCopula, PairCopula,
-                      burr_conditional_params, shapley_from_values)
+from vineshap import (BurrMarginal, DVineModel, EmpiricalMarginal, GaussianEstimator,
+                      GridCopula, PairCopula, burr_conditional_params, shapley_from_values)
+from vineshap.bicop import EPS, special
 
 STEP_SLOTS = ("second", "first", "log_density")
 
@@ -146,3 +147,55 @@ def reference_true_shapley(params, predictor, x_star, K_oracle, rng):
         x[:, sbar] = reference_burr_sample(draws, K_oracle, rng)
         values[mask] = float(np.mean(predictor(x)))
     return values, shapley_from_values(m, values)[1]
+
+
+# ----------------------------------------------------------------------
+# the Gaussian baselines' reference: one coalition at a time, its
+# conditional normal from `np.ix_` blocks, one `multivariate_normal` call
+
+def reference_conditional_normal(mu, sigma, s_cols, sbar_cols, x_s):
+    """Mean and covariance of the x_sbar | x_s = x_s block of N(mu, sigma),
+    and whether sigma_SS took a ridge or the covariance was lifted."""
+    s_ss = sigma[np.ix_(s_cols, s_cols)]
+    s_bs = sigma[np.ix_(sbar_cols, s_cols)]
+    s_bb = sigma[np.ix_(sbar_cols, sbar_cols)]
+    ridge_flag = False
+    try:
+        sol = np.linalg.solve(s_ss, (x_s - mu[s_cols]))
+        gain = np.linalg.solve(s_ss, s_bs.T).T
+    except np.linalg.LinAlgError:
+        ridge_flag = True
+        s_ss = s_ss + (1e-8 * np.trace(s_ss) or 1e-8) * np.eye(len(s_cols))
+        sol = np.linalg.solve(s_ss, (x_s - mu[s_cols]))
+        gain = np.linalg.solve(s_ss, s_bs.T).T
+    cond_mu = mu[sbar_cols] + s_bs @ sol
+    cond_cov = s_bb - gain @ s_bs.T
+    cond_cov = 0.5 * (cond_cov + cond_cov.T)
+    eigmin = np.min(np.linalg.eigvalsh(cond_cov)) if cond_cov.size else 0.0
+    if cond_cov.size and eigmin < 1e-12:
+        cond_cov = cond_cov + (1e-12 - min(eigmin, 0.0)) * np.eye(cond_cov.shape[0])
+        ridge_flag = ridge_flag or eigmin < -1e-8
+    return cond_mu, cond_cov, ridge_flag
+
+
+def reference_gaussian_sample(est, mask, x_star):
+    """One coalition's draw of a Gaussian baseline as a coalition of its own:
+    x*_S's normal scores, the conditional moments, one `multivariate_normal`
+    call, then one data-scale map per free column.  Returns (x, ridge flag)."""
+    copula = not isinstance(est, GaussianEstimator)
+    s_cols = [j for j in range(est.M) if mask >> j & 1]
+    sbar_cols = [j for j in range(est.M) if not mask >> j & 1]
+    x_s = x_star[s_cols]
+    if copula:
+        x_s = special().ndtri([est.marginals[j].cdf(x_star[j]) for j in s_cols])
+    mu_c, cov_c, flagged = reference_conditional_normal(est.mu, est.sigma, s_cols,
+                                                        sbar_cols, x_s)
+    z = est.rng.multivariate_normal(mu_c, cov_c, size=est.K, method="cholesky")
+    if copula:
+        z = np.column_stack([
+            est.marginals[j].quantile(np.clip(special().ndtr(z[:, i]), EPS, 1 - EPS))
+            for i, j in enumerate(sbar_cols)])
+    x = np.empty((est.K, est.M))
+    x[:, s_cols] = x_star[s_cols]
+    x[:, sbar_cols] = z
+    return x, flagged

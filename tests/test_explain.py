@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import special, stats
+from scipy import stats
 
 import vineshap.dvine as dvine
-from helpers import constant_vine, count_steps, straddled_overlaps
+from helpers import (constant_vine, count_steps, reference_gaussian_sample,
+                     straddled_overlaps)
 from vineshap import (ClaytonCopula, CoverageError, CoverPlan, GaussianCopula,
                       GaussianCopulaEstimator, GaussianEstimator,
                       IndependenceCopula, IndependenceEstimator,
@@ -15,8 +18,7 @@ from vineshap import (ClaytonCopula, CoverageError, CoverPlan, GaussianCopula,
                       explain, fit_dvine, greedy_cover, shapley,
                       shapley_from_values, shapley_rows, shapley_weights,
                       study_params)
-from vineshap.bicop import EPS
-from vineshap.structure import set_of
+from vineshap.structure import MAX_FEATURES, set_of
 
 
 def random_v_table(M, rng):
@@ -214,52 +216,15 @@ def test_gaussian_ridge_flags_are_reported_in_every_rows_diagnostics():
         assert [e.diagnostics["ridge_flagged"] for e in rows] == [[0b011]] * 3
 
 
-def reference_gaussian_sample(est, mask, x_star):
-    """One coalition's draw of a Gaussian baseline as a coalition of its own:
-    x*_S's normal scores, the conditional moments, one `multivariate_normal`
-    call, then one data-scale map per free column.  Returns (x, ridge flag)."""
-    copula = not isinstance(est, GaussianEstimator)
-    s_cols = [j for j in range(est.M) if mask >> j & 1]
-    sbar_cols = [j for j in range(est.M) if not mask >> j & 1]
-    x_s = x_star[s_cols]
-    if copula:
-        x_s = special.ndtri([est.marginals[j].cdf(x_star[j]) for j in s_cols])
-    mu_c, cov_c, flagged = explain._conditional_normal(est.mu, est.sigma, s_cols,
-                                                       sbar_cols, x_s)
-    z = est.rng.multivariate_normal(mu_c, cov_c, size=est.K, method="cholesky")
-    if copula:
-        z = np.column_stack([
-            est.marginals[j].quantile(np.clip(special.ndtr(z[:, i]), EPS, 1 - EPS))
-            for i, j in enumerate(sbar_cols)])
-    x = np.empty((est.K, est.M))
-    x[:, s_cols] = x_star[s_cols]
-    x[:, sbar_cols] = z
-    return x, flagged
-
-
-@pytest.mark.parametrize("cls", [GaussianEstimator, GaussianCopulaEstimator])
-@settings(max_examples=10, deadline=None)
-@given(M=st.sampled_from([2, 3, 5, 8]), K=st.sampled_from([1, 7, 100, 1000, 40000]),
-       seed=st.integers(0, 2 ** 32 - 1), singular=st.booleans())
-# K = 1; a K that leaves part of a wave (PREDICT_CELLS // M rows) unused, so the
-# coalitions span several waves; K larger than one wave: one coalition per wave
-@example(M=2, K=1, seed=0, singular=True)
-@example(M=3, K=1, seed=1, singular=False)
-@example(M=5, K=1, seed=2, singular=True)
-@example(M=8, K=1, seed=3, singular=False)
-@example(M=5, K=1000, seed=4, singular=True)
-@example(M=8, K=100, seed=5, singular=True)
-@example(M=3, K=40000, seed=6, singular=True)
-def test_gaussian_waves_equal_one_draw_per_coalition(cls, M, K, seed, singular):
-    """phi, every v(S) and the ridge flags of both Gaussian baselines are those
-    of coalitions drawn one at a time, in mask order, bit for bit."""
-    if K * (1 << M) > 400_000:     # keep an example under about a second
-        K = 100
+def assert_gaussian_equals_reference(cls, M, K, seed, singular, rows):
+    """phi, every v(S) and the ridge flags of `rows` query rows explained by
+    one `shapley_rows` call are those of coalitions drawn one at a time, in
+    mask order, by `reference_gaussian_sample`, bit for bit."""
     rng = np.random.default_rng(seed)
     train = rng.gamma(2.0, size=(200, M))
     if singular:
         train[:, 1] = train[:, 0]
-    X_star = rng.gamma(2.0, size=(2, M))
+    X_star = rng.gamma(2.0, size=(rows, M))
     waves = cls(train, row_wise, K=K, rng=np.random.default_rng(seed))
     reference = cls(train, row_wise, K=K, rng=np.random.default_rng(seed))
     full = (1 << M) - 1
@@ -276,6 +241,81 @@ def test_gaussian_waves_equal_one_draw_per_coalition(cls, M, K, seed, singular):
         assert expl.phi0 == phi0 and np.array_equal(expl.phi, phi)
         assert expl.diagnostics["ridge_flagged"] == flagged
     assert waves.ridge_flagged == {set_of(mask) for mask in flagged}
+
+
+@pytest.mark.parametrize("cls", [GaussianEstimator, GaussianCopulaEstimator])
+@settings(max_examples=10, deadline=None)
+@given(M=st.sampled_from([2, 3, 5, 8]), K=st.sampled_from([1, 7, 100, 1000, 40000]),
+       seed=st.integers(0, 2 ** 32 - 1), singular=st.booleans(), rows=st.integers(1, 3))
+# K = 1; a K that leaves part of a wave (PREDICT_CELLS // M rows) unused, so the
+# coalitions span several waves; K larger than one wave: one coalition per wave
+@example(M=2, K=1, seed=0, singular=True, rows=2)
+@example(M=3, K=1, seed=1, singular=False, rows=2)
+@example(M=5, K=1, seed=2, singular=True, rows=2)
+@example(M=8, K=1, seed=3, singular=False, rows=2)
+@example(M=5, K=1000, seed=4, singular=True, rows=2)
+@example(M=8, K=100, seed=5, singular=True, rows=2)
+@example(M=3, K=40000, seed=6, singular=True, rows=2)
+# the singular sigma_SS of S = {0, 1} shares the |S| = 2 stack with nine
+# regular ones, so that stack is solved one coalition at a time
+@example(M=5, K=7, seed=7, singular=True, rows=1)
+# three query rows through one shapley_rows call
+@example(M=5, K=100, seed=8, singular=False, rows=3)
+def test_gaussian_waves_equal_one_draw_per_coalition(cls, M, K, seed, singular, rows):
+    if K * (1 << M) > 400_000:     # keep an example under about a second
+        K = 100
+    assert_gaussian_equals_reference(cls, M, K, seed, singular, rows)
+
+
+@pytest.mark.parametrize("cls", [GaussianEstimator, GaussianCopulaEstimator])
+@pytest.mark.parametrize("singular", [False, True])
+def test_gaussian_chunks_equal_one_draw_per_coalition(monkeypatch, cls, singular):
+    # PREDICT_CELLS // M**2 = 3 coalitions per chunk and PREDICT_CELLS // M // K = 2
+    # per wave at M = 5, K = 7: the boundaries of both fall inside each other
+    monkeypatch.setattr(explain, "PREDICT_CELLS", 3 * 25 + 2)
+    assert_gaussian_equals_reference(cls, 5, 7, 9, singular, 2)
+
+
+@pytest.mark.parametrize("cls", [GaussianEstimator, GaussianCopulaEstimator])
+def test_gaussian_sample_at_max_features(cls):
+    rng = np.random.default_rng(12)
+    M = MAX_FEATURES
+    train = rng.gamma(2.0, size=(100, M))
+    est = cls(train, row_wise, K=50, rng=np.random.default_rng(13))
+    x, pi = est.sample({0, 7, 19}, rng.gamma(2.0, size=M))
+    assert x.shape == (50, M) and pi is None and np.all(np.isfinite(x))
+
+
+@pytest.mark.parametrize("cls", [GaussianEstimator, GaussianCopulaEstimator])
+def test_gaussian_sample_builds_only_the_coalitions_it_draws(cls):
+    # S = {0, 1} is singular, but a call that does not draw it does not flag it
+    rng = np.random.default_rng(14)
+    train = rng.gamma(2.0, size=(200, 3))
+    train[:, 1] = train[:, 0]
+    est = cls(train, row_wise, K=20, rng=np.random.default_rng(15))
+    est.sample({0, 2}, rng.gamma(2.0, size=3))
+    assert est.ridge_flagged == set()
+    est.sample({0, 1}, rng.gamma(2.0, size=3))
+    assert est.ridge_flagged == {frozenset({0, 1})}
+
+
+def test_gaussian_chunks_bound_the_model_stacks():
+    """A full sample_all at M = 12 builds its models in chunks of
+    PREDICT_CELLS // 144 = 455 coalitions.  Its traced peak is about 0.8 MB
+    on NumPy 2.4; one stack per size over all 4,094 coalitions peaks at
+    about 4.2 MB."""
+    rng = np.random.default_rng(16)
+    est = GaussianCopulaEstimator(rng.gamma(2.0, size=(100, 12)), row_wise, K=1,
+                                  rng=np.random.default_rng(17))
+    x_star = rng.gamma(2.0, size=12)
+    tracemalloc.start()
+    try:
+        for _ in est.sample_all(x_star):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 # ----------------------------------------------------------------------

@@ -205,6 +205,13 @@ def test_generate_response_rejects_nonpositive_x():
         generate_response(np.array([[1.0, -1.0]]), params, 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_generate_response_rejects_non_finite_x(bad):
+    # a NaN passes x <= 0 and gives a NaN response; +inf gives a finite one
+    with pytest.raises(InvalidInputError, match="finite"):
+        generate_response([[1.0, 1.0, 1.0], [1.0, bad, 1.0]], study_params(0.5, 3), 0.0)
+
+
 # ----------------------------------------------------------------------
 # truth vine
 
