@@ -17,19 +17,20 @@ enters a vine, and every h-value it carries is a clipped output); these
 clip only their outputs.  hfunc and log_density are step behind the input
 clip, hinv is inverse's first output behind it.
 
-Rotation lives in PairCopula alone (`_args`, `_unflip`) and follows the
-reflection identities of Joe (2014) and Czado (2019).  A family supplies
-only unrotated formulas for one conditioning slot: _logpdf(u, v),
-_h(u, v) = F(u | v) and _hinv(w, v), the inverse of _h in u.  Gaussian and
-Clayton fold the first two into a step whose slots share normal scores or
-logs, each value by the same float operations (their log density kernels
-serve the stacked fit too, one parameter per row), and the last into an
-inverse whose carry is the closed form at the exact y, not h at the clipped
-one.  Rotation by 90 or 180 degrees reflects u -> 1 - u, by 180 or 270
-degrees v -> 1 - v; the h output, or the h-inverse target, is reflected when
-u was.  F(v | u) is the h of the transpose at (v, u); each copula builds its
-transpose once, on first use, and keeps it.  The grid's h and h-inverse read
-one cumulative table, four cells at a time.
+Only Clayton has a rotation, by the reflection identities of Joe (2014)
+and Czado (2019): 90 or 180 degrees reflect u -> 1 - u, 180 or 270 degrees
+v -> 1 - v, and an h-value F(u | v), or an h-inverse's target and output,
+is reflected when u's slot is.  Its step and inverse take a reflected
+argument's log as log1p(-u) and a reflected h as -expm1(log h), so small
+values keep their digits.  Independence and the grid give _logpdf(u, v),
+_h(u, v) = F(u | v) and _hinv(w, v), the inverse of _h in u, which the base
+step and inverse evaluate as given.  Gaussian and Clayton have their own: a
+step whose slots share normal scores or logs (their log density kernels
+serve the stacked fit too, one parameter per row), and an inverse whose
+carry is the closed form at the exact y, not h at the clipped one.
+F(v | u) is the h of the transpose at (v, u); each copula builds its
+transpose once, on first use, and keeps it.  The grid's h and h-inverse
+read one cumulative table, four cells at a time.
 
 One formula per kernel at every parameter: Clayton's start from log u and
 log v (log w) and never form u ** -theta, so they stay finite and keep
@@ -58,7 +59,8 @@ def special():
 
 
 def _clip(a):
-    return np.clip(np.asarray(a, dtype=float), EPS, 1.0 - EPS)
+    """a as floats clipped to [EPS, 1 - EPS]: an ndarray, 0-d for a scalar."""
+    return np.asarray(np.clip(np.asarray(a, dtype=float), EPS, 1.0 - EPS))
 
 
 def _on_first(cond_on):
@@ -69,33 +71,17 @@ def _on_first(cond_on):
 
 
 class PairCopula:
-    """Base class: clipping, cond_on checks and rotation for every family."""
+    """Base class: clipping, cond_on checks, and step/inverse from _logpdf, _h and _hinv."""
 
     family = "base"
-    rotation = 0
     degenerate = False  # set by the parametric fit on a constant column
     _transposed = None  # see _swapped
 
-    def _args(self, u, v):
-        """(u, v) in the unrotated copula's slots; the transpose's at (v, u) swapped."""
-        if self.rotation in (90, 180):
-            u = 1.0 - u
-        if self.rotation in (180, 270):
-            v = 1.0 - v
-        return u, v
-
-    def _unflip(self, out):
-        """Clipped _h or _hinv output, reflected back if u was (both are u-slot values)."""
-        if self.rotation in (90, 180):
-            out = 1.0 - out
-        return np.asarray(np.clip(out, EPS, 1.0 - EPS))
-
     def step(self, x, y, second=False, first=False, log_density=False):
         """(F(x | y), F(y | x), log c(x, y)) at (x, y) in range; None for a slot not asked."""
-        a, b = self._args(x, y)
-        return (self._unflip(self._h(a, b)) if second else None,
-                self._swapped()._unflip(self._swapped()._h(b, a)) if first else None,
-                np.asarray(self._logpdf(a, b)) if log_density else None)
+        return (_clip(self._h(x, y)) if second else None,
+                _clip(self._swapped()._h(y, x)) if first else None,
+                np.asarray(self._logpdf(x, y)) if log_density else None)
 
     def log_density(self, u, v):
         return self.step(_clip(u), _clip(v), log_density=True)[2]
@@ -106,8 +92,7 @@ class PairCopula:
 
     def inverse(self, w, x, carry=False):
         """(y, F(x | y) or None) with F(y | x) = w, at (w, x) in range; clips only its outputs."""
-        cop = self._swapped()
-        y = cop._unflip(cop._hinv(*cop._args(w, x)))
+        y = _clip(self._swapped()._hinv(w, x))
         return y, self.step(x, y, second=True)[0] if carry else None
 
     def hinv(self, w, v, cond_on="second"):
@@ -189,16 +174,15 @@ class GaussianCopula(PairCopula):
         sp, r = special(), self.rho
         zx, zy = sp.ndtri(x), sp.ndtri(y)  # unrotated and exchangeable: shared by the slots
         s = np.sqrt(1.0 - r ** 2)
-        return (self._unflip(sp.ndtr((zx - r * zy) / s)) if second else None,
-                self._unflip(sp.ndtr((zy - r * zx) / s)) if first else None,
+        return (_clip(sp.ndtr((zx - r * zy) / s)) if second else None,
+                _clip(sp.ndtr((zy - r * zx) / s)) if first else None,
                 np.asarray(_gaussian_log_c(r, zx, zy)) if log_density else None)
 
     def inverse(self, w, x, carry=False):
         # y's normal score is s z_w + r z_x, so the carry's, (z_x - r z_y) / s, is s z_x - r z_w
         sp, r, s = special(), self.rho, np.sqrt(1.0 - self.rho ** 2)
         zw, zx = sp.ndtri(w), sp.ndtri(x)
-        return self._unflip(sp.ndtr(zw * s + r * zx)), \
-            self._unflip(sp.ndtr(s * zx - r * zw)) if carry else None
+        return _clip(sp.ndtr(zw * s + r * zx)), _clip(sp.ndtr(s * zx - r * zw)) if carry else None
 
     def to_dict(self):
         return {"family": "gaussian", "rho": self.rho}
@@ -226,37 +210,39 @@ class ClaytonCopula(PairCopula):
         self.rotation = int(rotation)
 
     def step(self, x, y, second=False, first=False, log_density=False):
-        # The slots share log a, log b and theta times each, at the rotated (a, b).
+        # The slots share log a, log b and theta times each, a reflected one from log1p.
         # h = (1 + b^theta (a^-theta - 1))^-(1 + 1/theta) is formed from log_x, the
-        # log of b^theta (a^-theta - 1): no overflow, no cancellation near h = 1;
-        # past log_x = 700, h < 1e-300 is clipped all the same.
-        a, b = self._args(x, y)
-        theta = self.theta
-        log_a, log_b = np.log(a), np.log(b)
+        # log of b^theta (a^-theta - 1): no overflow, no cancellation near h = 1; past
+        # log_x = 700, h < 1e-300 is clipped all the same.  A reflected h is -expm1(log h).
+        theta, flip_x, flip_y = self.theta, self.rotation in (90, 180), self.rotation in (180, 270)
+        log_a = np.log1p(-x) if flip_x else np.log(x)
+        log_b = np.log1p(-y) if flip_y else np.log(y)
         t_a, t_b = theta * log_a, theta * log_b
         d = theta * (log_b - log_a) if second or first else None  # -d is theta (log a - log b)
 
-        def h(log_x):
-            return np.exp(-(1.0 + 1.0 / theta) * np.log1p(np.exp(np.minimum(log_x, 700.0))))
-        return (self._unflip(h(d + np.log(-np.expm1(t_a)))) if second else None,
-                self._swapped()._unflip(h(np.log(-np.expm1(t_b)) - d)) if first else None,
+        def h(log_x, flip):
+            log_h = -(1.0 + 1.0 / theta) * np.log1p(np.exp(np.minimum(log_x, 700.0)))
+            return _clip(-np.expm1(log_h) if flip else np.exp(log_h))
+        return (h(d + np.log(-np.expm1(t_a)), flip_x) if second else None,
+                h(np.log(-np.expm1(t_b)) - d, flip_y) if first else None,
                 np.asarray(_clayton_log_c(theta, log_a, log_b, t_a, t_b)) if log_density else None)
 
     def inverse(self, w, x, carry=False):
         # Unrotated at the conditioning value a, e = -theta/(1+theta) log w, s = e^e - 1 + a^theta:
-        # y = a s^(-1/theta), F(a | y) = (s e^-e)^(1 + 1/theta).  To keep small values' digits,
-        # reflected w and a enter via log1p, as does 1 - F (a = 1 - x): log1p((a^theta - 1) e^-e).
+        # y = a s^(-1/theta), F(a | y) = (s e^-e)^k, k = 1 + 1/theta.  As in step, reflected w
+        # and a enter via log1p; a reflected carry 1 - F is -expm1(k log1p((a^theta - 1) e^-e)).
         theta, flip, flip_w = self.theta, self.rotation in (90, 180), self.rotation in (180, 270)
         e = -theta / (1.0 + theta) * (np.log1p(-w) if flip_w else np.log(w))
         t_a = theta * (np.log1p(-x) if flip else np.log(x))
         c = np.expm1(e)
         s, k = c + np.exp(t_a), 1.0 + 1.0 / theta
-        y = self._swapped()._unflip((1.0 - x if flip else x) * s ** (-1.0 / theta))
+        y = (1.0 - x if flip else x) * s ** (-1.0 / theta)
+        y = _clip(1.0 - y if flip_w else y)
         if not carry:
             return y, None
         h = (-np.expm1(k * np.log1p(np.expm1(t_a) / (1.0 + c))) if flip
              else np.exp(k * (np.log(s) - e)))
-        return y, np.asarray(np.clip(h, EPS, 1.0 - EPS))
+        return y, _clip(h)
 
     def transpose(self):
         if self.rotation in (0, 180):

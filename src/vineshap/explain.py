@@ -110,8 +110,13 @@ class ContributionEstimator:
         raise NotImplementedError
 
     def sample(self, features, x_star):
-        """(x, pi) of one coalition: the one-coalition case of `_draws`."""
-        return next(self._draws([sum(1 << j for j in features)], x_star))[1:]
+        """(x, pi) of one coalition: the one-coalition case of `_draws`.
+        Every feature must be an integer in 0..M - 1."""
+        features = set(features)
+        if not all(isinstance(j, (int, np.integer)) and 0 <= j < self.M for j in features):
+            raise InvalidInputError(
+                f"features must be integers in 0..{self.M - 1}, got {features}")
+        return next(self._draws([sum(1 << int(j) for j in features)], x_star))[1:]
 
     def sample_all(self, x_star):
         """`_draws` of every coalition but the empty and the full one."""
@@ -263,9 +268,13 @@ def _conditional_normals(mu, sigma, scores, inside, ridge=False):
     blocks of N(mu, sigma) for a stack of coalitions of one size, each a row
     of the (n, M) boolean `inside`.  Each coalition gets the numbers it would
     get alone, bit for bit: if any sigma_SS of the stack is singular, each
-    coalition is solved alone, and only a singular one takes a ridge."""
-    s_cols = np.nonzero(inside)[1].reshape(len(inside), -1)
-    sbar_cols = np.nonzero(~inside)[1].reshape(len(inside), -1)
+    coalition is solved alone, and only a singular one takes a ridge.  The
+    full coalition has nothing to draw: an empty mean and factor."""
+    n = len(inside)
+    if inside.all():
+        return np.empty((n, 0)), np.empty((n, 0, 0)), np.zeros(n, bool)
+    s_cols = np.nonzero(inside)[1].reshape(n, -1)
+    sbar_cols = np.nonzero(~inside)[1].reshape(n, -1)
     s_ss = sigma[s_cols[:, :, None], s_cols[:, None, :]]
     s_bs = sigma[sbar_cols[:, :, None], s_cols[:, None, :]]
     s_bb = sigma[sbar_cols[:, :, None], sbar_cols[:, None, :]]
@@ -277,8 +286,8 @@ def _conditional_normals(mu, sigma, scores, inside, ridge=False):
     except np.linalg.LinAlgError:
         if ridge:
             raise
-        parts = [_conditional_normals(mu, sigma, scores, inside[i:i + 1], len(inside) == 1)
-                 for i in range(len(inside))]
+        parts = [_conditional_normals(mu, sigma, scores, inside[i:i + 1], n == 1)
+                 for i in range(n)]
         return tuple(map(np.concatenate, zip(*parts)))
     mean = mu[sbar_cols] + (s_bs @ sol)[..., 0]
     cov = s_bb - gain @ s_bs.swapaxes(1, 2)

@@ -299,6 +299,19 @@ def test_gaussian_sample_builds_only_the_coalitions_it_draws(cls):
     assert est.ridge_flagged == {frozenset({0, 1})}
 
 
+@pytest.mark.parametrize("cls", [GaussianEstimator, GaussianCopulaEstimator])
+@pytest.mark.parametrize("M", [1, 3])
+def test_gaussian_sample_of_the_full_coalition_is_x_star(cls, M):
+    # it ended in a bare ValueError; at M = 1 every coalition is the full one
+    rng = np.random.default_rng(18)
+    x_star = rng.gamma(2.0, size=M)
+    est = cls(rng.gamma(2.0, size=(100, M)), lambda x: x.sum(axis=1), K=20,
+              rng=np.random.default_rng(19))
+    x, pi = est.sample(range(M), x_star)
+    assert pi is None and np.array_equal(x, np.tile(x_star, (20, 1)))
+    assert est.contribution(set(range(M)), x_star) == pytest.approx(x_star.sum(), rel=1e-15)
+
+
 def test_gaussian_chunks_bound_the_model_stacks():
     """A full sample_all at M = 12 builds its models in chunks of
     PREDICT_CELLS // 144 = 455 coalitions.  Its traced peak is about 0.8 MB
@@ -724,6 +737,19 @@ def test_shapley_rows_reject_bad_query_rows_before_any_call(bad):
     with pytest.raises(InvalidInputError, match="query point"):
         shapley_rows(est, bad)
     assert est.predictor_calls == 0
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("features", [{0, 5}, {3}, {-1}, {0.5}], ids=repr)
+def test_sample_rejects_a_feature_that_is_not_an_index(method, features):
+    # the Gaussian baselines drew v({0}) for {0, 5}; the others ended in a
+    # bare IndexError, and every estimator in a ValueError for {-1} and a
+    # TypeError for {0.5}
+    train = np.random.default_rng(57).normal(size=(100, 3))
+    est = make_estimator(method, train, never_called, 58)
+    for call in (est.sample, est.contribution):
+        with pytest.raises(InvalidInputError, match="features"):
+            call(features, train[0])
 
 
 # ----------------------------------------------------------------------
