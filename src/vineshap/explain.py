@@ -111,11 +111,14 @@ class ContributionEstimator:
 
     def sample(self, features, x_star):
         """(x, pi) of one coalition: the one-coalition case of `_draws`.
-        Every feature must be an integer in 0..M - 1."""
+        Every feature must be an integer in 0..M - 1.  The full coalition
+        has nothing to draw: K copies of x*, equally weighted."""
         features = set(features)
         if not all(isinstance(j, (int, np.integer)) and 0 <= j < self.M for j in features):
             raise InvalidInputError(
                 f"features must be integers in 0..{self.M - 1}, got {features}")
+        if len(features) == self.M:
+            return np.tile(np.asarray(x_star, dtype=float), (self.K, 1)), None
         return next(self._draws([sum(1 << int(j) for j in features)], x_star))[1:]
 
     def sample_all(self, x_star):
@@ -137,10 +140,10 @@ class ContributionEstimator:
             return v, np.inf
         return v, float(np.std(g, ddof=1) / np.sqrt(len(g)))
 
-    def _pinned(self, idx, features, x_star):
+    def _pinned(self, idx, mask, x_star):
         """Training rows `idx` with the coalition's columns set to x_star."""
         x = self.train_x[idx]
-        cols = sorted(features)
+        cols = [j for j in range(self.M) if mask >> j & 1]
         x[:, cols] = x_star[cols]
         return x
 
@@ -164,14 +167,6 @@ def _batches(draws, max_rows):
         rows += n
     if batch:
         yield batch
-
-
-def _assignment(plan, features):
-    """Index of the plan order that serves a feature set; CoverageError if none."""
-    index = plan.assignment.get(frozenset(features))
-    if index is None:
-        raise CoverageError(f"features {sorted(features)} are not covered by the plan")
-    return index
 
 
 def shapley(estimator, x_star):
@@ -231,10 +226,8 @@ def shapley_rows(estimator, X_star, cells=None):
                 ess[i][mask] = float(1.0 / np.sum(pi ** 2))
     if tables and estimator._v_empty is None:
         estimator._v_empty = tables[0][0]
-    # a Gaussian baseline's ridge flag depends on the mask alone: one list for every row
+    # a Gaussian baseline's ridge flag depends on the mask alone: every row lists the same
     flagged = getattr(estimator, "ridge_flagged", None)
-    if flagged is not None:
-        flagged = sorted(sum(1 << j for j in features) for features in flagged)
     out = []
     for values, row_ess, (calls, rows) in zip(tables, ess, counts):
         values[0] = estimator._v_empty
@@ -243,7 +236,7 @@ def shapley_rows(estimator, X_star, cells=None):
         if row_ess:
             diagnostics.update(ess=dict(sorted(row_ess.items())), ess_min=min(row_ess.values()))
         if flagged is not None:
-            diagnostics["ridge_flagged"] = list(flagged)
+            diagnostics["ridge_flagged"] = sorted(flagged)
         out.append(Explanation(phi0=phi0, phi=phi, values=values, method=estimator.method,
                                K=estimator.K, diagnostics=diagnostics))
     return out
@@ -260,7 +253,7 @@ class IndependenceEstimator(ContributionEstimator):
     def _draws(self, masks, x_star):
         for mask in masks:
             idx = self.rng.integers(0, self.train_x.shape[0], size=self.K)
-            yield mask, self._pinned(idx, set_of(mask), x_star), None
+            yield mask, self._pinned(idx, mask, x_star), None
 
 
 def _conditional_normals(mu, sigma, scores, inside, ridge=False):
@@ -268,11 +261,8 @@ def _conditional_normals(mu, sigma, scores, inside, ridge=False):
     blocks of N(mu, sigma) for a stack of coalitions of one size, each a row
     of the (n, M) boolean `inside`.  Each coalition gets the numbers it would
     get alone, bit for bit: if any sigma_SS of the stack is singular, each
-    coalition is solved alone, and only a singular one takes a ridge.  The
-    full coalition has nothing to draw: an empty mean and factor."""
+    coalition is solved alone, and only a singular one takes a ridge."""
     n = len(inside)
-    if inside.all():
-        return np.empty((n, 0)), np.empty((n, 0, 0)), np.zeros(n, bool)
     s_cols = np.nonzero(inside)[1].reshape(n, -1)
     sbar_cols = np.nonzero(~inside)[1].reshape(n, -1)
     s_ss = sigma[s_cols[:, :, None], s_cols[:, None, :]]
@@ -314,14 +304,14 @@ class GaussianCopulaEstimator(ContributionEstimator):
 
     def __init__(self, train_x, predictor, K=1000, rng=None):
         super().__init__(train_x, predictor, K, rng)
-        self.ridge_flagged = set()
+        self.ridge_flagged = set()  # masks
         self.mu, self.sigma = self.fit_normal()
 
     def fit_normal(self):
         """(mu, sigma) of the normal-scale model; fits the marginals."""
         self.marginals = [EmpiricalMarginal(self.train_x[:, j]) for j in range(self.M)]
         scores = special().ndtri(pseudo_observations(self.train_x, self.marginals))
-        return np.zeros(self.M), np.corrcoef(scores, rowvar=False)
+        return np.zeros(self.M), np.atleast_2d(np.corrcoef(scores, rowvar=False))
 
     def to_normal(self, x):
         """Normal scores of a data-scale row."""
@@ -350,7 +340,7 @@ class GaussianCopulaEstimator(ContributionEstimator):
                 for mask, s, mean, factor, flagged in zip(group, inside, *stacks):
                     models[mask] = s, mean, factor
                     if flagged:
-                        self.ridge_flagged.add(set_of(mask))
+                        self.ridge_flagged.add(mask)
             for w in range(0, len(chunk), per_wave):
                 wave = chunk[w:w + per_wave]
                 x = np.empty((len(wave), self.K, self.M))
@@ -370,7 +360,7 @@ class GaussianEstimator(GaussianCopulaEstimator):
     method = "gaussian"
 
     def fit_normal(self):
-        return np.mean(self.train_x, axis=0), np.cov(self.train_x, rowvar=False)
+        return np.mean(self.train_x, axis=0), np.atleast_2d(np.cov(self.train_x, rowvar=False))
 
     def to_normal(self, x):
         return x
@@ -386,7 +376,7 @@ class _VineEstimator(ContributionEstimator):
     """Base of the vine estimators: checks their cover plan once, when built.
     A subclass sets `plan_method`, the `CoverPlan.method` it serves, and
     yields (mask, x, pi) per coalition from `_draws(masks, x_star)`, one
-    vine call per group of coalitions."""
+    vine call per group of coalitions; the plan's `assignment` places each."""
 
     def __init__(self, train_x, predictor, models, plan, K=1000, rng=None):
         super().__init__(train_x, predictor, K, rng)
@@ -396,8 +386,18 @@ class _VineEstimator(ContributionEstimator):
                 self.M, self.plan_method, [m.order for m in self.models]):
             raise InvalidInputError(f"plan must be the {self.plan_method} cover plan "
                                     "of the models' orders")
-        if len(plan.assignment) != (1 << self.M) - 2:  # it holds only required sets
+        if len(plan.assignment) != (1 << self.M) - 2:  # it holds only required masks
             raise CoverageError("the plan leaves a coalition unserved")
+
+    def _served(self, mask, key):
+        """The plan's (order index, first, last) at `key`, the mask (its own or
+        its complement's) that places coalition `mask`; else CoverageError."""
+        try:
+            return self.plan.assignment[key]
+        except KeyError:
+            hint = ": `shapley` takes v(empty) as the mean of g over the training rows"
+            raise CoverageError(f"coalition {[j for j in range(self.M) if mask >> j & 1]} "
+                                f"is not served by the plan{'' if mask else hint}") from None
 
 
 class VineCondSimEstimator(_VineEstimator):
@@ -423,15 +423,12 @@ class VineCondSimEstimator(_VineEstimator):
             self.begin_explanation(x_star)
         groups = {}
         for mask in masks:
-            features = set_of(mask)
-            index = _assignment(self.plan, features)
-            role = self.models[index].coalition_role(features)
-            groups.setdefault((index, role), []).append(mask)
+            index, first, _ = self._served(mask, mask)
+            groups.setdefault((index, first == 0), []).append(mask)
         for (index, _), group in groups.items():
-            coalitions = [set_of(mask) for mask in group]
             draws = [np.random.default_rng([self._key, mask]).uniform(
-                size=(self.K, self.M - len(features)))
-                for mask, features in zip(group, coalitions)]
+                size=(self.K, self.M - mask.bit_count())) for mask in group]
+            coalitions = [set_of(mask) for mask in group]
             tables = self.models[index].conditional_sample(coalitions, x_star, draws)
             yield from ((mask, x, None) for mask, x in zip(group, tables))
 
@@ -468,12 +465,10 @@ class VineRatioEstimator(_VineEstimator):
         order weights them all."""
         if self._sub_idx is None:
             self.begin_explanation(x_star)
-        groups = {}
+        groups, full = {}, (1 << self.M) - 1
         for mask in masks:
-            sbar = [j for j in range(self.M) if not mask >> j & 1]
-            index = _assignment(self.plan, sbar)
-            positions = [self.models[index].order.index(j) for j in sbar]
-            groups.setdefault(index, []).append((mask, (min(positions), max(positions))))
+            index, *block = self._served(mask, full ^ mask)
+            groups.setdefault(index, []).append((mask, tuple(block)))
         u_sub = self.train_u[self._sub_idx]
         u_star = [f.cdf(x) for f, x in zip(self.marginals, x_star)]
         for order_index, group in groups.items():
@@ -484,8 +479,8 @@ class VineRatioEstimator(_VineEstimator):
                                    "(a pair copula density overflowed)")
             for mask, logw in zip(group_masks, log_ratios):
                 w = np.exp(logw - np.max(logw))  # the largest is 1: sum in [1, K]
-                yield mask, self._pinned(self._sub_idx, set_of(mask), x_star), w / w.sum()
+                yield mask, self._pinned(self._sub_idx, mask, x_star), w / w.sum()
 
     def effective_sample_size(self, features, x_star):
-        pi = self.sample(features, x_star)[1]
-        return float(1.0 / np.sum(pi ** 2))
+        x, pi = self.sample(features, x_star)
+        return float(len(x)) if pi is None else float(1.0 / np.sum(pi ** 2))

@@ -5,7 +5,8 @@ every conditioning set to be a prefix or suffix of some order, ratio
 every complement set (one-feature ones too) to be a contiguous block.
 Both are set-cover problems over permutations, attacked with the
 batch-of-B randomized greedy loop.  A plan records only its orders: a
-coalition is served by the first order that covers it.
+coalition is served by the first order that covers it, and the plan's
+`assignment` says where, once, for every mask.
 """
 
 from dataclasses import dataclass, field
@@ -22,31 +23,28 @@ MAX_FEATURES = 20           # exact enumeration visits 2^M coalitions
 
 
 def set_of(mask):
-    out = set()
-    i = 0
-    while mask:
-        if mask & 1:
-            out.add(i)
-        mask >>= 1
-        i += 1
-    return frozenset(out)
+    return frozenset(j for j in range(mask.bit_length()) if mask >> j & 1)
 
 
 @dataclass
 class CoverPlan:
-    """D-vine orders for one method; `assignment` maps each required
-    coalition that an order covers to the index of the first such order."""
+    """D-vine orders for one method; `assignment` maps the mask of each
+    required coalition that an order covers to (i, first, last): i indexes
+    the first such order, whose positions first..last the coalition fills."""
     M: int
     method: str
     orders: list
-    assignment: dict = field(init=False)  # frozenset -> order index
+    assignment: dict = field(init=False)  # mask -> (order index, first, last)
 
     def __post_init__(self):
-        required = _required_masks(self.M, self.method)
+        required, last = _required_masks(self.M, self.method), self.M - 1
         self.assignment = {}
         for index, order in enumerate(self.orders):
-            for mask in _covered_masks(order, self.method) & required:
-                self.assignment.setdefault(set_of(mask), index)
+            bits = [1 << f for f in order]
+            for a in range(self.M):
+                for e, mask in enumerate(accumulate(bits[a:], or_), a):
+                    if mask in required and (self.method == "ratio" or a == 0 or e == last):
+                        self.assignment.setdefault(mask, (index, a, e))
 
 
 def _required_masks(M, method):

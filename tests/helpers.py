@@ -28,10 +28,9 @@ def straddled_overlaps(plan):
     """Per (order, i, j) of a ratio plan whose span some complement block
     straddles: the distinct sets of span positions inside such a block."""
     overlaps = {}
-    for sbar, index in plan.assignment.items():
+    for index, first, last in plan.assignment.values():
         order = plan.orders[index]
-        positions = [order.index(f) for f in sbar]
-        block = set(range(min(positions), max(positions) + 1))
+        block = set(range(first, last + 1))
         m = len(order)
         for i in range(m - 1):
             for j in range(m - 1 - i):

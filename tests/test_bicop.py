@@ -77,11 +77,12 @@ def clayton_h_50_digits(theta, u, v):
 
 @pytest.mark.parametrize("theta", [0.5, 2.0, 4.75, 20.0, 50.0])
 def test_clayton_h_keeps_its_digits_in_both_tails(theta):
-    """Where h nears 1 (small v) it is within a few ulps, so the 1 - h that
-    the 90 and 270 degree rotations return keeps its digits: the 1e-14
-    error of a cancelling log let a 2-ulp step of v move the h-values a
-    vine carries on by 1e-7 relative.  Where h nears 0 it neither
-    overflows nor loses its relative precision."""
+    """Where h nears 1 (small v), 1 - h keeps its relative digits: a vine
+    carries h on to the next tree, whose reflected Clayton pairs read it
+    as log1p(-h), so there an error in h's last ulps is an error in 1 - h
+    itself.  The 1e-14 error of a cancelling log let a 2-ulp step of v
+    move those carried values by 1e-7 relative.  Where h nears 0 it
+    neither overflows nor loses its relative precision."""
     u = np.array([0.125, 0.375, 0.5, 0.625, 0.875, 1e-6, 1e-10])
     v = np.array([1e-10, 1e-6, 1e-3, 0.0164, 0.1, 0.5, 0.9])
     uu, vv = (a.ravel() for a in np.meshgrid(u, v))

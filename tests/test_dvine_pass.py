@@ -278,10 +278,9 @@ def reference_log_weights(est, features, x_star):
     sbar = sorted(set(range(est.M)) - set(features))
     if len(sbar) < 2:
         return est.models[0].copula_log_density(u)
-    model = est.models[est.plan.assignment[frozenset(sbar)]]
-    positions = [model.order.index(j) for j in sbar]
-    start, end = min(positions), max(positions)
-    assert end - start + 1 == len(sbar)  # the complement is a contiguous block
+    index, start, end = est.plan.assignment[sum(1 << j for j in sbar)]
+    model = est.models[index]
+    assert sorted(model.order[start:end + 1]) == sbar  # the complement is a contiguous block
     cols = [model.order[p] for p in range(start, end + 1)]
     return (model.copula_log_density(u)
             - model.marginal_copula_log_density((start, end), u[:, cols]))
@@ -315,11 +314,11 @@ def test_stacked_ratio_weights_match_numerator_minus_denominator(m, data, seed):
         features = set_of(mask)
         want = normalised(reference_log_weights(est, features, x_star))
         assert np.max(np.abs(pi - want)) <= 1e-12
-        assert np.array_equal(x, est._pinned(est._sub_idx, features, x_star))
+        assert np.array_equal(x, est._pinned(est._sub_idx, mask, x_star))
         # one block through `sample` is the stacked pass's row, bit for
         # bit; checked on the first coalition of each serving order
         sbar = frozenset(range(m)) - features
-        order_index = plan.assignment[sbar] if len(sbar) > 1 else 0
+        order_index = plan.assignment[(1 << m) - 1 ^ mask][0] if len(sbar) > 1 else 0
         if order_index not in checked:
             checked.add(order_index)
             assert np.array_equal(est.sample(features, x_star)[1], pi)
@@ -544,10 +543,10 @@ def condsim_groups(plan, models):
     """The coalition masks of each (serving order, prefix or suffix) group
     of a condsim plan, as a Counter of (order, role, masks)."""
     groups = {}
-    for features, index in plan.assignment.items():
-        role = models[index].coalition_role(features)
-        groups.setdefault((plan.orders[index], role), set()).add(
-            sum(1 << f for f in features))
+    for mask, (index, first, _) in plan.assignment.items():
+        role = models[index].coalition_role(set_of(mask))
+        assert role == ("prefix" if first == 0 else "suffix")
+        groups.setdefault((plan.orders[index], role), set()).add(mask)
     return Counter((order, role, frozenset(masks)) for (order, role), masks in groups.items())
 
 

@@ -177,7 +177,7 @@ def test_gaussian_constant_coalition_takes_an_absolute_ridge():
     expl = shapley(est, x_star)
     assert np.all(np.isfinite(expl.phi))
     assert abs(expl.phi0 + expl.phi.sum() - g(x_star)[0]) < 1e-8
-    assert frozenset({1}) in est.ridge_flagged
+    assert 0b010 in est.ridge_flagged
 
 
 def test_gaussian_copula_identity_reduces_to_marginal_sampling():
@@ -212,7 +212,7 @@ def test_gaussian_ridge_flags_are_reported_in_every_rows_diagnostics():
     for cls in (GaussianEstimator, GaussianCopulaEstimator):
         est = cls(train, lambda x: x[:, 2], K=100, rng=np.random.default_rng(11))
         rows = shapley_rows(est, train[:3])
-        assert est.ridge_flagged == {frozenset({0, 1})}
+        assert est.ridge_flagged == {0b011}
         assert [e.diagnostics["ridge_flagged"] for e in rows] == [[0b011]] * 3
 
 
@@ -240,7 +240,7 @@ def assert_gaussian_equals_reference(cls, M, K, seed, singular, rows):
         phi0, phi = shapley_from_values(M, values)
         assert expl.phi0 == phi0 and np.array_equal(expl.phi, phi)
         assert expl.diagnostics["ridge_flagged"] == flagged
-    assert waves.ridge_flagged == {set_of(mask) for mask in flagged}
+    assert waves.ridge_flagged == set(flagged)
 
 
 @pytest.mark.parametrize("cls", [GaussianEstimator, GaussianCopulaEstimator])
@@ -278,12 +278,14 @@ def test_gaussian_chunks_equal_one_draw_per_coalition(monkeypatch, cls, singular
 
 @pytest.mark.parametrize("cls", [GaussianEstimator, GaussianCopulaEstimator])
 def test_gaussian_sample_at_max_features(cls):
+    # and at M = 1, whose 1 x 1 sigma np.cov and np.corrcoef return as a
+    # 0-d value: the empty coalition ended in a bare IndexError
     rng = np.random.default_rng(12)
-    M = MAX_FEATURES
-    train = rng.gamma(2.0, size=(100, M))
-    est = cls(train, row_wise, K=50, rng=np.random.default_rng(13))
-    x, pi = est.sample({0, 7, 19}, rng.gamma(2.0, size=M))
-    assert x.shape == (50, M) and pi is None and np.all(np.isfinite(x))
+    for M, features in ((MAX_FEATURES, {0, 7, 19}), (1, set())):
+        train = rng.gamma(2.0, size=(100, M))
+        est = cls(train, row_wise, K=50, rng=np.random.default_rng(13))
+        x, pi = est.sample(features, rng.gamma(2.0, size=M))
+        assert x.shape == (50, M) and pi is None and np.all(np.isfinite(x))
 
 
 @pytest.mark.parametrize("cls", [GaussianEstimator, GaussianCopulaEstimator])
@@ -296,7 +298,7 @@ def test_gaussian_sample_builds_only_the_coalitions_it_draws(cls):
     est.sample({0, 2}, rng.gamma(2.0, size=3))
     assert est.ridge_flagged == set()
     est.sample({0, 1}, rng.gamma(2.0, size=3))
-    assert est.ridge_flagged == {frozenset({0, 1})}
+    assert est.ridge_flagged == {0b011}
 
 
 @pytest.mark.parametrize("cls", [GaussianEstimator, GaussianCopulaEstimator])
@@ -580,8 +582,7 @@ class UnevenEstimator(IndependenceEstimator):
     def _draws(self, masks, x_star):
         for mask in masks:
             n = 4 * self.K if mask == 0b10 else self.K
-            x = self._pinned(self.rng.integers(0, len(self.train_x), size=n), set_of(mask),
-                             x_star)
+            x = self._pinned(self.rng.integers(0, len(self.train_x), size=n), mask, x_star)
             self.drawn.append(x)
             yield mask, x, None
 
@@ -645,7 +646,7 @@ def test_shapley_reports_the_ess_of_the_weights_it_averaged_with(monkeypatch):
     monkeypatch.setattr(dvine, "_trees", counted_pass)
     est = make_estimator("ratio", train, row_wise, 54)
     expl = shapley(est, x_star)
-    assert len(passes) == len(set(est.plan.assignment.values()))
+    assert len(passes) == len({index for index, _, _ in est.plan.assignment.values()})
     ess = expl.diagnostics["ess"]
     assert list(ess) == list(range(1, 15))
     assert expl.diagnostics["ess_min"] == min(ess.values())
@@ -752,6 +753,29 @@ def test_sample_rejects_a_feature_that_is_not_an_index(method, features):
             call(features, train[0])
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_sample_of_the_full_coalition_is_x_star_without_a_draw(method):
+    # the vine estimators raised CoverageError; the ratio one named the
+    # complement, "features []"
+    train = np.random.default_rng(65).normal(size=(100, 3))
+    est = make_estimator(method, train, row_wise, 66, K=20)
+    state = est.rng.bit_generator.state
+    x, pi = est.sample({0, 1, 2}, train[4])
+    assert pi is None and np.array_equal(x, np.tile(train[4], (20, 1)))
+    assert est.rng.bit_generator.state == state
+    assert est.contribution({0, 1, 2}, train[4]) == pytest.approx(row_wise(train[4:5])[0])
+
+
+@pytest.mark.parametrize("method", ["condsim", "ratio"])
+def test_vine_sample_of_the_empty_coalition_points_to_shapley(method):
+    # the ratio estimator's message named the complement, "features [0, 1, 2]"
+    train = np.random.default_rng(67).normal(size=(100, 3))
+    est = make_estimator(method, train, never_called, 68)
+    for call in (est.sample, est.contribution):
+        with pytest.raises(CoverageError, match=r"coalition \[\] .*`shapley`"):
+            call(set(), train[0])
+
+
 # ----------------------------------------------------------------------
 # vine-ratio: one stacked straddling-pair pass per serving order
 
@@ -784,7 +808,7 @@ def test_ratio_pass_stacks_coalitions_within_the_row_budget(monkeypatch):
                                   for overlaps in straddled_overlaps(est.plan).values())
     # one subsample pass per serving order, though some order serves three
     # or more coalitions
-    served = list(est.plan.assignment.values())
+    served = [index for index, _, _ in est.plan.assignment.values()]
     assert passes == [K + 1] * len(set(served))
     assert max(map(served.count, served)) > 2
     assert expl.phi0 == expected.phi0 and np.array_equal(expl.phi, expected.phi)
@@ -794,10 +818,10 @@ def test_ratio_pass_stacks_coalitions_within_the_row_budget(monkeypatch):
 def test_ratio_uncovered_complement_raises_coverage_error():
     train = np.random.default_rng(51).normal(size=(100, 3))
     est = make_estimator("ratio", train, row_wise, 52)
-    del est.plan.assignment[frozenset({1, 2})]
+    del est.plan.assignment[0b110]
     with pytest.raises(CoverageError):
         shapley(est, train[0])
-    with pytest.raises(CoverageError):
+    with pytest.raises(CoverageError, match=r"coalition \[0\] "):  # S, not its complement
         est.sample(frozenset({0}), train[0])
 
 

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vineshap import (CoverPlan, InvalidInputError, covered_sets, greedy_cover,
                       required_sets)
-from vineshap.structure import MAX_FEATURES
+from vineshap.structure import MAX_FEATURES, METHODS, set_of
 
 
 def union_covered(plan):
@@ -84,7 +86,7 @@ def test_m2_ratio_plan_is_the_identity_order():
 @pytest.mark.parametrize("m", [2, 3, 5, 8])
 def test_one_feature_ratio_complements_go_to_the_first_order(m):
     plan = greedy_cover(m, "ratio", rng=np.random.default_rng(m))
-    assert all(plan.assignment[frozenset({j})] == 0 for j in range(m))
+    assert all(plan.assignment[1 << j][0] == 0 for j in range(m))
 
 
 def test_m3_condsim_exactly_two_orders():
@@ -99,16 +101,29 @@ def test_m3_condsim_exactly_two_orders():
 def test_completeness(m, method):
     plan = greedy_cover(m, method, rng=np.random.default_rng(m))
     assert union_covered(plan) >= required_sets(m, method)
-    assert set(plan.assignment) == required_sets(m, method)
+    assert {set_of(mask) for mask in plan.assignment} == required_sets(m, method)
 
 
 def test_assignment_points_at_covering_order():
     for method in ("condsim", "ratio"):
         plan = greedy_cover(5, method, rng=np.random.default_rng(1))
-        for coalition, index in plan.assignment.items():
+        for mask, (index, _, _) in plan.assignment.items():
+            coalition = set_of(mask)
             assert coalition in covered_sets(plan.orders[index], method)
             assert not any(coalition in covered_sets(order, method)
                            for order in plan.orders[:index])
+
+
+@settings(max_examples=40, deadline=None)
+@given(M=st.integers(2, 9), method=st.sampled_from(METHODS), seed=st.integers(0, 2 ** 32 - 1))
+def test_assignment_holds_the_first_covering_order_and_the_block_it_fills(M, method, seed):
+    plan = greedy_cover(M, method, B=20, rng=np.random.default_rng(seed))
+    covered = [covered_sets(order, method) for order in plan.orders]
+    for mask, (i, a, e) in plan.assignment.items():
+        assert set(plan.orders[i][a:e + 1]) == set_of(mask)
+        if method == "condsim":  # a prefix or a suffix
+            assert a == 0 or e == M - 1
+        assert not any(set_of(mask) in sets for sets in covered[:i])
 
 
 def frozenset_covered(order, method):
