@@ -8,6 +8,7 @@ import argparse
 import csv
 import functools
 import json
+import operator
 import shlex
 import subprocess
 import sys
@@ -285,12 +286,21 @@ def cmd_simulate(args):
     return 0
 
 
-BENCH_KEYS = {"p", "m", "n_train", "n_test", "reps", "k", "k_oracle",
-              "methods", "predictor", "seed", "noise_scale"}
+#: each `bench` config key, in manifest order: the ExperimentConfig field it
+#: sets (p and M of its `burr`) and the type its text is read as
+BENCH_FIELDS = {
+    "p": ("burr.p", float), "m": ("burr.M", int), "n_train": ("n_train", int),
+    "n_test": ("n_test", int), "reps": ("repetitions", int), "k": ("K", int),
+    "k_oracle": ("K_oracle", int),
+    "methods": ("methods", lambda text: tuple(t.strip() for t in text.split(","))),
+    "predictor": ("predictor", str), "noise_scale": ("noise_scale", float),
+    "seed": ("seed", int)}
 
 
 def parse_bench_config(path):
-    kv = {}
+    """The ExperimentConfig of a key=value file; a key it leaves out takes the
+    field's default there, and p and m, for which `burr` has none, 0.5 and 4."""
+    fields = {"burr.p": 0.5, "burr.M": 4}
     try:
         with open(path, encoding="utf-8") as fh:
             for i, line in enumerate(fh, start=1):
@@ -299,40 +309,22 @@ def parse_bench_config(path):
                     continue
                 if "=" not in line:
                     raise DataError(f"{path}: line {i}: expected key=value")
-                key, _, val = line.partition("=")
-                key = key.strip().lower()
-                if key not in BENCH_KEYS:
+                key, _, text = line.partition("=")
+                key, text = key.strip().lower(), text.strip()
+                if key not in BENCH_FIELDS:
                     raise DataError(f"{path}: line {i}: unknown key {key!r}")
-                kv[key] = val.strip()
+                field, kind = BENCH_FIELDS[key]
+                try:
+                    fields[field] = value = kind(text)
+                    if field in simstudy.CONFIG_BOUNDS:
+                        simstudy.check_field(field, value)
+                except (ValueError, InvalidInputError) as exc:
+                    raise DataError(f"{path}: {key}={text}: {exc}")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}")
-
-    def number(key, default, kind=int, low=-np.inf):
-        """kv[key] as a finite `kind` >= low; else a DataError naming the key."""
-        text = kv.get(key, default)
-        try:
-            value = kind(text)
-        except ValueError:
-            value = np.nan
-        if not -np.inf < value < np.inf or value < low:
-            raise DataError(f"{path}: {key} must be a finite {kind.__name__} "
-                            f">= {low}, got {text!r}")
-        return value
-
-    methods = kv.get("methods", "independence,gaussian-copula,vine-ratio-par")
     try:
-        config = simstudy.ExperimentConfig(
-            burr=simstudy.study_params(number("p", "0.5", float), M=number("m", "4")),
-            n_train=number("n_train", "1000", low=50),
-            n_test=number("n_test", "20", low=1),
-            repetitions=number("reps", "5", low=1),
-            K=number("k", "1000", low=1),
-            K_oracle=number("k_oracle", "10000", low=1000),
-            methods=tuple(t.strip() for t in methods.split(",")),
-            predictor=kv.get("predictor", "analytic-mean"),
-            noise_scale=number("noise_scale", "0.5", float, low=0),
-            seed=number("seed", "0", low=0),
-        )
+        burr = simstudy.study_params(fields.pop("burr.p"), fields.pop("burr.M"))
+        config = simstudy.ExperimentConfig(burr, **fields)
         config.validate()
     except InvalidInputError as exc:
         raise DataError(f"{path}: {exc}")
@@ -355,13 +347,9 @@ def cmd_bench(args):
               ["method", "repetition", "seconds"],
               [[m, r, float(s)] for m, r, s in report.timings])
     with open(os.path.join(args.out_dir, "manifest.txt"), "w", encoding="utf-8") as fh:
-        fh.write(f"p={config.burr.p}\nm={config.burr.M}\n"
-                 f"n_train={config.n_train}\nn_test={config.n_test}\n"
-                 f"reps={config.repetitions}\nk={config.K}\n"
-                 f"k_oracle={config.K_oracle}\n"
-                 f"methods={','.join(config.methods)}\n"
-                 f"predictor={config.predictor}\n"
-                 f"noise_scale={config.noise_scale}\nseed={config.seed}\n")
+        for key, (field, _) in BENCH_FIELDS.items():
+            value = operator.attrgetter(field)(config)
+            fh.write(f"{key}={','.join(value) if key == 'methods' else value}\n")
     return 0
 
 

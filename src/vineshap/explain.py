@@ -76,9 +76,9 @@ class ContributionEstimator:
     def __init__(self, train_x, predictor, K=1000, rng=None):
         self.train_x = np.asarray(train_x, dtype=float)
         self.predictor = predictor
+        if isinstance(K, bool) or not isinstance(K, (int, np.integer)) or K < 1:
+            raise InvalidInputError(f"K must be an integer >= 1, got {K!r}")
         self.K = int(K)
-        if self.K < 1:
-            raise InvalidInputError(f"K must be >= 1, got {K}")
         self.rng = rng if rng is not None else np.random.default_rng()
         if self.train_x.ndim != 2 or not self.train_x.size or not np.isfinite(self.train_x).all():
             raise InvalidInputError("training set must be a nonempty, finite N x M table")
@@ -286,7 +286,17 @@ def _conditional_normals(mu, sigma, scores, inside, ridge=False):
     eigmin = np.linalg.eigvalsh(cov).min(axis=1)
     low = eigmin < 1e-12
     cov[low] += (1e-12 - np.minimum(eigmin[low], 0.0))[:, None, None] * np.eye(cov.shape[1])
-    return mean, np.linalg.cholesky(cov), ridge | (eigmin < -1e-8)
+    flagged = ridge | (eigmin < -1e-8)
+    try:
+        return mean, np.linalg.cholesky(cov), flagged
+    except np.linalg.LinAlgError:  # a data-scale block rounds far above 1e-12
+        for i, block in enumerate(cov):
+            try:
+                np.linalg.cholesky(block)
+            except np.linalg.LinAlgError:  # lift it relative to its scale
+                block += 1e-12 * max(1.0, np.trace(block) / len(block)) * np.eye(len(block))
+                flagged[i] = True
+        return mean, np.linalg.cholesky(cov), flagged
 
 
 class GaussianCopulaEstimator(ContributionEstimator):

@@ -8,6 +8,7 @@ oracle.
 """
 
 import itertools
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -285,6 +286,19 @@ def mae(estimates, truths):
 # ----------------------------------------------------------------------
 # experiment harness
 
+#: each numeric `ExperimentConfig` field: its type and its lowest value
+CONFIG_BOUNDS = {"n_train": (int, 50), "n_test": (int, 1), "repetitions": (int, 1), "K": (int, 1),
+                 "K_oracle": (int, 1000), "noise_scale": (float, 0), "seed": (int, 0)}
+
+
+def check_field(name, value):
+    """InvalidInputError unless `value` fits field `name`: finite, of its type (no bool), >= its lowest."""
+    kind, low = CONFIG_BOUNDS[name]
+    number = numbers.Integral if kind is int else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, number) or not low <= value < np.inf:
+        raise InvalidInputError(f"{name} must be a finite {kind.__name__} >= {low}, got {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
     burr: BurrParams
@@ -299,14 +313,14 @@ class ExperimentConfig:
     seed: int = 0
 
     def validate(self):
-        if self.n_train < 50:
-            raise InvalidInputError("n_train must be >= 50")
-        if self.n_test < 1 or self.repetitions < 1 or self.K < 1:
-            raise InvalidInputError("n_test, repetitions and K must be >= 1")
-        for tag in self.methods:
-            if tag not in METHOD_TAGS:
-                raise InvalidInputError(
-                    f"unknown method {tag!r}; choose from {METHOD_TAGS}")
+        if not isinstance(self.burr, BurrParams):
+            raise InvalidInputError(f"burr must be a BurrParams, got {self.burr!r}")
+        for name in CONFIG_BOUNDS:
+            check_field(name, getattr(self, name))
+        if (not isinstance(self.methods, (tuple, list)) or not self.methods
+                or any(tag not in METHOD_TAGS for tag in self.methods)):
+            raise InvalidInputError(
+                f"methods must be a nonempty tuple of {METHOD_TAGS}, got {self.methods!r}")
         if self.predictor not in ("analytic-mean", "knn"):
             raise InvalidInputError("predictor must be 'analytic-mean' or 'knn'")
 
@@ -345,6 +359,8 @@ def _build_estimator(tag, train_x, g, K, rng):
 def run_repetition(config, rep):
     """One repetition of the protocol; deterministic in (seed, rep)."""
     config.validate()
+    if isinstance(rep, bool) or not isinstance(rep, numbers.Integral) or rep < 0:
+        raise InvalidInputError(f"rep must be an integer >= 0, got {rep!r}")
     ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(rep,))
     rng_data, rng_fit, rng_explain, rng_oracle = map(np.random.default_rng, ss.spawn(4))
 

@@ -37,22 +37,23 @@ class CoverPlan:
     assignment: dict = field(init=False)  # mask -> (order index, first, last)
 
     def __post_init__(self):
-        required, last = _required_masks(self.M, self.method), self.M - 1
+        full, last = _full_mask(self.M, self.method), self.M - 1
         self.assignment = {}
         for index, order in enumerate(self.orders):
             bits = [1 << f for f in order]
             for a in range(self.M):
                 for e, mask in enumerate(accumulate(bits[a:], or_), a):
-                    if mask in required and (self.method == "ratio" or a == 0 or e == last):
+                    if 0 < mask < full and (self.method == "ratio" or a == 0 or e == last):
                         self.assignment.setdefault(mask, (index, a, e))
 
 
-def _required_masks(M, method):
+def _full_mask(M, method):
+    """The mask of all M features; every mask strictly below it but 0 is required."""
     if not 2 <= M <= MAX_FEATURES:
         raise InvalidInputError(f"M must be in [2, {MAX_FEATURES}], got {M}")
     if method not in METHODS:
         raise InvalidInputError(f"method must be one of {METHODS}, got {method!r}")
-    return set(range(1, (1 << M) - 1))
+    return (1 << M) - 1
 
 
 def required_sets(M, method):
@@ -61,7 +62,7 @@ def required_sets(M, method):
     condsim: every conditioning set S; ratio: every complement set S-bar.
     For both that is every proper nonempty subset of the M features.
     """
-    return {set_of(mask) for mask in _required_masks(M, method)}
+    return {set_of(mask) for mask in range(1, _full_mask(M, method))}
 
 
 def _covered_masks(order, method):
@@ -94,7 +95,7 @@ def greedy_cover(M, method, B=DEFAULT_BATCH, rng=None):
         raise InvalidInputError(f"B must be >= 1, got {B}")
     if rng is None:
         rng = np.random.default_rng()
-    remaining = _required_masks(M, method)
+    remaining = set(range(1, _full_mask(M, method)))
     orders = []
     while remaining:
         best_order, best_cov, best_score = None, None, -1

@@ -11,8 +11,8 @@ import pytest
 
 import vineshap
 import vineshap.cli
-from vineshap import burr_sample, study_params
-from vineshap.cli import FIT_METHODS, main, make_predictor, read_csv
+from vineshap import ExperimentConfig, burr_sample, study_params
+from vineshap.cli import FIT_METHODS, main, make_predictor, parse_bench_config, read_csv
 
 
 def run_cli(*argv):
@@ -710,7 +710,17 @@ def test_bench_deterministic_and_shaped(tmp_path):
     summary = (out1 / "summary.csv").read_text().strip().splitlines()
     assert len(summary) == 1 + 2
     assert (out1 / "timing.csv").exists()
-    assert (out1 / "manifest.txt").read_text().startswith("p=1.0")
+    assert (out1 / "manifest.txt").read_text() == (
+        "p=1.0\nm=3\nn_train=120\nn_test=2\nreps=2\nk=100\nk_oracle=1000\n"
+        "methods=independence,gaussian-copula\npredictor=analytic-mean\n"
+        "noise_scale=0.5\nseed=0\n")
+
+
+def test_bench_config_defaults_are_the_experiment_configs(tmp_path):
+    # p and m, for which `burr` has no default, take 0.5 and 4
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("# every key left out\n")
+    assert parse_bench_config(cfg) == ExperimentConfig(study_params(0.5, 4))
 
 
 def test_bench_single_rep_row_count(tmp_path):

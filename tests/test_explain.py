@@ -180,6 +180,19 @@ def test_gaussian_constant_coalition_takes_an_absolute_ridge():
     assert 0b010 in est.ridge_flagged
 
 
+@pytest.mark.parametrize("seed", [5, 16, 17])
+def test_gaussian_data_scale_singular_block_takes_a_relative_lift(seed):
+    # Burr columns with variances near 3e9: a rank-deficient complement block
+    # rounds far above the absolute lift of 1e-12, and its Cholesky factor
+    # ended in a bare LinAlgError
+    x = burr_sample(study_params(0.5, 5), 300, np.random.default_rng(seed))
+    x[:, 1] = x[:, 0]
+    g = lambda x: np.atleast_2d(x) @ np.arange(1.0, 6.0)
+    expl = shapley(GaussianEstimator(x, g, K=100, rng=np.random.default_rng(1)), x[3])
+    assert np.all(np.isfinite(expl.phi))
+    assert expl.phi0 + expl.phi.sum() == pytest.approx(g(x[3])[0], rel=1e-12)
+
+
 def test_gaussian_copula_identity_reduces_to_marginal_sampling():
     rng = np.random.default_rng(12)
     train = rng.normal(size=(500, 2))
@@ -525,6 +538,16 @@ def test_shapley_computes_no_standard_error(method):
     est = make_estimator(method, train, lambda x: x @ [1.0, 2.0, 3.0], 52)
     expl = shapley(est, np.array([1e200, 0.5, -0.5]))
     assert np.all(np.isfinite(expl.phi))
+
+
+def test_estimator_k_must_be_an_integer_of_at_least_one():
+    # int(K) turned 2.5 into 2, True into 1 and "10" into 10
+    train = np.ones((10, 2))
+    for K in (2.5, True, "10", "abc", None, 0, -1, np.float64(3.0)):
+        with pytest.raises(InvalidInputError, match="K must be an integer"):
+            IndependenceEstimator(train, row_wise, K=K)
+    est = IndependenceEstimator(train, row_wise, K=np.int64(3))
+    assert est.K == 3 and type(est.K) is int
 
 
 # ----------------------------------------------------------------------

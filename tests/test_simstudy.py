@@ -453,13 +453,24 @@ def test_every_method_gives_finite_efficient_phi_at_the_edges(
     assert abs(expl.phi0 + expl.phi.sum() - g_star) <= 1e-8 * max(1.0, abs(g_star))
 
 
-def test_config_validation():
-    with pytest.raises(InvalidInputError):
-        tiny_config(n_train=10).validate()
-    with pytest.raises(InvalidInputError):
-        tiny_config(methods=("nope",)).validate()
-    with pytest.raises(InvalidInputError):
-        tiny_config(predictor="forest").validate()
+def test_config_validation(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("data drawn before the config was checked")
+
+    monkeypatch.setattr(simstudy, "burr_sample", no_draw)
+    for change in (dict(n_train=10), dict(methods=("nope",)), dict(predictor="forest"),
+                   dict(seed=-1), dict(n_train=60.5), dict(K=2.5), dict(K=True),
+                   dict(K_oracle=10), dict(noise_scale=-1), dict(noise_scale=np.nan),
+                   dict(burr=None), dict(methods=None), dict(methods=())):
+        config = tiny_config(**change)
+        with pytest.raises(InvalidInputError):
+            config.validate()
+        with pytest.raises(InvalidInputError):
+            run_experiment(config)
+    for rep in (-1, True, 1.0):
+        with pytest.raises(InvalidInputError, match="rep must be"):
+            run_repetition(tiny_config(), rep)
+    tiny_config(n_train=np.int64(120), K=np.int32(100), noise_scale=0).validate()
 
 
 def test_weak_dependence_sanity():
