@@ -40,7 +40,10 @@ is non-decreasing in w and gives back u from w = hfunc(u, v, cond_on)
 [1e-6, 1 - 1e-6].  Where h saturates at the clip, u is lost: at theta = 5,
 Clayton's hinv(hfunc(0.3, 1e-4), 1e-4) is 0.0104.  `scipy.special` loads
 on first use, through `special()`: a vine without a Gaussian pair never
-imports scipy.
+imports scipy, nor does a parametric fit that picks none: its AIC screens
+the Gaussian candidate on NumPy normal scores, within 3.9e-7 N / (1 - rho^2)
+of the exact AIC for N points, and scores it through scipy only where it
+is within a margin of 1e-6 N / (1 - rho^2) of the others' least AIC.
 """
 import numpy as np
 
@@ -378,6 +381,16 @@ def _validate_pseudo_obs(data, min_n):
 _BLOCK = 8      # entries per block whose inversions `_inversions` counts pair by pair
 _PAIRS = np.triu_indices(_BLOCK, 1)
 _FIT_CELLS = 1 << 18  # entries per chunk of a stacked fit, which bounds its scratch memory
+_SCREEN_MARGIN = 1e-6  # per point, over 1 - rho^2: 2.5 times the screen's error bound
+#: Acklam's normal quantile: stacked (numerator, denominator) coefficients from
+#: the highest power, central then tail, whose denominator takes a leading 0
+_ACKLAM = [np.array(c).T[:, :, None] for c in (
+    ((-39.69683028665376, 220.9460984245205, -275.9285104469687, 138.3577518672690, -30.66479806614716,
+      2.506628277459239),
+     (-54.47609879822406, 161.5858368580409, -155.6989798598866, 66.80131188771972, -13.28068155288572, 1.0)),
+    ((-0.007784894002430293, -0.3223964580411365, -2.400758277161838, -2.549732539343734, 4.374664141464968,
+      2.938163982698783),
+     (0.0, 0.007784695709041462, 0.3224671290700398, 2.445134137142996, 3.754408661907416, 1.0)))]
 
 
 def _inversions(r):
@@ -455,7 +468,9 @@ def fit_parametric_stack(X, Y):
     rotations 0/180 for positive tau and 90/270 for negative.  A row with
     |tau| below the independence threshold, or a degenerate one, is
     independent; the others are scored together, one candidate at a time,
-    and take the first least AIC (a NaN AIC never wins).  Tau is computed in
+    and take the first least AIC (a NaN AIC never wins).  The Gaussian's is
+    screened, and exact only within a margin of 1e-6 n / (1 - rho^2) of the
+    others' least, so the choice is exact scoring's.  Tau is computed in
     NumPy: no vineshap command imports `scipy.stats`.  Chunks of at most
     _FIT_CELLS entries bound the scratch memory at any P."""
     rows = max(1, _FIT_CELLS // X.shape[1])
@@ -470,7 +485,7 @@ def _fit_chunk(X, Y):
     rho = np.clip(np.sin(np.pi * t / 2.0), -0.999, 0.999)
     with np.errstate(divide="ignore"):  # |tau| = 1: theta is the cap
         theta = np.clip(2.0 * np.abs(t) / (1.0 - np.abs(t)), 1e-4, 50.0)
-    best = _least_aic(_clip(X[active]), _clip(Y[active]), rho, theta, t > 0) if len(t) else []
+    best = _least_aic(_clip((X[active], Y[active])), rho, theta, t > 0) if len(t) else []
     out = [IndependenceCopula() for _ in X]
     for p in np.flatnonzero(degenerate):
         out[p].degenerate = True
@@ -482,17 +497,41 @@ def _fit_chunk(X, Y):
     return out
 
 
-def _least_aic(u, v, rho, theta, positive):
-    """Per row, the first candidate of least AIC: 0 independence, 1 Gaussian,
-    2 and 3 Clayton at the sign's two rotations."""
-    theta, positive = theta[:, None], positive[:, None]
-    logl = [np.zeros(len(u)), _gaussian_log_c(rho[:, None], special().ndtri(u),
-                                              special().ndtri(v)).sum(axis=1)]
+def _least_aic(uv, rho, theta, positive):
+    """Per row of the pairs (u, v) = uv, the first candidate of least AIC: 0 independence,
+    1 Gaussian (exact where its screen cannot decide), 2 and 3 Clayton at the sign's rotations."""
+    (u, v), theta, positive = uv, theta[:, None], positive[:, None]
+    logl = [np.zeros(len(u)), np.zeros(len(u))]  # the Gaussian's is added below
     for a, b in ((np.where(positive, u, 1.0 - u), v), (np.where(positive, 1.0 - u, u), 1.0 - v)):
         log_a, log_b = np.log(a), np.log(b)
         logl.append(_clayton_log_c(theta, log_a, log_b, theta * log_a, theta * log_b).sum(axis=1))
     aic = -2.0 * np.array(logl) + np.array([[0.0], [2.0], [2.0], [2.0]])  # 2 per parameter
+    z, n, s2 = _ndtri(uv), u.shape[1], 1.0 - rho * rho  # sum form of _gaussian_log_c
+    aic[1] += n * np.log(s2) + (rho * rho * np.einsum("kij,kij->i", z, z)
+                                - 2.0 * rho * np.einsum("ij,ij->i", *z)) / s2
+    near = np.flatnonzero(~(np.abs(aic[1] - np.fmin.reduce(aic[[0, 2, 3]])) > n * _SCREEN_MARGIN / s2))
+    if len(near):  # else scipy stays unloaded
+        aic[1, near] = -2.0 * _gaussian_log_c(rho[near, None], *special().ndtri(uv[:, near])).sum(axis=1) + 2.0
     return np.argmin(np.where(np.isnan(aic), np.inf, aic), axis=0)
+
+
+def _ndtri(p):
+    """The normal quantile of p in [EPS, 1 - EPS] by Acklam's rationals, within
+    1.2e-9 |z| of `special().ndtri`; the tail one runs on the tail points only."""
+    def rational(x, coeffs):  # numerator / denominator: Horner steps on both at once, in place
+        y = x * coeffs[0]
+        for a in coeffs[1:-1]:
+            y += a
+            y *= x
+        y += coeffs[-1]
+        return np.divide(*y, out=y[0])
+    q = p.ravel() - 0.5
+    tail = np.flatnonzero(np.abs(q) > 0.5 - 0.02425)  # p below 0.02425 or above 1 - 0.02425
+    t = np.minimum(p.flat[tail], 1.0 - p.flat[tail])
+    z = rational(q * q, _ACKLAM[0])
+    z *= q
+    z[tail] = np.copysign(rational(np.sqrt(-2.0 * np.log(t)), _ACKLAM[1]), q[tail])
+    return z.reshape(p.shape)
 
 
 def valid_grid_size(grid_size):

@@ -53,8 +53,8 @@ class BurrParams:
 
 
 def study_params(p, M=10):
-    if not 1 <= M <= 10:
-        raise InvalidInputError(f"study parameters are defined for M in 1..10, got M={M}")
+    if isinstance(M, bool) or not isinstance(M, numbers.Integral) or not 1 <= M <= 10:
+        raise InvalidInputError(f"study parameters are defined for an integer M in 1..10, got M={M!r}")
     return BurrParams(p=p, b=STUDY_B[:M], r=STUDY_R[:M])
 
 
@@ -253,8 +253,7 @@ def true_shapley(params, predictor, x_star, K_oracle=10000, rng=None):
     x_star = np.asarray(x_star, dtype=float)
     if x_star.shape != (m,) or not np.all(np.isfinite(x_star)) or np.any(x_star <= 0):
         raise InvalidInputError(f"x* must be {m} finite positive values, got {x_star}")
-    if not isinstance(K_oracle, (int, np.integer)) or K_oracle < 1000:
-        raise InvalidInputError(f"oracle needs an integer K_oracle >= 1000, got {K_oracle!r}")
+    check_field("K_oracle", K_oracle)
     rng = np.random.default_rng(rng)
     b, r = np.asarray(params.b), np.asarray(params.r)
     terms = r * x_star ** b

@@ -49,11 +49,11 @@ class CoverPlan:
 
 def _full_mask(M, method):
     """The mask of all M features; every mask strictly below it but 0 is required."""
-    if not 2 <= M <= MAX_FEATURES:
-        raise InvalidInputError(f"M must be in [2, {MAX_FEATURES}], got {M}")
+    if isinstance(M, bool) or not isinstance(M, (int, np.integer)) or not 2 <= M <= MAX_FEATURES:
+        raise InvalidInputError(f"M must be an integer in [2, {MAX_FEATURES}], got {M!r}")
     if method not in METHODS:
         raise InvalidInputError(f"method must be one of {METHODS}, got {method!r}")
-    return (1 << M) - 1
+    return (1 << int(M)) - 1
 
 
 def required_sets(M, method):
@@ -91,8 +91,8 @@ def greedy_cover(M, method, B=DEFAULT_BATCH, rng=None):
     Ties are broken by lexicographically smallest permutation so a fixed
     seed yields a fixed plan.  Coalitions are scored as bit masks.
     """
-    if B < 1:
-        raise InvalidInputError(f"B must be >= 1, got {B}")
+    if isinstance(B, bool) or not isinstance(B, (int, np.integer)) or B < 1:
+        raise InvalidInputError(f"B must be an integer >= 1, got {B!r}")
     if rng is None:
         rng = np.random.default_rng()
     remaining = set(range(1, _full_mask(M, method)))

@@ -6,7 +6,7 @@ import numpy as np
 
 from vineshap import (BurrMarginal, DVineModel, EmpiricalMarginal, GaussianEstimator,
                       GridCopula, PairCopula, burr_conditional_params, shapley_from_values)
-from vineshap.bicop import EPS, special
+from vineshap.bicop import EPS, _clayton_log_c, _gaussian_log_c, special
 
 STEP_SLOTS = ("second", "first", "log_density")
 
@@ -198,3 +198,16 @@ def reference_gaussian_sample(est, mask, x_star):
     x[:, s_cols] = x_star[s_cols]
     x[:, sbar_cols] = z
     return x, flagged
+
+
+def reference_least_aic(uv, rho, theta, positive):
+    """`bicop._least_aic` with every candidate scored exactly, its Gaussian
+    through `special().ndtri` on every row: the choice the screen must keep."""
+    (u, v), theta, positive = uv, theta[:, None], positive[:, None]
+    logl = [np.zeros(len(u)), _gaussian_log_c(rho[:, None], special().ndtri(u),
+                                              special().ndtri(v)).sum(axis=1)]
+    for a, b in ((np.where(positive, u, 1.0 - u), v), (np.where(positive, 1.0 - u, u), 1.0 - v)):
+        log_a, log_b = np.log(a), np.log(b)
+        logl.append(_clayton_log_c(theta, log_a, log_b, theta * log_a, theta * log_b).sum(axis=1))
+    aic = -2.0 * np.array(logl) + np.array([[0.0], [2.0], [2.0], [2.0]])  # 2 per parameter
+    return np.argmin(np.where(np.isnan(aic), np.inf, aic), axis=0)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from helpers import seeded_grid
+from helpers import reference_least_aic, seeded_grid
 from vineshap import bicop
 from vineshap import (ClaytonCopula, GaussianCopula, GridCopula,
                       IndependenceCopula, InvalidInputError, fit_nonparametric,
@@ -574,6 +574,106 @@ def test_tau_of_one_fits_without_a_warning(n, sign, want):
         one = fit_parametric(np.column_stack([x, y]))
         stacked = fit_parametric_stack(np.array([x, x]), np.array([y, y]))
     assert [c.to_dict() for c in [one, *stacked]] == [want] * 3
+
+
+# ----------------------------------------------------------------------
+# the AIC's Gaussian screen
+
+def test_ndtri_is_within_the_screen_bound_of_scipy():
+    """Acklam's rationals against `scipy.special.ndtri` on a dense grid of the
+    clipped interval, with both clip ends, both sides of the tail switches at
+    0.02425 and 1 - 0.02425 and the centre: |z| <= 6.37 and an error of at
+    most 1.2e-9 |z| (none at p = 1/2), the bound the screen's margin rests on."""
+    ends = np.array([EPS, 0.02425, 0.5, 1 - 0.02425, 1 - EPS])
+    p = np.clip(np.concatenate([np.geomspace(EPS, 0.5, 200_001), 1 - np.geomspace(EPS, 0.5, 200_001),
+                                np.linspace(EPS, 1 - EPS, 200_001), ends,
+                                np.nextafter(ends, 0), np.nextafter(ends, 1)]), EPS, 1 - EPS)
+    z, got = special().ndtri(p), bicop._ndtri(p)
+    assert np.all(np.abs(z) <= 6.37)
+    assert np.all(np.abs(got - z) <= 1.2e-9 * np.abs(z))
+    assert np.array_equal(bicop._ndtri(p[:600_000].reshape(2, 3, -1)), got[:600_000].reshape(2, 3, -1))
+
+
+@st.composite
+def near_tie_stacks(draw):
+    """1-6 row pairs of n pseudo-observations where the candidates' AICs lie
+    close: Gaussian- or Clayton-generated, at either sign, either weakly
+    (|tau| about the independence threshold of 0.02) or so strongly that the
+    Gaussian's rho sits at the +-0.999 clip."""
+    n = draw(st.sampled_from([10, 50, 200, 1000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        x, w = rng.uniform(0.01, 0.99, size=(2, n))
+        tau, sign = draw(st.floats(0.02, 0.05) | st.floats(0.97, 0.999)), draw(st.sampled_from([1, -1]))
+        if draw(st.booleans()):
+            rho = sign * np.sin(np.pi * tau / 2.0)
+            y = special().ndtr(rho * special().ndtri(x) + np.sqrt(1 - rho ** 2) * special().ndtri(w))
+        else:
+            rotation = draw(st.sampled_from([0, 180])) + (0 if sign > 0 else 90)
+            y = ClaytonCopula(min(2.0 * tau / (1.0 - tau), 80.0), rotation).hinv(w, x, "first")
+        rows.append((x, np.clip(y, 1e-12, 1 - 1e-12)))
+    return np.array([x for x, _ in rows]), np.array([y for _, y in rows])
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_tie_stacks())
+def test_the_screened_fit_equals_exact_scoring(stack):
+    """Each row's family, rotation, theta and rho are those of a fit that
+    scores the Gaussian exactly, through `scipy.special`, on every row."""
+    X, Y = stack
+    got = fit_parametric_stack(X, Y)
+    with mock.patch.object(bicop, "_least_aic", reference_least_aic):
+        want = fit_parametric_stack(X, Y)
+    assert [c.to_dict() for c in got] == [c.to_dict() for c in want]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_the_screen_keeps_exact_scorings_choice_at_a_gaussian_clayton_tie(seed):
+    """Clayton-generated rows, each with theta bisected to the two adjacent
+    floats between which its Clayton AIC crosses the exact Gaussian AIC: on
+    both sides the screen picks what exact scoring picks, although its own
+    Gaussian AIC lies off the exact one, on one side or the other of the tie."""
+    rng = np.random.default_rng(seed)
+    x, w = rng.uniform(size=(2, 8, 500))
+    uv = bicop._clip((x, ClaytonCopula(2.0).hinv(w, x, "first")))
+    rho, positive = np.full(8, np.sin(np.pi / 4.0)), np.ones(8, bool)
+    lo, hi = np.full(8, 1e-4), np.full(8, 2.0)
+    for _ in range(100):
+        gaussian = reference_least_aic(uv, rho, (lo + hi) / 2.0, positive) == 1
+        lo, hi = np.where(gaussian, (lo + hi) / 2.0, lo), np.where(gaussian, hi, (lo + hi) / 2.0)
+    for theta, want in ((lo, 1), (hi, 2)):
+        assert np.all(reference_least_aic(uv, rho, theta, positive) == want)
+        assert np.all(bicop._least_aic(uv, rho, theta, positive) == want)
+
+
+def test_a_row_exactly_one_margin_from_the_least_aic_is_scored_exactly(monkeypatch):
+    """At rho = 0 the screened Gaussian AIC is exactly 2, its one parameter's
+    penalty, and independence's is 0; with the margin set to 2 / n the two
+    lie exactly one margin apart, which the screen does not decide."""
+    n, calls = 64, []
+    monkeypatch.setattr(bicop, "_SCREEN_MARGIN", 2.0 / n)
+    monkeypatch.setattr(bicop, "special", lambda: calls.append(1) or special())
+    uv = bicop._clip(np.random.default_rng(0).uniform(size=(2, 1, n)))
+    assert bicop._least_aic(uv, np.zeros(1), np.full(1, 1e-4), np.ones(1, bool)).tolist() == [0]
+    assert calls
+
+
+def test_a_stack_the_screen_decides_never_calls_scipy(monkeypatch):
+    """Clayton-generated rows at every rotation and Gaussian-generated ones:
+    each row's choice is clear on the screened AICs, Gaussian or not, so the
+    fit never reaches `special()` and equals exact scoring's."""
+    rng = np.random.default_rng(7)
+    x, w = rng.uniform(0.01, 0.99, size=(2, 7, 400))
+    y = [ClaytonCopula(theta, rotation).hinv(w[i], x[i], "first")
+         for i, (theta, rotation) in enumerate([(0.5, 0), (2.0, 90), (5.0, 180), (1.0, 270)])]
+    y += [special().ndtr(r * special().ndtri(x[i]) + np.sqrt(1 - r * r) * special().ndtri(w[i]))
+          for i, r in zip(range(4, 7), (0.3, -0.6, 0.9))]
+    with mock.patch.object(bicop, "_least_aic", reference_least_aic):
+        want = [c.to_dict() for c in fit_parametric_stack(x, np.array(y))]
+    monkeypatch.setattr(bicop, "special", mock.Mock(side_effect=AssertionError("scipy reached")))
+    assert [c.to_dict() for c in fit_parametric_stack(x, np.array(y))] == want
+    assert [d["family"] for d in want] == ["clayton"] * 4 + ["gaussian"] * 3
 
 
 # ----------------------------------------------------------------------

@@ -19,22 +19,22 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def write_csv(path, x):
+    path.write_text("\n".join([",".join(f"x{j + 1}" for j in range(x.shape[1]))]
+                              + [",".join(map(repr, row)) for row in x.tolist()]) + "\n")
+    return path
+
+
 @pytest.fixture
 def train_csv(tmp_path):
-    path = tmp_path / "train.csv"
     x = burr_sample(study_params(1.0, M=3), 200, np.random.default_rng(0))
-    lines = ["x1,x2,x3"] + [",".join(repr(v) for v in row.tolist()) for row in x]
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return write_csv(tmp_path / "train.csv", x)
 
 
 @pytest.fixture
 def test_csv(tmp_path):
-    path = tmp_path / "test.csv"
     x = burr_sample(study_params(1.0, M=3), 3, np.random.default_rng(1))
-    lines = ["x1,x2,x3"] + [",".join(repr(v) for v in row.tolist()) for row in x]
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return write_csv(tmp_path / "test.csv", x)
 
 
 # ----------------------------------------------------------------------
@@ -79,18 +79,27 @@ def test_cli_import_loads_no_scipy_stats():
     assert out.stdout.strip() == "[]"
 
 
-def explain_in_a_new_process(model, test_csv, out, predictor):
-    """`vineshap explain` in a fresh interpreter: its exit code and whether
-    it loaded `scipy.special`."""
+def main_in_a_new_process(argv):
+    """`vineshap` with `argv` in a fresh interpreter: its exit code and
+    whether it loaded `scipy.special`."""
     src = Path(vineshap.__file__).resolve().parents[1]
-    argv = ["explain", str(model), str(test_csv), "--predictor", predictor,
-            "--k", "100", "--seed", "6", "--diagnostics", "--out", str(out)]
     code = ("import sys; from vineshap.cli import main; "
             f"print(main({argv!r}), 'scipy.special' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": str(src)})
     code, loaded = proc.stdout.split()
     return int(code), loaded == "True"
+
+
+def explain_in_a_new_process(model, test_csv, out, predictor):
+    """`vineshap explain` in a fresh interpreter, reported as `main_in_a_new_process` does."""
+    return main_in_a_new_process(["explain", str(model), str(test_csv), "--predictor", predictor,
+                                  "--k", "100", "--seed", "6", "--diagnostics", "--out", str(out)])
+
+
+def pair_families(model):
+    return {pair["family"] for vine in json.loads(model.read_text())["models"]
+            for row in vine["pairs"] for pair in row}
 
 
 def set_pairs(bundle, pair):
@@ -131,6 +140,36 @@ def test_gaussian_pieces_load_scipy_special_on_use(train_csv, test_csv, tmp_path
     assert explain_in_a_new_process(model, test_csv, fresh, "linear:1,2,3") == (0, True)
     assert run_cli("explain", str(model), str(test_csv), "--predictor", "linear:1,2,3",
                    "--k", "100", "--seed", "6", "--diagnostics", "--out", str(loaded)) == 0
+    assert fresh.read_bytes() == loaded.read_bytes()
+
+
+@pytest.mark.parametrize("shap_method", ["condsim", "ratio"])
+def test_a_fit_whose_pairs_are_all_clayton_loads_no_scipy_special(tmp_path, shap_method):
+    """Burr data, whose copula is a survival Clayton: a cold `vineshap fit`
+    rules out the Gaussian candidate of every pair on NumPy normal scores,
+    so it never imports `scipy.special`."""
+    train = write_csv(tmp_path / "train.csv",
+                      burr_sample(study_params(0.5, M=4), 300, np.random.default_rng(0)))
+    model = tmp_path / "m.json"
+    assert main_in_a_new_process(["fit", str(train), "--shap-method", shap_method,
+                                  "--out", str(model)]) == (0, False)
+    assert pair_families(model) == {"clayton"}
+
+
+@pytest.mark.parametrize("shap_method", ["condsim", "ratio"])
+def test_a_fit_on_gaussian_copula_data_loads_scipy_special_and_writes_the_same_bundle(
+        tmp_path, shap_method):
+    """Log-normal data, whose copula is Gaussian: a cold `vineshap fit` loads
+    `scipy.special` for its Gaussian pairs and writes the bytes that a fit in
+    a process which had loaded it already writes."""
+    cov = 0.6 ** np.abs(np.subtract.outer(np.arange(3), np.arange(3)))
+    x = np.exp(np.random.default_rng(0).multivariate_normal(np.zeros(3), cov, size=200))
+    train, fresh, loaded = write_csv(tmp_path / "train.csv", x), tmp_path / "f.json", tmp_path / "l.json"
+    argv = ["fit", str(train), "--shap-method", shap_method, "--seed", "3"]
+    assert main_in_a_new_process([*argv, "--out", str(fresh)]) == (0, True)
+    vineshap.bicop.special()
+    assert run_cli(*argv, "--out", str(loaded)) == 0
+    assert "gaussian" in pair_families(fresh)
     assert fresh.read_bytes() == loaded.read_bytes()
 
 

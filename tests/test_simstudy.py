@@ -31,6 +31,17 @@ def test_params_validation():
             BurrParams(p=p, b=b, r=r)
 
 
+@pytest.mark.parametrize("M", [2.5, 3.0, True, "3", None, 0, 11])
+def test_study_params_refuses_an_m_that_is_not_an_integer_in_1_to_10(M):
+    with pytest.raises(InvalidInputError, match="integer M in 1..10"):
+        study_params(0.5, M)
+
+
+def test_study_params_takes_a_numpy_integer_m():
+    assert study_params(0.5, np.int64(3)) == study_params(0.5, 3)
+    assert study_params(0.5, np.int8(10)) == study_params(0.5, 10)
+
+
 def test_study_params_grid():
     p = study_params(0.5, M=10)
     assert p.b == (2, 4, 6, 2, 4, 6, 2, 4, 6, 6)
@@ -275,9 +286,10 @@ def test_true_shapley_rejects_x_star_off_the_burr_support(x_star):
         true_shapley(study_params(1.0, M=3), never_called, x_star, 1000)
 
 
-@pytest.mark.parametrize("K_oracle", [1000.5, 2000.0, "2000"])
+@pytest.mark.parametrize("K_oracle", [1000.5, 2000.0, "2000", True, 999, np.int64(999)])
 def test_true_shapley_rejects_a_k_oracle_that_is_not_an_integer_from_1000(K_oracle):
-    with pytest.raises(InvalidInputError, match="integer K_oracle >= 1000"):
+    """The floor is `CONFIG_BOUNDS["K_oracle"]`'s, checked by `check_field`."""
+    with pytest.raises(InvalidInputError, match="K_oracle must be a finite int >= 1000"):
         true_shapley(study_params(1.0, M=3), never_called, np.ones(3), K_oracle)
 
 

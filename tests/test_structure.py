@@ -42,6 +42,31 @@ def test_required_rejects_bad_m():
         required_sets(26, "ratio")
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: CoverPlan(3.5, "ratio", []), id="plan-3.5"),
+    pytest.param(lambda: CoverPlan(True, "ratio", []), id="plan-True"),
+    pytest.param(lambda: greedy_cover(4.0, "ratio"), id="cover-4.0"),
+    pytest.param(lambda: greedy_cover("4", "condsim"), id="cover-str"),
+    pytest.param(lambda: required_sets(np.float64(3), "condsim"), id="required-float64"),
+    pytest.param(lambda: greedy_cover(4, "ratio", B=2.5), id="B-2.5"),
+    pytest.param(lambda: greedy_cover(4, "ratio", B=True), id="B-True"),
+    pytest.param(lambda: greedy_cover(4, "ratio", B=None), id="B-None"),
+])
+def test_m_and_b_must_be_integers(call):
+    with pytest.raises(InvalidInputError, match="must be an integer"):
+        call()
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_numpy_integer_m_and_b_give_the_int_plan(method):
+    """np.int8(8) included: the full mask is formed as a Python int."""
+    want = greedy_cover(8, method, B=5, rng=np.random.default_rng(1))
+    for M, B in ((np.int8(8), np.int64(5)), (np.int64(8), np.uint8(5))):
+        got = greedy_cover(M, method, B=B, rng=np.random.default_rng(1))
+        assert (got.orders, got.assignment) == (want.orders, want.assignment)
+    assert required_sets(np.int8(8), method) == required_sets(8, method)
+
+
 def test_one_feature_cap():
     assert MAX_FEATURES == 20
     with pytest.raises(InvalidInputError):
