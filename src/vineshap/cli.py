@@ -261,11 +261,10 @@ def cmd_explain(args):
             "K": args.k,
             "seed": args.seed,
         })
-        if args.diagnostics:
-            records[-1]["values"] = {str(k): v for k, v in sorted(expl.values.items())}
-            for key in ("ess_min", "ridge_flagged"):
-                if key in expl.diagnostics:
-                    records[-1][key] = expl.diagnostics[key]
+        if args.diagnostics:  # the mask-keyed tables with string keys, as JSON has them
+            records[-1].update(expl.diagnostics, values=expl.values)
+            for key in {"values", "ess"} & set(records[-1]):
+                records[-1][key] = {str(k): v for k, v in sorted(records[-1][key].items())}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump({"columns": columns, "explanations": records}, fh, sort_keys=True)
         fh.write("\n")

@@ -22,12 +22,14 @@ per tree), both densities, the Rosenblatt transform, the straddling
 pairs and x*'s pinned prefix.  `DVineModel._solve` inverts it position
 by position, and reads each solved position's h-values off the h-inverse
 chain that solved it and the carries its calls return: it makes no `step`.
-Conditional sampling solves only the positions after the coalition's,
-from the caller's uniform draws.  The prefixes of one order share x*'s
-u-values, so one call samples a group of them: x*'s prefix is walked
-once, on one row, and each coalition's rows join the inverse at their
-first free position.  A suffix is a prefix of the reversed model, built
-once per model and not serialised.
+Conditional sampling takes each coalition as the block (first, last) of
+order positions the cover plan placed it at, a proper prefix or suffix,
+and solves only the positions after it, from the caller's uniform draws.
+The prefixes of one order share x*'s u-values, so one inverse pass
+samples all of a call's prefixes: x*'s prefix is walked once, on one
+row, and each coalition's rows join the inverse at their first free
+position.  A suffix is a prefix of the reversed model, built once per
+model and not serialised; a call's suffixes take one pass there.
 """
 import numpy as np
 
@@ -239,67 +241,66 @@ class DVineModel:
             self._reversed._reversed = self
         return self._reversed
 
-    def coalition_role(self, features):
-        """'prefix' or 'suffix' if the feature set lines up with the order."""
-        s = set(features)
-        k = len(s)
-        if 0 < k < self.M:
-            if s == set(self.order[:k]):
-                return "prefix"
-            if s == set(self.order[-k:]):
-                return "suffix"
-        return None
+    def conditional_sample(self, blocks, x_star, draws):
+        """Joint samples conditional on each block's coalition, from one
+        inverse pass per end of the order.
 
-    def conditional_sample(self, coalitions, x_star, draws):
-        """Joint samples conditional on each coalition, from one inverse pass.
-
-        The coalitions must all be prefixes, or all suffixes, of the order
-        (a suffix is a prefix of the reversed model).  `x_star` is the full
-        M-vector on data scale (only the conditioning entries are read).
-        draws[c] holds coalition c's uniforms, K_c x (M - |S_c|), one
-        column per free position in order sequence.  Returns one K_c x M
-        data-scale table per coalition, its conditioning columns pinned at
-        their x_star values.
-
-        The blocks are stacked by ascending |S|, and the block of |S| = s
-        joins the inverse at position s with the h-values x*'s pinned prefix
-        carries there, from one tree walk on one row for every block.  Each
-        pair's h-inverse runs once per position on every joined block's rows.
+        Each block (first, last) of order positions must be a proper prefix
+        (first == 0) or a proper suffix (last == M - 1) of the order; a call
+        may mix the two, and a suffix is a prefix of the reversed model.
+        `x_star` is the full M-vector on data scale (only the conditioning
+        entries are read).  draws[c] holds block c's uniforms, K_c x
+        (M - |S_c|), one column per free position in order sequence.
+        Returns one K_c x M data-scale table per block, in input order, its
+        conditioning columns pinned at their x_star values.
         """
-        roles = {self.coalition_role(f) for f in coalitions}
-        if len(roles) != 1 or None in roles:
-            raise CoverageError(
-                f"coalitions {[sorted(f) for f in coalitions]} are not all prefixes "
-                f"or all suffixes of order {self.order}")
-        model = self if roles == {"prefix"} else self.reversed()
-        m, sizes = self.M, [len(set(f)) for f in coalitions]
-        if len(draws) != len(coalitions) or any(
-                np.ndim(d) != 2 or np.shape(d)[1] != m - s for d, s in zip(draws, sizes)):
-            raise InvalidInputError("need one K x (M - |S|) table of draws per coalition")
+        m = self.M
         x_star = np.asarray(x_star, dtype=float)
-        rank = sorted(range(len(coalitions)), key=sizes.__getitem__)
-        starts = [sizes[c] for c in rank]
+        if x_star.shape != (m,):
+            raise InvalidInputError(f"x_star must have shape ({m},), got {x_star.shape}")
+        bad = [b for b in blocks if not (0 == b[0] <= b[1] < m - 1 or 0 < b[0] <= b[1] == m - 1)]
+        if bad:
+            raise CoverageError(f"blocks {bad} are not proper prefixes or suffixes "
+                                f"of order {self.order}")
+        sizes = [last + 1 - first for first, last in blocks]
+        if len(draws) != len(blocks) or any(
+                np.ndim(d) != 2 or np.shape(d)[1] != m - s for d, s in zip(draws, sizes)):
+            raise InvalidInputError("need one K x (M - |S|) table of draws per block")
+        tables = {}
+        for suffix in (False, True):
+            rank = sorted((c for c, (first, _) in enumerate(blocks) if (first > 0) == suffix),
+                          key=sizes.__getitem__)
+            if rank:
+                model = self.reversed() if suffix else self
+                tables.update(zip(rank, model._sample_prefixes(
+                    [sizes[c] for c in rank], x_star, [draws[c] for c in rank])))
+        return [tables[c] for c in range(len(blocks))]
 
-        s = starts[-1]
-        u_star = np.clip([[model.marginals[f].cdf(x_star[f])] for f in model.order[:s + 1]],
+    def _sample_prefixes(self, sizes, x_star, draws):
+        """`conditional_sample` of prefixes of ascending sizes, one table each.
+        The blocks are stacked in that order, and the block of |S| = s joins
+        the inverse at position s with the h-values x*'s pinned prefix
+        carries there, from one tree walk on one row for every block.  Each
+        pair's h-inverse runs once per position on every joined block's rows."""
+        m, s = self.M, sizes[-1]
+        u_star = np.clip([[self.marginals[f].cdf(x_star[f])] for f in self.order[:s + 1]],
                          EPS, 1 - EPS)
         # x*'s tree i carries X[k-1-i] to position k <= s: its first s-1-i pairs build them
-        pinned = [X for X, _ in _trees(u_star, [model.pairs[i][:s - 1 - i] for i in range(s - 1)])]
+        pinned = [X for X, _ in _trees(u_star, [self.pairs[i][:s - 1 - i] for i in range(s - 1)])]
 
-        ends = np.cumsum([len(draws[c]) for c in rank])
+        ends = np.cumsum([len(d) for d in draws])
         V = np.empty((ends[-1], m))
-        for c, end in zip(rank, ends):
-            V[end - len(draws[c]):end, sizes[c]:] = np.clip(draws[c], EPS, 1 - EPS)
-        model._solve(V, [(k, len(draws[c]), [pinned[i][k - 1 - i] for i in range(k)])
-                         for c, k in zip(rank, starts)])
+        for d, k, end in zip(draws, sizes, ends):
+            V[end - len(d):end, k:] = np.clip(d, EPS, 1 - EPS)
+        self._solve(V, [(k, len(d), [pinned[i][k - 1 - i] for i in range(k)])
+                        for d, k in zip(draws, sizes)])
 
         X = np.tile(x_star, (len(V), 1))
-        for p in range(starts[0], m):
-            rows = ends[np.searchsorted(starts, p, "right") - 1]  # the blocks joined by p
-            f = model.order[p]
-            X[:rows, f] = model.marginals[f].quantile(V[:rows, p])
-        tables = np.split(X, ends[:-1])
-        return [tables[r] for r in np.argsort(rank)]  # back in input order
+        for p in range(sizes[0], m):
+            rows = ends[np.searchsorted(sizes, p, "right") - 1]  # the blocks joined by p
+            f = self.order[p]
+            X[:rows, f] = self.marginals[f].quantile(V[:rows, p])
+        return np.split(X, ends[:-1])
 
     # ------------------------------------------------------------------
     # serialization

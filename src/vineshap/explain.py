@@ -28,7 +28,7 @@ from .bicop import EPS, special
 from .dvine import pseudo_observations
 from .errors import CoverageError, InvalidInputError, NumericError
 from .marginals import EmpiricalMarginal
-from .structure import MAX_FEATURES, set_of
+from .structure import MAX_FEATURES
 
 PREDICT_CELLS = 1 << 16     # default matrix cells per predictor call in `shapley_rows`
 
@@ -181,8 +181,8 @@ def shapley(estimator, x_star):
 
 def shapley_rows(estimator, X_star, cells=None):
     """One Explanation per row of the (R, M) array X_star, from one stream
-    of predictor calls of up to `cells` matrix cells (default
-    `PREDICT_CELLS`): a call may hold the draws of several rows, and
+    of predictor calls of up to `cells` matrix cells (an integer >= 1, by
+    default `PREDICT_CELLS`): a call may hold the draws of several rows, and
     v(empty)'s training rows join the first call until v(empty) is cached.
     Each row calls `begin_explanation`, in row order, before its first
     draw, so its draws are those of `shapley` on that row alone.  A row's
@@ -199,6 +199,9 @@ def shapley_rows(estimator, X_star, cells=None):
         raise InvalidInputError(
             f"exact enumeration over 2^{M} coalitions refused; reduce to "
             f"<= {MAX_FEATURES} features")
+    if cells is not None and (isinstance(cells, bool) or not isinstance(cells, (int, np.integer))
+                              or cells < 1):
+        raise InvalidInputError(f"cells must be None or an integer >= 1, got {cells!r}")
     full = (1 << M) - 1
     # one v table per row, in the order v(empty), v(full), then mask order
     tables = [dict.fromkeys([0, full, *range(1, full)]) for _ in X_star]
@@ -385,8 +388,12 @@ class GaussianEstimator(GaussianCopulaEstimator):
 class _VineEstimator(ContributionEstimator):
     """Base of the vine estimators: checks their cover plan once, when built.
     A subclass sets `plan_method`, the `CoverPlan.method` it serves, and
-    yields (mask, x, pi) per coalition from `_draws(masks, x_star)`, one
-    vine call per group of coalitions; the plan's `assignment` places each."""
+    `_explanation` in `begin_explanation`.  `_draws` groups the masks by
+    the serving order the plan's `assignment` gives, and the subclass's
+    `_vine_draws(groups, x_star)` yields (mask, x, pi) per coalition from
+    one vine call per (model, masks, blocks) group, on the plan's blocks."""
+
+    _explanation = None
 
     def __init__(self, train_x, predictor, models, plan, K=1000, rng=None):
         super().__init__(train_x, predictor, K, rng)
@@ -399,15 +406,21 @@ class _VineEstimator(ContributionEstimator):
         if len(plan.assignment) != (1 << self.M) - 2:  # it holds only required masks
             raise CoverageError("the plan leaves a coalition unserved")
 
-    def _served(self, mask, key):
-        """The plan's (order index, first, last) at `key`, the mask (its own or
-        its complement's) that places coalition `mask`; else CoverageError."""
-        try:
-            return self.plan.assignment[key]
-        except KeyError:
-            hint = ": `shapley` takes v(empty) as the mean of g over the training rows"
-            raise CoverageError(f"coalition {[j for j in range(self.M) if mask >> j & 1]} "
-                                f"is not served by the plan{'' if mask else hint}") from None
+    def _draws(self, masks, x_star):
+        """(mask, x, pi) per coalition, grouped by serving order."""
+        if self._explanation is None:
+            self.begin_explanation(x_star)
+        groups = {}
+        for mask in masks:
+            try:
+                index, *block = self.plan.assignment[mask]
+            except KeyError:
+                hint = ": `shapley` takes v(empty) as the mean of g over the training rows"
+                raise CoverageError(f"coalition {[j for j in range(self.M) if mask >> j & 1]} "
+                                    f"is not served by the plan{'' if mask else hint}") from None
+            groups.setdefault(index, []).append((mask, tuple(block)))
+        yield from self._vine_draws(
+            [(self.models[index], *zip(*group)) for index, group in groups.items()], x_star)
 
 
 class VineCondSimEstimator(_VineEstimator):
@@ -420,27 +433,17 @@ class VineCondSimEstimator(_VineEstimator):
 
     method = "vine-condsim"
     plan_method = "condsim"
-    _key = None
 
     def begin_explanation(self, x_star):
-        self._key = int(self.rng.integers(1 << 63))
+        self._explanation = int(self.rng.integers(1 << 63))  # the streams' key
 
-    def _draws(self, masks, x_star):
-        """(mask, x, None) per coalition.  Coalitions are grouped by their
-        serving order and whether they are its prefix or suffix; one inverse
-        pass samples each group."""
-        if self._key is None:
-            self.begin_explanation(x_star)
-        groups = {}
-        for mask in masks:
-            index, first, _ = self._served(mask, mask)
-            groups.setdefault((index, first == 0), []).append(mask)
-        for (index, _), group in groups.items():
-            draws = [np.random.default_rng([self._key, mask]).uniform(
-                size=(self.K, self.M - mask.bit_count())) for mask in group]
-            coalitions = [set_of(mask) for mask in group]
-            tables = self.models[index].conditional_sample(coalitions, x_star, draws)
-            yield from ((mask, x, None) for mask, x in zip(group, tables))
+    def _vine_draws(self, groups, x_star):
+        """One `conditional_sample` call per order: one inverse pass per end."""
+        for model, masks, blocks in groups:
+            draws = [np.random.default_rng([self._explanation, mask]).uniform(
+                size=(self.K, self.M - mask.bit_count())) for mask in masks]
+            tables = model.conditional_sample(blocks, x_star, draws)
+            yield from ((mask, x, None) for mask, x in zip(masks, tables))
 
 
 class VineRatioEstimator(_VineEstimator):
@@ -454,7 +457,6 @@ class VineRatioEstimator(_VineEstimator):
 
     method = "vine-ratio"
     plan_method = "ratio"
-    _sub_idx = None
 
     def __init__(self, train_x, predictor, models, plan, K=1000, rng=None):
         super().__init__(train_x, predictor, models, plan, K, rng)
@@ -465,31 +467,24 @@ class VineRatioEstimator(_VineEstimator):
         n = self.train_x.shape[0]
         # one subsample shared by every coalition of this explanation
         if self.K <= n:
-            self._sub_idx = self.rng.choice(n, size=self.K, replace=False)
+            self._explanation = self.rng.choice(n, size=self.K, replace=False)
         else:
-            self._sub_idx = self.rng.integers(0, n, size=self.K)
+            self._explanation = self.rng.integers(0, n, size=self.K)
 
-    def _draws(self, masks, x_star):
-        """(mask, x, pi) per coalition, on the shared subsample.  Coalitions
-        are grouped by the order that serves their complement; one call per
-        order weights them all."""
-        if self._sub_idx is None:
-            self.begin_explanation(x_star)
-        groups, full = {}, (1 << self.M) - 1
-        for mask in masks:
-            index, *block = self._served(mask, full ^ mask)
-            groups.setdefault(index, []).append((mask, tuple(block)))
-        u_sub = self.train_u[self._sub_idx]
+    def _vine_draws(self, groups, x_star):
+        """One `log_density_ratios` call per order weights the shared
+        subsample for all its coalitions, each block its complement's; the
+        pinned tables are built as they are yielded."""
+        u_sub = self.train_u[self._explanation]
         u_star = [f.cdf(x) for f, x in zip(self.marginals, x_star)]
-        for order_index, group in groups.items():
-            group_masks, blocks = zip(*group)
-            log_ratios = self.models[order_index].log_density_ratios(u_sub, u_star, blocks)
+        for model, masks, blocks in groups:
+            log_ratios = model.log_density_ratios(u_sub, u_star, blocks)
             if not np.all(np.isfinite(log_ratios)):
                 raise NumericError("a density-ratio log weight is not finite "
                                    "(a pair copula density overflowed)")
-            for mask, logw in zip(group_masks, log_ratios):
+            for mask, logw in zip(masks, log_ratios):
                 w = np.exp(logw - np.max(logw))  # the largest is 1: sum in [1, K]
-                yield mask, self._pinned(self._sub_idx, mask, x_star), w / w.sum()
+                yield mask, self._pinned(self._explanation, mask, x_star), w / w.sum()
 
     def effective_sample_size(self, features, x_star):
         x, pi = self.sample(features, x_star)

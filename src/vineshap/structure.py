@@ -6,7 +6,8 @@ every complement set (one-feature ones too) to be a contiguous block.
 Both are set-cover problems over permutations, attacked with the
 batch-of-B randomized greedy loop.  A plan records only its orders: a
 coalition is served by the first order that covers it, and the plan's
-`assignment` says where, once, for every mask.
+`assignment` says where, once, for every coalition: the positions that
+it fills for condsim, that its complement fills for ratio.
 """
 
 from dataclasses import dataclass, field
@@ -29,22 +30,24 @@ def set_of(mask):
 @dataclass
 class CoverPlan:
     """D-vine orders for one method; `assignment` maps the mask of each
-    required coalition that an order covers to (i, first, last): i indexes
-    the first such order, whose positions first..last the coalition fills."""
+    coalition S that an order serves to (i, first, last): i indexes the
+    first such order, whose positions first..last S fills (condsim) or its
+    complement fills (ratio)."""
     M: int
     method: str
     orders: list
-    assignment: dict = field(init=False)  # mask -> (order index, first, last)
+    assignment: dict = field(init=False)  # coalition mask -> (order index, first, last)
 
     def __post_init__(self):
         full, last = _full_mask(self.M, self.method), self.M - 1
+        flip = full if self.method == "ratio" else 0  # ratio keys a block by its complement
         self.assignment = {}
         for index, order in enumerate(self.orders):
             bits = [1 << f for f in order]
             for a in range(self.M):
-                for e, mask in enumerate(accumulate(bits[a:], or_), a):
-                    if 0 < mask < full and (self.method == "ratio" or a == 0 or e == last):
-                        self.assignment.setdefault(mask, (index, a, e))
+                for e, block in enumerate(accumulate(bits[a:], or_), a):
+                    if 0 < block < full and (flip or a == 0 or e == last):
+                        self.assignment.setdefault(block ^ flip, (index, a, e))
 
 
 def _full_mask(M, method):

@@ -606,6 +606,37 @@ def test_explain_diagnostics_write_the_ratio_ess_min(train_csv, test_csv, tmp_pa
             assert "ess_min" not in rec
 
 
+@pytest.mark.parametrize("method", ["ratio", "condsim", "gaussian-copula"])
+def test_explain_diagnostics_write_each_rows_whole_diagnostics(train_csv, test_csv, tmp_path,
+                                                               method):
+    """The call and row counts, and for ratio the per-coalition ESS keyed by
+    mask string, as `values` is; the counts were not written before."""
+    model = tmp_path / "m.json"
+    fit = ["--shap-method", method] if method in ("ratio", "condsim") else ["--method", method]
+    assert run_cli("fit", str(train_csv), *fit, "--out", str(model)) == 0
+    docs = []
+    for extra in ([], ["--diagnostics"]):
+        out = tmp_path / f"e{len(extra)}.json"
+        assert run_cli("explain", str(model), str(test_csv), "--predictor", "linear:1,2,3",
+                       "--k", "50", "--seed", "4", "--out", str(out), *extra) == 0
+        docs.append(out.read_text())
+    plain, diagnosed = (json.loads(doc)["explanations"] for doc in docs)
+    assert json.dumps([r["phi"] for r in plain]) == json.dumps([r["phi"] for r in diagnosed])
+    record = {"row_id", "phi0", "phi", "method", "K", "seed"}
+    assert all(set(rec) == record for rec in plain)
+    added = {"values", "predictor_calls", "predictor_rows",
+             *{"ratio": ["ess", "ess_min"], "gaussian-copula": ["ridge_flagged"]}.get(method, [])}
+    # one predictor call carries every row; row 0's also holds v(empty)'s 200 training rows
+    assert [rec["predictor_calls"] for rec in diagnosed] == [1, 1, 1]
+    assert [rec["predictor_rows"] for rec in diagnosed] == [200 + 301, 301, 301]
+    for rec in diagnosed:
+        assert set(rec) == record | added
+        assert sorted(rec["values"], key=int) == [str(mask) for mask in range(8)]
+        if method == "ratio":
+            assert sorted(rec["ess"], key=int) == [str(mask) for mask in range(1, 7)]
+            assert rec["ess_min"] == min(rec["ess"].values())
+
+
 @pytest.mark.parametrize("method", ["gaussian", "gaussian-copula"])
 def test_explain_diagnostics_write_the_gaussian_ridge_flags(tmp_path, method):
     # x2 repeats x1: sigma_SS of S = {x1, x2} (mask 3) is singular

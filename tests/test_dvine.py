@@ -302,9 +302,8 @@ def test_u_at_0_and_1_is_clipped_where_it_enters():
             assert np.array_equal(
                 model.log_density_ratios(edge, u_star, blocks),
                 model.log_density_ratios(clipped, np.clip(u_star, EPS, 1 - EPS), blocks))
-        coalitions = [set(model.order[:2]), set(model.order[:1])]
-        got = model.conditional_sample(coalitions, data[0], draws)
-        want = model.conditional_sample(coalitions, data[0],
+        got = model.conditional_sample([(0, 1), (0, 0)], data[0], draws)
+        want = model.conditional_sample([(0, 1), (0, 0)], data[0],
                                         [np.clip(d, EPS, 1 - EPS) for d in draws])
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
@@ -351,8 +350,8 @@ def test_conditional_sample_independence_ignores_conditioning():
     data = rng.normal(size=(500, 3))
     model = constant_vine(data, (0, 1, 2), IndependenceCopula())
     x_star = np.array([10.0, 0.0, 0.0])
-    x = model.conditional_sample([{0}], x_star,
-                                [np.random.default_rng(15).uniform(size=(4000, 2))])[0]
+    x = model.conditional_sample([(0, 0)], x_star,
+                                 [np.random.default_rng(15).uniform(size=(4000, 2))])[0]
     assert np.all(x[:, 0] == 10.0)
     # complement columns are plain draws from the marginals
     ks = stats.ks_2samp(x[:, 1], data[:, 1])
@@ -365,8 +364,8 @@ def test_conditional_sample_m2_gaussian_oracle():
     z = rng.multivariate_normal([0, 0], [[1, rho], [rho, 1]], size=4000)
     model = constant_vine(z, (0, 1), GaussianCopula(rho))
     x_star = np.array([1.2, 0.0])
-    x = model.conditional_sample([{0}], x_star,
-                                [np.random.default_rng(17).uniform(size=(10000, 1))])[0]
+    x = model.conditional_sample([(0, 0)], x_star,
+                                 [np.random.default_rng(17).uniform(size=(10000, 1))])[0]
     u1 = model.marginals[0].cdf(x_star[0])
     scores = stats.norm.ppf(np.clip(model.marginals[1].cdf(x[:, 1]), 1e-9, 1 - 1e-9))
     want_mean = rho * stats.norm.ppf(u1)
@@ -381,10 +380,10 @@ def test_conditional_sample_prefix_vs_suffix_same_distribution():
     data = rng.normal(size=(500, 3))
     model = constant_vine(data, (0, 1, 2), GaussianCopula(0.6))
     x_star = np.array([0.5, 0.0, 0.5])
-    a = model.conditional_sample([{0}], x_star,
-                                [np.random.default_rng(19).uniform(size=(5000, 2))])[0]
-    b = model.conditional_sample([{2}], x_star,
-                                [np.random.default_rng(20).uniform(size=(5000, 2))])[0]
+    a = model.conditional_sample([(0, 0)], x_star,
+                                 [np.random.default_rng(19).uniform(size=(5000, 2))])[0]
+    b = model.conditional_sample([(2, 2)], x_star,
+                                 [np.random.default_rng(20).uniform(size=(5000, 2))])[0]
     ks = stats.ks_2samp(a[:, 1], b[:, 1])
     assert ks.pvalue > 0.01
 
@@ -399,8 +398,8 @@ def test_conditional_sample_keeps_a_saturated_conditioning_value():
                                    [IndependenceCopula()]], marginals)
     x_star = np.array([marginals[0].quantile(0.02), marginals[1].quantile(0.5), 1.0])
     K = 2000
-    x = model.conditional_sample([{0, 1}], x_star,
-                                [np.random.default_rng(5).uniform(size=(K, 1))])[0]
+    x = model.conditional_sample([(0, 1)], x_star,
+                                 [np.random.default_rng(5).uniform(size=(K, 1))])[0]
     drawn = np.random.default_rng(5).uniform(size=(K, 1))[:, 0]
     u = np.column_stack([f.cdf(x[:, j]) for j, f in enumerate(marginals)])
     assert np.median(np.abs(model.rosenblatt(u)[:, 2] - drawn)) <= 1e-12
@@ -409,17 +408,29 @@ def test_conditional_sample_keeps_a_saturated_conditioning_value():
 def test_conditional_sample_rejects_middle_coalition():
     model = gaussian_vine([0.5, 0.5, 0.5])
     with pytest.raises(CoverageError):
-        model.conditional_sample([{1}], np.zeros(3),
+        model.conditional_sample([(1, 1)], np.zeros(3),
                                  [np.random.default_rng(0).uniform(size=(10, 2))])
 
 
-def test_coalition_role():
-    model = gaussian_vine([0.5, 0.5, 0.5])  # order (0, 1, 2)
-    assert model.coalition_role({0}) == "prefix"
-    assert model.coalition_role({0, 1}) == "prefix"
-    assert model.coalition_role({2}) == "suffix"
-    assert model.coalition_role({1}) is None
-    assert model.coalition_role({0, 1, 2}) is None
+def test_conditional_sample_takes_proper_prefixes_and_suffixes_only():
+    """Order (0, 1, 2): {0} and {0, 1} are prefixes, {2} a suffix; the middle
+    {1}, the full block and an empty one are neither, and raise."""
+    model = gaussian_vine([0.5, 0.5, 0.5])
+    x_star = np.zeros(3)
+    for block in ((0, 0), (0, 1), (2, 2), (1, 2)):
+        draws = [np.full((4, 3 - (block[1] - block[0] + 1)), 0.5)]
+        assert model.conditional_sample([block], x_star, draws)[0].shape == (4, 3)
+    for block in ((1, 1), (0, 2), (1, 0), (2, 1), (0, -1)):
+        with pytest.raises(CoverageError):
+            model.conditional_sample([(0, 0), block], x_star, [np.full((4, 2), 0.5)] * 2)
+    assert model.conditional_sample([], x_star, []) == []
+
+
+@pytest.mark.parametrize("x_star", [np.zeros(2), np.zeros(4), np.zeros((1, 3)), 0.0])
+def test_conditional_sample_rejects_an_x_star_that_is_not_an_m_vector(x_star):
+    model = gaussian_vine([0.5, 0.5, 0.5])
+    with pytest.raises(InvalidInputError, match=r"x_star must have shape \(3,\)"):
+        model.conditional_sample([(0, 0)], x_star, [np.full((4, 2), 0.5)])
 
 
 def test_reversed_model_same_density():

@@ -235,10 +235,10 @@ def test_conditional_sample_h_points_per_solved_row(monkeypatch):
     data = np.random.default_rng(0).normal(size=(50, m))
     model = constant_vine(data, (3, 0, 7, 1, 6, 2, 5, 4), ClaytonCopula(2.0))
     for s in range(1, m):
-        for features in (model.order[:s], model.order[m - s:]):
+        for block in ((0, s - 1), (m - s, m - 1)):
             with monkeypatch.context() as patch:
                 steps, inverses = counted_step_points(patch), counted_inverse_points(patch)
-                model.conditional_sample([set(features)], data[0],
+                model.conditional_sample([block], data[0],
                                          [np.random.default_rng(s).uniform(size=(K, m - s))])
             assert steps == Counter(first=sum(range(s - 1)), second=sum(range(s)))
             assert inverses == Counter(hinv=K * sum(range(s, m)),
@@ -258,9 +258,9 @@ def test_conditional_sample_solves_only_the_free_positions(monkeypatch):
     data = np.random.default_rng(0).normal(size=(50, m))
     model = constant_vine(data, (3, 0, 7, 1, 6, 2, 5, 4), ClaytonCopula(2.0))
     for s in range(1, m):
-        for features in (model.order[:s], model.order[m - s:]):
+        for block in ((0, s - 1), (m - s, m - 1)):
             points.clear()
-            model.conditional_sample([set(features)], data[0],
+            model.conditional_sample([block], data[0],
                                      [np.random.default_rng(s).uniform(size=(K, m - s))])
             assert points["hinv"] / K == sum(range(s, m))
 
@@ -272,13 +272,13 @@ def test_conditional_sample_solves_only_the_free_positions(monkeypatch):
 def reference_log_weights(est, features, x_star):
     """The former `VineRatioEstimator.log_weights`: the full density with S
     pinned at x*, minus the complement block's own density."""
-    u = est.train_u[est._sub_idx].copy()
+    u = est.train_u[est._explanation].copy()
     for j in features:
         u[:, j] = est.marginals[j].cdf(x_star[j])
     sbar = sorted(set(range(est.M)) - set(features))
     if len(sbar) < 2:
         return est.models[0].copula_log_density(u)
-    index, start, end = est.plan.assignment[sum(1 << j for j in sbar)]
+    index, start, end = est.plan.assignment[sum(1 << j for j in features)]
     model = est.models[index]
     assert sorted(model.order[start:end + 1]) == sbar  # the complement is a contiguous block
     cols = [model.order[p] for p in range(start, end + 1)]
@@ -314,11 +314,10 @@ def test_stacked_ratio_weights_match_numerator_minus_denominator(m, data, seed):
         features = set_of(mask)
         want = normalised(reference_log_weights(est, features, x_star))
         assert np.max(np.abs(pi - want)) <= 1e-12
-        assert np.array_equal(x, est._pinned(est._sub_idx, mask, x_star))
+        assert np.array_equal(x, est._pinned(est._explanation, mask, x_star))
         # one block through `sample` is the stacked pass's row, bit for
         # bit; checked on the first coalition of each serving order
-        sbar = frozenset(range(m)) - features
-        order_index = plan.assignment[(1 << m) - 1 ^ mask][0] if len(sbar) > 1 else 0
+        order_index = plan.assignment[mask][0]
         if order_index not in checked:
             checked.add(order_index)
             assert np.array_equal(est.sample(features, x_star)[1], pi)
@@ -420,14 +419,15 @@ def test_each_straddling_pair_is_evaluated_once_per_overlap(monkeypatch):
 # conditional sampling: the pinned pass against the former Rosenblatt
 # round trip of x*_S
 
-def reference_conditional_sample(model, features, x_star, K, rng):
+def reference_conditional_sample(model, block, x_star, K, rng):
     """The former `DVineModel.conditional_sample`, which transformed u* and
     inverted that transform with the draws.  Also returns how far the
     inverse moved the conditioning u-values, or, relative to their distance
     from 0 and from 1, the h-values they carry to the first free position:
     near a tail, an h-value that barely moved can move the free columns'
     h-inverses far more."""
-    model = model if model.coalition_role(features) == "prefix" else model.reversed()
+    features = set(model.order[block[0]:block[1] + 1])
+    model = model if block[0] == 0 else model.reversed()
     m, s = model.M, len(features)
     u_star = np.full(m, 0.5)
     for f in features:
@@ -454,12 +454,13 @@ def reference_conditional_sample(model, features, x_star, K, rng):
 
 @st.composite
 def pinned_cases(draw):
-    """An order of 2..8 positions, its pair copulas, and a prefix or a suffix."""
+    """An order of 2..8 positions, its pair copulas, and a prefix or a suffix
+    block of its positions."""
     m = draw(st.integers(2, 8))
     order = draw(st.permutations(range(m)))
     pairs = [[draw(ratio_pairs) for _ in range(m - 1 - i)] for i in range(m - 1)]
     s = draw(st.integers(1, m - 1))
-    return order, pairs, draw(st.sampled_from([order[:s], order[m - s:]]))
+    return order, pairs, draw(st.sampled_from([(0, s - 1), (m - s, m - 1)]))
 
 
 I, C = IndependenceCopula(), ClaytonCopula
@@ -471,18 +472,18 @@ I, C = IndependenceCopula(), ClaytonCopula
 # u-values and missed this sample by 1.05e-8 (relative); the chain gives 1.4e-13.
 @example(((0, 1, 2, 3, 4, 5), [[I, C(29.0, 270), C(15.0), C(18.0, 180), I],
                                [I, C(1.5), C(28.0, 90), I], [I, C(36.0), I],
-                               [I, seeded_grid(0)], [I]], (0, 1, 2)), 530852)
+                               [I, seeded_grid(0)], [I]], (0, 2)), 530852)
 def test_pinned_pass_matches_the_round_trip_where_that_is_exact(case, seed):
-    order, pairs, features = case
-    m, s, features = len(order), len(features), set(features)
+    order, pairs, block = case
+    m, s = len(order), block[1] - block[0] + 1
     rng = np.random.default_rng(seed)
     train = rng.normal(size=(60, m))
     model = DVineModel(order, pairs, [EmpiricalMarginal(train[:, j]) for j in range(m)])
     x_star = rng.normal(scale=2.0, size=m)  # some entries beyond the training range
-    want, moved = reference_conditional_sample(model, features, x_star, 50,
+    want, moved = reference_conditional_sample(model, block, x_star, 50,
                                                np.random.default_rng(seed))
     assume(moved <= 1e-12)
-    got = model.conditional_sample([features], x_star,
+    got = model.conditional_sample([block], x_star,
                                    [np.random.default_rng(seed).uniform(size=(50, m - s))])[0]
     assert np.all(np.abs(got - want) <= 1e-8 * np.maximum(1.0, np.abs(want)))
 
@@ -506,18 +507,20 @@ def burr_vines(m, mode, method="condsim", seed=0):
 @pytest.mark.parametrize("mode", sorted(MODES))
 @pytest.mark.parametrize("m", [2, 3, 5, 8])
 def test_stacked_conditional_sample_equals_one_coalition_calls(m, mode):
-    """Every prefix group and every suffix group of an order, stacked in
-    shuffled input order, in chunks of one, two and all, with blocks of
-    different sizes: each table is the one-coalition call's, bit for bit."""
+    """Every prefix group, every suffix group and both mixed, of an order,
+    stacked in shuffled input order, in chunks of one, two and all, with
+    blocks of different sizes: each table is the one-block call's, bit for
+    bit."""
     _, train, _, models = burr_vines(m, mode)
     model = models[0]
     rng = np.random.default_rng(m)
     x_star = train[0] * rng.uniform(0.5, 2.0, size=m)  # some entries beyond the range
-    for group in ([model.order[:s] for s in range(1, m)],
-                  [model.order[m - s:] for s in range(1, m)]):
-        group = [set(group[c]) for c in rng.permutation(len(group))]
-        draws = [rng.uniform(size=(3 + c, m - len(f))) for c, f in enumerate(group)]
-        want = [model.conditional_sample([f], x_star, [d])[0] for f, d in zip(group, draws)]
+    prefixes = [(0, s - 1) for s in range(1, m)]
+    suffixes = [(m - s, m - 1) for s in range(1, m)]
+    for group in (prefixes, suffixes, prefixes + suffixes, prefixes + suffixes):
+        group = [group[c] for c in rng.permutation(len(group))]
+        draws = [rng.uniform(size=(3 + c, m - 1 - e + a)) for c, (a, e) in enumerate(group)]
+        want = [model.conditional_sample([b], x_star, [d])[0] for b, d in zip(group, draws)]
         for step in (1, 2, len(group)):
             got = []
             for start in range(0, len(group), step):
@@ -527,38 +530,40 @@ def test_stacked_conditional_sample_equals_one_coalition_calls(m, mode):
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
-def test_conditional_sample_rejects_a_mixed_or_malformed_group():
+def test_conditional_sample_rejects_malformed_draws():
     model = constant_vine(np.random.default_rng(0).normal(size=(50, 4)), (0, 1, 2, 3),
                           GaussianCopula(0.5))
     draws = [np.full((5, 3), 0.5), np.full((5, 3), 0.5)]
     with pytest.raises(CoverageError):
-        model.conditional_sample([{0}, {3}], np.zeros(4), draws)
+        model.conditional_sample([(0, 0), (1, 2)], np.zeros(4), draws)
     with pytest.raises(InvalidInputError):
-        model.conditional_sample([{0}, {0, 1}], np.zeros(4), draws)
+        model.conditional_sample([(0, 0), (0, 1)], np.zeros(4), draws)
     with pytest.raises(InvalidInputError):
-        model.conditional_sample([{0}], np.zeros(4), draws)
+        model.conditional_sample([(0, 0)], np.zeros(4), draws)
 
 
-def condsim_groups(plan, models):
-    """The coalition masks of each (serving order, prefix or suffix) group
-    of a condsim plan, as a Counter of (order, role, masks)."""
+def condsim_groups(plan):
+    """The coalition masks each serving order of a condsim plan samples, as
+    a Counter of (order, masks); each block is the coalition's own prefix
+    or suffix of the order."""
     groups = {}
-    for mask, (index, first, _) in plan.assignment.items():
-        role = models[index].coalition_role(set_of(mask))
-        assert role == ("prefix" if first == 0 else "suffix")
-        groups.setdefault((plan.orders[index], role), set()).add(mask)
-    return Counter((order, role, frozenset(masks)) for (order, role), masks in groups.items())
+    for mask, (index, first, last) in plan.assignment.items():
+        order = plan.orders[index]
+        assert set(order[first:last + 1]) == set_of(mask)
+        assert first == 0 or last == plan.M - 1
+        groups.setdefault(order, set()).add(mask)
+    return Counter((order, frozenset(masks)) for order, masks in groups.items())
 
 
 def counted_groups(monkeypatch):
-    """A Counter of `conditional_sample` calls by (order, role, coalition masks)."""
+    """A Counter of `conditional_sample` calls by (order, coalition masks)."""
     calls = Counter()
     sample = DVineModel.conditional_sample
 
-    def counted(self, coalitions, x_star, draws):
-        calls[self.order, self.coalition_role(coalitions[0]),
-              frozenset(sum(1 << f for f in c) for c in coalitions)] += 1
-        return sample(self, coalitions, x_star, draws)
+    def counted(self, blocks, x_star, draws):
+        calls[self.order, frozenset(sum(1 << f for f in self.order[a:e + 1])
+                                    for a, e in blocks)] += 1
+        return sample(self, blocks, x_star, draws)
 
     monkeypatch.setattr(DVineModel, "conditional_sample", counted)
     return calls
@@ -567,8 +572,8 @@ def counted_groups(monkeypatch):
 @pytest.mark.parametrize("mode", sorted(MODES))
 @pytest.mark.parametrize("m", [3, 5])
 def test_condsim_estimator_chunks_groups_to_the_predictor_batch(monkeypatch, m, mode):
-    """With `PREDICT_CELLS` at two coalitions' cells, each group is still
-    sampled by one inverse pass, and every draw is the one-coalition
+    """With `PREDICT_CELLS` at two coalitions' cells, each serving order is
+    still sampled by one call, and every draw is the one-coalition
     sample's: the draws are keyed by the coalition alone."""
     params, train, plan, models = burr_vines(m, mode)
     g = analytic_mean_predictor(params)
@@ -580,14 +585,14 @@ def test_condsim_estimator_chunks_groups_to_the_predictor_batch(monkeypatch, m, 
     est.begin_explanation(x_star)
     drawn = {mask: x for mask, x, _ in est.sample_all(x_star)}
     assert sorted(drawn) == list(range(1, (1 << m) - 1))
-    assert calls == condsim_groups(plan, models)
+    assert calls == condsim_groups(plan)
     for mask, x in drawn.items():
         assert np.array_equal(est.sample(set_of(mask), x_star)[0], x)
 
 
 def test_vine_calls_are_one_per_group_at_any_predictor_budget(monkeypatch):
     """With `PREDICT_CELLS` at one coalition's cells (M·K), condsim samples
-    each (serving order, role) group with one `conditional_sample` call,
+    each serving order's coalitions with one `conditional_sample` call,
     and ratio evaluates each straddled (order, pair) with one log-density
     call of K points per distinct overlap."""
     m, K = 5, 30
@@ -614,7 +619,7 @@ def test_vine_calls_are_one_per_group_at_any_predictor_budget(monkeypatch):
                 train[0])
         return plan, models
 
-    assert sampled == condsim_groups(*explained("condsim", VineCondSimEstimator))
+    assert sampled == condsim_groups(explained("condsim", VineCondSimEstimator)[0])
     plan, _ = explained("ratio", VineRatioEstimator)
     assert points == Counter((order, K * len(overlaps))
                              for (order, *_), overlaps in straddled_overlaps(plan).items())

@@ -386,7 +386,7 @@ def test_ratio_independence_reduces_to_subsample_average():
     pi = est.sample({0}, x_star)[1]
     assert np.allclose(pi, 1.0 / 100, atol=1e-14)
     # exact equality with the unweighted average on the shared subsample
-    x = train[est._sub_idx].copy()
+    x = train[est._explanation].copy()
     x[:, 0] = x_star[0]
     assert est.contribution({0}, x_star) == pytest.approx(float(np.mean(g(x))))
 
@@ -451,10 +451,10 @@ def test_shared_subsample_across_coalitions():
     est = VineRatioEstimator(train, lambda x: np.atleast_2d(x)[:, 0],
                              models, plan, K=50, rng=np.random.default_rng(29))
     est.begin_explanation(train[0])
-    idx1 = est._sub_idx.copy()
+    idx1 = est._explanation.copy()
     est.contribution({0}, train[0])
     est.contribution({1, 2}, train[0])
-    assert np.array_equal(est._sub_idx, idx1)
+    assert np.array_equal(est._explanation, idx1)
 
 
 def test_shapley_explanation_record_fields():
@@ -763,6 +763,26 @@ def test_shapley_rows_reject_bad_query_rows_before_any_call(bad):
     assert est.predictor_calls == 0
 
 
+@pytest.mark.parametrize("cells", [0, -5, 2.5, True, float("nan"), "abc", np.float64(64.0)],
+                         ids=repr)
+def test_shapley_rows_reject_a_cell_budget_that_is_not_a_count(cells):
+    # 0 ran at `PREDICT_CELLS`, -5, 2.5, True and nan at one row per call,
+    # and "abc" ended in a bare TypeError
+    train = np.random.default_rng(61).normal(size=(50, 3))
+    est = make_estimator("independence", train, row_wise, 62)
+    with pytest.raises(InvalidInputError, match="cells must be None or an integer >= 1"):
+        shapley_rows(est, train[:2], cells)
+    assert est.predictor_calls == 0
+
+
+@pytest.mark.parametrize("cells", [None, 1, np.int64(150), 1 << 20])
+def test_shapley_rows_take_none_or_an_integer_cell_budget(cells):
+    train = np.random.default_rng(61).normal(size=(50, 3))
+    want = shapley_rows(make_estimator("independence", train, row_wise, 62), train[:2])
+    got = shapley_rows(make_estimator("independence", train, row_wise, 62), train[:2], cells)
+    assert all(np.array_equal(a.phi, b.phi) for a, b in zip(got, want))
+
+
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("features", [{0, 5}, {3}, {-1}, {0.5}], ids=repr)
 def test_sample_rejects_a_feature_that_is_not_an_index(method, features):
@@ -841,7 +861,7 @@ def test_ratio_pass_stacks_coalitions_within_the_row_budget(monkeypatch):
 def test_ratio_uncovered_complement_raises_coverage_error():
     train = np.random.default_rng(51).normal(size=(100, 3))
     est = make_estimator("ratio", train, row_wise, 52)
-    del est.plan.assignment[0b110]
+    del est.plan.assignment[0b001]  # {0}, whose complement block {1, 2} is now unserved
     with pytest.raises(CoverageError):
         shapley(est, train[0])
     with pytest.raises(CoverageError, match=r"coalition \[0\] "):  # S, not its complement

@@ -53,7 +53,7 @@ def _cases():
     for K in (1, 4):
         cases.append((f"conditional_sample-K{K}",
                       lambda *args: model.conditional_sample(*args)[0],
-                      ([{2}], np.zeros(3), [np.random.default_rng(0).uniform(size=(K, 2))]),
+                      ([(0, 0)], np.zeros(3), [np.random.default_rng(0).uniform(size=(K, 2))]),
                       (K, 3)))
     return cases
 

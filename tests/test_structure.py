@@ -111,7 +111,7 @@ def test_m2_ratio_plan_is_the_identity_order():
 @pytest.mark.parametrize("m", [2, 3, 5, 8])
 def test_one_feature_ratio_complements_go_to_the_first_order(m):
     plan = greedy_cover(m, "ratio", rng=np.random.default_rng(m))
-    assert all(plan.assignment[1 << j][0] == 0 for j in range(m))
+    assert all(plan.assignment[(1 << m) - 1 ^ 1 << j][0] == 0 for j in range(m))
 
 
 def test_m3_condsim_exactly_two_orders():
@@ -129,13 +129,19 @@ def test_completeness(m, method):
     assert {set_of(mask) for mask in plan.assignment} == required_sets(m, method)
 
 
+def served_set(plan, mask):
+    """The set a plan's order must cover to serve coalition `mask`: the
+    coalition for condsim, its complement for ratio."""
+    return set_of((1 << plan.M) - 1 ^ mask if plan.method == "ratio" else mask)
+
+
 def test_assignment_points_at_covering_order():
     for method in ("condsim", "ratio"):
         plan = greedy_cover(5, method, rng=np.random.default_rng(1))
         for mask, (index, _, _) in plan.assignment.items():
-            coalition = set_of(mask)
-            assert coalition in covered_sets(plan.orders[index], method)
-            assert not any(coalition in covered_sets(order, method)
+            served = served_set(plan, mask)
+            assert served in covered_sets(plan.orders[index], method)
+            assert not any(served in covered_sets(order, method)
                            for order in plan.orders[:index])
 
 
@@ -145,10 +151,12 @@ def test_assignment_holds_the_first_covering_order_and_the_block_it_fills(M, met
     plan = greedy_cover(M, method, B=20, rng=np.random.default_rng(seed))
     covered = [covered_sets(order, method) for order in plan.orders]
     for mask, (i, a, e) in plan.assignment.items():
-        assert set(plan.orders[i][a:e + 1]) == set_of(mask)
+        # the block is the coalition's for condsim, its complement's for ratio
+        assert set(plan.orders[i][a:e + 1]) == (
+            set_of(mask) if method == "condsim" else set(range(M)) - set_of(mask))
         if method == "condsim":  # a prefix or a suffix
             assert a == 0 or e == M - 1
-        assert not any(set_of(mask) in sets for sets in covered[:i])
+        assert not any(served_set(plan, mask) in sets for sets in covered[:i])
 
 
 def frozenset_covered(order, method):
